@@ -36,6 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_text(key: str, value: bool) -> str:
+    if key.endswith("_watermark"):  # informational flag, not a verdict
+        return "yes" if value else "no"
+    return "ok" if value else "FAIL"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {"seed": args.seed, "outdir": args.out}
@@ -47,13 +53,14 @@ def main(argv=None) -> int:
             caster = int if args.param == "N" else float
             values = [caster(v) for v in args.values.split(",")]
             rows, path = sweep(config, args.param, values, pipeline=args.pipeline)
-            print(f"sweep over {args.param}: {sum(r['passed'] for r in rows)}/{len(rows)} runs passed -> {path}")
-            return 0
+            passed = sum(r["passed"] for r in rows)
+            print(f"sweep over {args.param}: {passed}/{len(rows)} runs passed -> {path}")
+            return 0 if passed == len(rows) else 1
         pipeline = "full" if args.verb == "verify-all" else args.verb
         manifest, passed = run_pipeline(config, pipeline)
         for stage, rec in manifest["stages"].items():
             flags = {k: v for k, v in rec["verdicts"].items() if isinstance(v, bool)}
-            line = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in flags.items())
+            line = ", ".join(f"{k}={_flag_text(k, v)}" for k, v in flags.items())
             print(f"[{stage}] {line}")
         if not passed:
             print("FAILED checks: " + ", ".join(manifest["failures"]), file=sys.stderr)

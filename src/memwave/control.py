@@ -9,10 +9,13 @@ moment constraints on the control: for each mode pair (n, j),
 The minimum-L2-norm control solving them lives in the span of the conjugated
 constraint kernels, and its coefficients solve the Hermitian positive
 semidefinite Gram system G a = b whose entries factor into closed-form space
-and time integrals.  Branch-2/3 kernels grow like e^{|M| T/2} in time, so the
-Gram's scale spread is extreme; the solve runs at extended precision with the
-rho-weighted prescaling, and the solved coefficients are kept both as doubles
-(exports, diagnostics) and at full precision (terminal-state evaluation).
+and time integrals.  Those closed forms take the exponential as a parameter,
+so one implementation serves the float64 Gram, the mpmath Gram and the
+propagator.  Branch-2/3 kernels grow like e^{|M| T/2} in time, so the Gram's
+scale spread is extreme; the solve runs at extended precision on the
+configured spectrum (``hp.MpSpectrum``) with the rho-weighted prescaling,
+and the solved coefficients are kept both as doubles (exports, diagnostics)
+and at full precision (terminal-state evaluation).
 """
 
 from __future__ import annotations
@@ -101,16 +104,23 @@ def assemble_moments(data: InitialData, ms: MovingSpectrum) -> MomentSystem:
     return MomentSystem(modes=modes, b=b, data=data)
 
 
-def _space_factor(delta: float, x0: float, x1: float) -> complex:
+def _space_factor(delta, x0, x1, exp=cmath.exp):
+    """int_{x0}^{x1} e^{i delta x} dx; ``exp`` is cmath.exp or mpmath.exp."""
     if abs(delta) < 1e-14:
-        return complex(x1 - x0)
-    return (cmath.exp(1j * delta * x1) - cmath.exp(1j * delta * x0)) / (1j * delta)
+        return x1 - x0
+    return (exp(1j * delta * x1) - exp(1j * delta * x0)) / (1j * delta)
 
 
-def _time_factor(w: complex, T: float) -> complex:
+def _time_factor(w, T, exp=cmath.exp):
+    """int_0^T e^{-w t} dt; ``exp`` is cmath.exp or mpmath.exp."""
     if abs(w) < 1e-14:
-        return complex(T)
-    return (1.0 - cmath.exp(-w * T)) / w
+        return T
+    return (1 - exp(-w * T)) / w
+
+
+def _gram_entry(lam_r, kap_r, lam_c, kap_c, x0, x1, T, exp=cmath.exp):
+    """G[r, c]: the restricted space-time pairing of kernels c and r."""
+    return _space_factor(kap_c - kap_r, x0, x1, exp) * _time_factor(lam_c + lam_r.conjugate(), T, exp)
 
 
 @dataclass
@@ -134,15 +144,13 @@ def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
     if not x1 > x0:
         raise ValueError("omega0 must be a nonempty interval")
     modes = [(n, j) for n in ms.mode_indices() for j in BRANCHES]
-    lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
-    kap = np.array([ms.kappa(n) for n, _ in modes])
+    lam = [ms.eigenvalue(n, j) for n, j in modes]
+    kap = [ms.kappa(n) for n, _ in modes]
     m = len(modes)
     G = np.empty((m, m), dtype=complex)
     for r in range(m):
         for ccol in range(m):
-            G[r, ccol] = _space_factor(kap[ccol] - kap[r], x0, x1) * _time_factor(
-                lam[ccol] + np.conj(lam[r]), T
-            )
+            G[r, ccol] = _gram_entry(lam[r], kap[r], lam[ccol], kap[ccol], x0, x1, T)
     herm = np.max(np.abs(G - G.conj().T))
     if herm > 1e-12 * np.max(np.abs(G)):
         raise RuntimeError(f"assembly lost Hermitian symmetry: deviation {herm:.2e}")
@@ -164,17 +172,7 @@ def _assemble_gram_mp(spec: MpSpectrum, modes, omega0, T):
     G = mp.matrix(m, m)
     for r in range(m):
         for ccol in range(m):
-            d = kap[ccol] - kap[r]
-            if abs(d) < mp.mpf("1e-30"):
-                space = x1 - x0
-            else:
-                space = (mp.e ** (mp.mpc(0, 1) * d * x1) - mp.e ** (mp.mpc(0, 1) * d * x0)) / mp.mpc(0, 1) / d
-            w = lam[ccol] + mp.conj(lam[r])
-            if abs(w) < mp.mpf("1e-30"):
-                tf = T_mp
-            else:
-                tf = (1 - mp.e ** (-w * T_mp)) / w
-            G[r, ccol] = space * tf
+            G[r, ccol] = _gram_entry(lam[r], kap[r], lam[ccol], kap[ccol], x0, x1, T_mp, mp.exp)
     return G
 
 
@@ -250,37 +248,28 @@ class ControlField:
                     writer.writerow([repr(float(tv)), repr(float(xv)), repr(vals[i, k].real), repr(vals[i, k].imag)])
 
 
-def synthesize_control(
-    msys: MomentSystem,
-    gram: ControlGram,
-    method: str = "direct",
-    target_residual: float = 1.0e-10,
-    dps: int | None = None,
-) -> ControlField:
+def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
     """Solve G a = b at extended precision with iterative refinement.
 
-    ``direct`` solves the rho-prescaled system exactly; ``regularized`` adds
-    the largest Tikhonov shift that still meets the relative residual target
-    1e-8.  A float64 attempt is accepted only when the scaled conditioning
-    leaves enough headroom, otherwise the solve runs in mpmath.
+    The Gram and the right-hand sides are rebuilt in mpmath on the gram's own
+    moving spectrum, prescaled by the rho weights, and solved directly by LU
+    with three refinement steps.  The working precision grows with the
+    scaled condition number: dps = max(40, log10(cond_scaled) + 30).  The
+    reported residual is max |G a - b| of the unscaled system; callers judge
+    it (the runner's ``residual_ok`` verdict requires <= 1e-10 |b|).
     """
     ms = gram.ms
     modes = gram.modes
-    b = msys.b
-    rhs_norm = float(np.linalg.norm(b))
+    rhs_norm = float(np.linalg.norm(msys.b))
     if rhs_norm == 0.0:
-        a = np.zeros(len(modes), dtype=complex)
         return ControlField(
-            modes=modes, a=a, omega0=gram.omega0, T=gram.T, residual=0.0,
-            rhs_norm=0.0, norm=0.0, method=method,
+            modes=modes, a=np.zeros(len(modes), dtype=complex), omega0=gram.omega0, T=gram.T,
+            residual=0.0, rhs_norm=0.0, norm=0.0, method="direct",
             gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled}, ms=ms,
         )
-    if method not in ("direct", "regularized"):
-        raise ValueError(f"unknown method {method!r}")
 
-    if dps is None:
-        dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
-    spec = MpSpectrum(ms.s, ms.M, ms.c, ms.N, dps=dps)
+    dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
+    spec = MpSpectrum(ms, dps=dps)
     with mp.workdps(dps):
         G_mp = _assemble_gram_mp(spec, modes, gram.omega0, gram.T)
         b_mp = _moments_mp(spec, modes, msys.data)
@@ -291,59 +280,33 @@ def synthesize_control(
             for ccol in range(m):
                 Gs[r, ccol] = rho[r] * G_mp[r, ccol] * rho[ccol]
         bs = mp.matrix([rho[r] * b_mp[r] for r in range(m)])
-        if method == "regularized":
-            scale = max(abs(Gs[r, r]) for r in range(m))
-            tau = scale
-            best = None
-            for _ in range(60):
-                Gt = Gs.copy()
-                for r in range(m):
-                    Gt[r, r] += tau
-                x, _ = hermitian_solve(Gt, bs, refine=1)
-                r_unreg = Gs * x - bs
-                res = max(abs(r_unreg[i]) for i in range(m))
-                if res <= 1e-8 * mp.norm(bs, p=2):
-                    best = (x, res, tau)
-                    break
-                tau /= 4
-            if best is None:
-                raise RuntimeError("regularization scan failed to meet the residual target")
-            x, res_s, tau = best
-        else:
-            x, res_s = hermitian_solve(Gs, bs, refine=3)
-            tau = 0.0
+        x, _ = hermitian_solve(Gs, bs)
         a_mp = [rho[r] * x[r] for r in range(m)]
-        # residual of the unscaled system
-        r_vec = G_mp * mp.matrix(a_mp) - b_mp
-        residual = float(max(abs(r_vec[i]) for i in range(m)))
-        norm_sq = 0.0
         Ga = G_mp * mp.matrix(a_mp)
-        for r in range(m):
-            norm_sq += mp.re(mp.conj(a_mp[r]) * Ga[r])
+        residual = float(max(abs(Ga[i] - b_mp[i]) for i in range(m)))
+        norm_sq = sum(mp.re(mp.conj(a_mp[r]) * Ga[r]) for r in range(m))
         norm = float(mp.sqrt(abs(norm_sq)))
 
-    a = np.array([complex(v) for v in a_mp])
-    if method == "direct" and residual > target_residual * rhs_norm:
-        import warnings
-
-        warnings.warn(
-            f"direct solve residual {residual:.2e} above target "
-            f"{target_residual:.0e} * |b|; falling back to the regularized method"
-        )
-        return synthesize_control(msys, gram, method="regularized", dps=dps + 15)
     return ControlField(
-        modes=modes, a=a, omega0=gram.omega0, T=gram.T,
-        residual=residual, rhs_norm=rhs_norm, norm=norm, method=method,
-        gram_condition={
-            "raw": gram.cond_raw, "scaled": gram.cond_scaled,
-            "dps": dps, "tau": float(tau) if method == "regularized" else 0.0,
-        },
+        modes=modes, a=np.array([complex(v) for v in a_mp]), omega0=gram.omega0, T=gram.T,
+        residual=residual, rhs_norm=rhs_norm, norm=norm, method="direct",
+        gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps},
         ms=ms, a_mp=a_mp, spec_mp=spec,
     )
 
 
-def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int = 360, nx: int = 48) -> np.ndarray:
-    """Recompute every moment by Gauss-Legendre quadrature, not closed forms."""
+def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None = None, nx: int = 48) -> np.ndarray:
+    """Recompute every moment by Gauss-Legendre quadrature, not closed forms.
+
+    The moment integrands oscillate at up to 2 max|Im lam| over (0, T); the
+    default ``nt`` puts three time nodes on each such period, never fewer
+    than 360.
+    """
+    lam = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
+    kap = np.array([ms.kappa(n) for n, _ in control.modes])
+    if nt is None:
+        periods = control.T * 2.0 * np.max(np.abs(lam.imag)) / (2.0 * math.pi)
+        nt = max(360, math.ceil(3.0 * periods))
     tg, tw = np.polynomial.legendre.leggauss(nt)
     xg, xw = np.polynomial.legendre.leggauss(nx)
     t = 0.5 * control.T * (tg + 1.0)
@@ -351,8 +314,6 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int = 360,
     x0, x1 = control.omega0
     x = 0.5 * (x1 - x0) * (xg + 1.0) + x0
     xw = 0.5 * (x1 - x0) * xw
-    lam = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
-    kap = np.array([ms.kappa(n) for n, _ in control.modes])
     u = np.einsum("m,mt,mx->tx", control.a, np.exp(-lam[:, None] * t[None, :]), np.exp(1j * kap[:, None] * x[None, :]))
     E_t = np.exp(-np.conj(lam)[:, None] * t[None, :]) * tw[None, :]
     E_x = np.exp(-1j * kap[:, None] * x[None, :]) * xw[None, :]

@@ -1,46 +1,44 @@
-"""Extended-precision spectral data and Hermitian solves via mpmath.
+"""Extended-precision spectral table and Hermitian solves via mpmath.
 
 The moment Gram couples branch-2/3 exponentials whose time factors grow like
 e^{|M| T}, so its natural scale spread exceeds what double precision can
 resolve at the residual levels the terminal-state test needs; the synthesis
-and the terminal evaluation therefore share one extended-precision spectral
-table so that the moments the control satisfies are exactly the moments the
+and the terminal evaluation therefore share one extended-precision table.
+That table is the configured moving spectrum itself, whichever eigenvalue
+backend built it: its double-precision kappa and rho are taken as exact
+mpmath values and only the real cubic root is polished at the working
+precision, so the moments the control satisfies are exactly the moments the
 propagator integrates.
 """
 
 from __future__ import annotations
 
-import math
-
 import mpmath as mp
 
-__all__ = ["MpSpectrum", "hermitian_solve", "mp_norm"]
+from .moving import MovingSpectrum
+
+__all__ = ["MpSpectrum", "hermitian_solve"]
 
 
 class MpSpectrum:
-    """Closed-form frequency table and cubic roots at working precision dps."""
+    """A MovingSpectrum's frequencies and cubic roots at working precision dps."""
 
-    def __init__(self, s: float, M: float, c: float, N: int, dps: int = 50):
-        self.s, self.M, self.c, self.N, self.dps = float(s), float(M), float(c), int(N), int(dps)
-        with mp.workdps(dps):
-            s_mp, M_mp = mp.mpf(s), mp.mpf(M)
-            self.kappa_pos = []
-            self.rho_pos = []
-            self.mu = []  # list of (mu1, mu2, mu3) per level
-            for k in range(1, N + 1):
-                kap = k * mp.pi / 2 - (1 - s_mp) * mp.pi / 4
-                rho = kap ** (2 * s_mp)
-                mu1 = M_mp - M_mp**3 / rho
+    def __init__(self, ms: MovingSpectrum, dps: int = 50):
+        self.dps = int(dps)
+        with mp.workdps(self.dps):
+            self.M, self.c = mp.mpf(ms.M), mp.mpf(ms.c)
+            self.kappa_pos = [mp.mpf(float(k)) for k in ms.kappa_pos]
+            self.rho_pos = [mp.mpf(float(r)) for r in ms.rho_pos]
+            self.mu = []  # (mu1, mu2, mu3) per level
+            tol = mp.mpf(10) ** (-self.dps + 2)
+            for rho, seed in zip(self.rho_pos, ms.mu[1].real):
+                mu1 = mp.mpf(float(seed))
                 for _ in range(60):
-                    f = mu1**3 + rho * mu1 - M_mp * rho
-                    step = f / (3 * mu1**2 + rho)
+                    step = (mu1**3 + rho * mu1 - self.M * rho) / (3 * mu1**2 + rho)
                     mu1 -= step
-                    if abs(step) < mp.mpf(10) ** (-dps + 2) * max(abs(mu1), mp.mpf(1)):
+                    if abs(step) < tol * max(abs(mu1), 1):
                         break
-                beta = mp.sqrt(3 * (mu1 / 2) ** 2 + rho)
-                mu2 = mp.mpc(-mu1 / 2, beta)
-                self.kappa_pos.append(kap)
-                self.rho_pos.append(rho)
+                mu2 = mp.mpc(-mu1 / 2, mp.sqrt(3 * (mu1 / 2) ** 2 + rho))
                 self.mu.append((mp.mpc(mu1), mu2, mp.conj(mu2)))
 
     def kappa(self, n: int):
@@ -51,26 +49,14 @@ class MpSpectrum:
         return self.rho_pos[abs(n) - 1]
 
     def lam(self, n: int, j: int):
-        mu = self.mu[abs(n) - 1][j - 1]
-        return mu + mp.mpc(0, 1) * (1 if n > 0 else -1) * mp.mpf(self.c) * self.kappa_pos[abs(n) - 1]
-
-    def nu(self, n: int, j: int):
-        """Forward exponent mu - i c kappa_n (signed kappa)."""
-        mu = self.mu[abs(n) - 1][j - 1]
-        return mu - mp.mpc(0, 1) * mp.mpf(self.c) * self.kappa(n)
+        """True eigenvalue mu_{|n|}^j + i c kappa_n (no relabeling)."""
+        return self.mu[abs(n) - 1][j - 1] + 1j * self.c * self.kappa(n)
 
 
-def hermitian_solve(A: mp.matrix, b: mp.matrix, refine: int = 2):
-    """LU solve with iterative refinement; returns (x, max residual)."""
+def hermitian_solve(A: mp.matrix, b: mp.matrix):
+    """LU solve with three steps of iterative refinement; returns (x, max residual)."""
     x = mp.lu_solve(A, b)
-    for _ in range(refine):
-        r = A * x - b
-        dx = mp.lu_solve(A, r)
-        x = x - dx
+    for _ in range(3):
+        x = x - mp.lu_solve(A, A * x - b)
     r = A * x - b
-    res = max(abs(r[i]) for i in range(A.rows))
-    return x, res
-
-
-def mp_norm(v) -> float:
-    return float(math.sqrt(sum(abs(x) ** 2 for x in v)))
+    return x, max(abs(r[i]) for i in range(A.rows))

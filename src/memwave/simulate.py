@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .control import ControlField, InitialData, _space_factor
+from .control import ControlField, InitialData, _space_factor, _time_factor
 from .hp import MpSpectrum
 from .moving import BRANCHES, MovingSpectrum
 
@@ -144,11 +144,11 @@ class GalerkinSimulator:
         ms = self.ms
         rho, kap = ms.rho(n), ms.kappa(n)
         c_eff = ms.c if self.frame == "moving" else 0.0
-        mu = np.array([ms.mu_of(n, j) for j in BRANCHES])
-        nu = mu - 1j * c_eff * kap
-        V = np.array([np.ones(3), nu, rho / mu])
-        W = np.array([mu + 1j * c_eff * kap, np.ones(3), ms.M / mu]).T
-        wv = 2.0 * mu + ms.M * rho / mu**2
+        rows = [_eigen_rows(ms.mu_of(n, j), rho, ms.M, 1j * c_eff * kap) for j in BRANCHES]
+        V = np.array([v for v, _, _ in rows]).T
+        W = np.array([w for _, w, _ in rows])
+        wv = np.array([d for _, _, d in rows])
+        nu = V[1].copy()
         prop = ModePropagator(n=n, rho=rho, kappa=kap, nu=nu, V=V, W=W, wv=wv, kappa_transport=c_eff * kap)
         for j in range(3):
             m = nu[j] + 1j * c_eff * kap
@@ -297,46 +297,28 @@ class GalerkinSimulator:
         dps = spec.dps if spec is not None else 50
         with mp.workdps(dps):
             if spec is None:
-                spec = MpSpectrum(self.ms.s, self.ms.M, self.ms.c, self.ms.N, dps=dps)
-            M = mp.mpf(self.ms.M)
-            c = mp.mpf(self.ms.c)
+                spec = MpSpectrum(self.ms, dps=dps)
             T_mp = mp.mpf(T)
             x0, x1 = mp.mpf(self.omega0[0]), mp.mpf(self.omega0[1])
+            a_mp, lam_c, kap_c = [], [], []
             if control is not None:
                 a_mp = control.a_mp if control.a_mp is not None else [mp.mpc(v) for v in control.a]
                 lam_c = [spec.lam(n, j) for n, j in control.modes]
                 kap_c = [spec.kappa(n) for n, _ in control.modes]
             sq = [mp.mpf(0), mp.mpf(0), mp.mpf(0)]
             for n in [int(v) for v in self.ns]:
-                kap = spec.kappa(n)
-                rho = spec.rho(n)
-                mus = spec.mu[abs(n) - 1]
-                y0n, y1n = data.coeff(n)
-                X0 = [mp.mpc(y0n), mp.mpc(y1n) - mp.mpc(0, 1) * c * kap * mp.mpc(y0n), mp.mpc(0)]
+                kap, rho = spec.kappa(n), spec.rho(n)
+                ick = 1j * spec.c * kap
+                y0n, y1n = (mp.mpc(v) for v in data.coeff(n))
+                X0 = (y0n, y1n - ick * y0n, 0)
+                amps = [a * _space_factor(kc - kap, x0, x1, mp.exp) / 2 for a, kc in zip(a_mp, kap_c)]
                 XT = [mp.mpc(0), mp.mpc(0), mp.mpc(0)]
-                for j in range(3):
-                    mu = mus[j]
-                    nu = mu - mp.mpc(0, 1) * c * kap
-                    wrow = (mu + mp.mpc(0, 1) * c * kap, mp.mpf(1), M / mu)
-                    wv = 2 * mu + M * rho / mu**2
-                    coord = (wrow[0] * X0[0] + wrow[1] * X0[1] + wrow[2] * X0[2]) / wv
-                    bracket = coord
-                    if control is not None:
-                        for idx in range(len(a_mp)):
-                            d = kap_c[idx] - kap
-                            if abs(d) < mp.mpf("1e-30"):
-                                space = x1 - x0
-                            else:
-                                space = (mp.e ** (mp.mpc(0, 1) * d * x1) - mp.e ** (mp.mpc(0, 1) * d * x0)) / mp.mpc(0, 1) / d
-                            amp = a_mp[idx] * space / 2
-                            w = nu + lam_c[idx]
-                            if abs(w) < mp.mpf("1e-30"):
-                                duh = T_mp
-                            else:
-                                duh = (1 - mp.e ** (-w * T_mp)) / w
-                            bracket += amp * duh / wv
-                    coord_T = mp.e ** (nu * T_mp) * bracket
-                    v = (mp.mpf(1), nu, rho / mu)
+                for mu in spec.mu[abs(n) - 1]:
+                    v, w, wv = _eigen_rows(mu, rho, spec.M, ick)
+                    nu = v[1]
+                    bracket = sum(wk * xk for wk, xk in zip(w, X0))
+                    bracket += sum(amp * _time_factor(nu + lc, T_mp, mp.exp) for amp, lc in zip(amps, lam_c))
+                    coord_T = mp.exp(nu * T_mp) * bracket / wv
                     for comp in range(3):
                         XT[comp] += v[comp] * coord_T
                 for comp, sigma in enumerate(self.sigma_weights):
@@ -346,6 +328,17 @@ class GalerkinSimulator:
                 "xi_dot": float(mp.sqrt(sq[1])),
                 "zeta": float(mp.sqrt(sq[2])),
             }
+
+
+def _eigen_rows(mu, rho, M, ick):
+    """One branch of a mode's companion system, for doubles or mpmath values.
+
+    With mu a cubic root and ick = i c kappa the transport shift, returns the
+    right eigenvector V_j = (1, nu, rho/mu) (nu = mu - ick is the forward
+    exponent), the left eigenvector W_j = (mu + ick, 1, M/mu) and the
+    normalizer W_j . V_j = 2 mu + M rho / mu^2.
+    """
+    return (1, mu - ick, rho / mu), (mu + ick, 1, M / mu), 2 * mu + M * rho / mu**2
 
 
 @dataclass

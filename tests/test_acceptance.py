@@ -56,6 +56,14 @@ def test_criterion_1_end_to_end_controllability(headline):
     verdict(1, "end-to-end null control", ok and elapsed < 120.0, detail)
 
 
+def test_default_quadrature_resolves_headline(headline):
+    # the default time-node count follows the fastest moment oscillation
+    table, ms, T, gram, data, cf = headline
+    b = ctl.assemble_moments(data, ms).b
+    rel = np.abs(ctl.quadrature_moments(cf, ms) - b) / np.abs(b)
+    assert np.max(rel) < 1e-6
+
+
 def test_criterion_2_cubic_spectrum():
     rng = np.random.default_rng(SEED)
     worst = 0.0

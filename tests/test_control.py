@@ -1,9 +1,13 @@
 """Moment assembly, Gram closed forms, minimum-norm synthesis, observability."""
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import control as ctl
+from memwave.hp import MpSpectrum
 from memwave.biorthogonal import horizon_threshold
 from memwave.fractional import build_eigenvalue_table
 from memwave.moving import build_moving_spectrum
@@ -184,15 +188,6 @@ def test_n2_brute_force_oracle():
     assert np.max(np.abs(u_oracle - u_direct)) <= 1e-8 * np.max(np.abs(u_direct))
 
 
-def test_regularized_method(setup):
-    ms, T, gram = setup
-    data = ctl.random_initial_data(ms, seed=13)
-    msys = ctl.assemble_moments(data, ms)
-    cf = ctl.synthesize_control(msys, gram, method="regularized")
-    assert cf.residual <= 1e-8 * cf.rhs_norm
-    assert cf.gram_condition["tau"] >= 0
-
-
 def test_observability_certificate(setup):
     ms, T, gram = setup
     rep = ctl.certify_observability(ms, OMEGA0, T, trials=150, seed=4, gram=gram)
@@ -218,3 +213,27 @@ def test_control_exports(tmp_path, setup):
     man = json.loads((tmp_path / "control.json").read_text())
     assert len(man["coefficients"]) == len(gram.modes)
     assert (tmp_path / "u.csv").read_text().splitlines()[0] == "t,x,re_u,im_u"
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    M=st.floats(0.2, 2.0),
+    negative=st.booleans(),
+    c=st.floats(0.5, 1.4),
+    N=st.integers(1, 4),
+)
+def test_mp_table_is_the_moving_spectrum(M, negative, c, N):
+    # the extended-precision table carries the configured kappa and rho
+    # exactly, and its Gram is the float64 Gram at higher precision
+    M = -M if negative else M
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 4), M, c, N)
+    spec = MpSpectrum(ms, dps=30)
+    for n in ms.mode_indices():
+        assert spec.kappa(n) == mp.mpf(ms.kappa(n))
+        assert spec.rho(n) == mp.mpf(ms.rho(n))
+    T = 1.05 * horizon_threshold(c, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    with mp.workdps(30):
+        G_mp = ctl._assemble_gram_mp(spec, gram.modes, OMEGA0, T)
+        G = np.array(G_mp.tolist(), dtype=complex)
+    assert np.max(np.abs(G - gram.G)) <= 1e-12 * np.max(np.abs(gram.G))

@@ -116,3 +116,18 @@ def test_cli_sweep(tmp_path):
     ])
     assert rc == 0
     assert (tmp_path / "cs" / "sweep_N.csv").exists()
+    # one failing value makes the whole sweep fail
+    rc = cli.main([
+        "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "cs2"),
+        "--param", "c", "--values", "0.0,1.1", "--pipeline", "spectrum",
+    ])
+    assert rc == 1
+
+
+def test_cli_watermark_is_not_a_verdict(tmp_path, capsys):
+    cfg_path = small_config(tmp_path)
+    rc = cli.main(["control", "--config", str(cfg_path), "--out", str(tmp_path / "ctl")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "below_threshold_watermark=no" in out
+    assert "FAIL" not in out

@@ -259,3 +259,23 @@ def test_terminal_report_json(tmp_path, world):
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,norm_xi,norm_xi_dot,norm_zeta"
     assert len(lines) == 7
+
+
+def test_discretized_backend_control_nulls_state():
+    # synthesis runs on the configured collocation spectrum, not on the
+    # closed form, so the float64 quadrature moments, float64 propagation
+    # and the mp terminal check all see the same system
+    table = build_eigenvalue_table(0.75, 8, backend="discretized", grid_points=400)
+    closed = build_eigenvalue_table(0.75, 8)
+    assert np.max(np.abs(table.rho / closed.rho - 1)) > 1e-3
+    ms = build_moving_spectrum(table, 0.5, 1.0, 8)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    data = ctl.random_initial_data(ms, seed=3)
+    msys = ctl.assemble_moments(data, ms)
+    cf = ctl.synthesize_control(msys, ctl.assemble_gram(ms, OMEGA0, T))
+    qm = ctl.quadrature_moments(cf, ms)
+    assert np.linalg.norm(qm - msys.b) <= 1e-6 * np.linalg.norm(msys.b)
+    simulator = sim.GalerkinSimulator(ms, OMEGA0)
+    for precision in ("float64", "mp"):
+        _, report = simulator.run_to_T(data, cf, T, tol_rel=1e-6, precision=precision)
+        assert report.passed, (precision, report.ratios)
