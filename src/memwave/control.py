@@ -209,7 +209,7 @@ class ControlField:
         lam = np.array([self.ms.eigenvalue(n, j) for n, j in self.modes])
         kap = np.array([self.ms.kappa(n) for n, _ in self.modes])
         vals = np.einsum(
-            "m,mt,mx->tx" if t.ndim and x.ndim else "m,mt,mx->tx",
+            "m,mt,mx->tx",
             self.a,
             np.exp(-lam[:, None] * t[None, :]),
             np.exp(1j * kap[:, None] * x[None, :]),
@@ -249,14 +249,20 @@ class ControlField:
 
 
 def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
-    """Solve G a = b at extended precision with iterative refinement.
+    """Solve G a = b at extended precision by a two-rung precision ladder.
 
     The Gram and the right-hand sides are rebuilt in mpmath on the gram's own
-    moving spectrum, prescaled by the rho weights, and solved directly by LU
-    with three refinement steps.  The working precision grows with the
-    scaled condition number: dps = max(40, log10(cond_scaled) + 30).  The
-    reported residual is max |G a - b| of the unscaled system; callers judge
-    it (the runner's ``residual_ok`` verdict requires <= 1e-10 |b|).
+    moving spectrum and prescaled by the rho weights.  The working precision
+    grows with the scaled condition number: dps = max(40, log10(cond_scaled)
+    + 30).  ``hermitian_solve`` first refines a single float64 LU factor
+    against residuals taken at that precision, and factors in mpmath once
+    only when that stalls above the working-precision floor or the Gram
+    does not fit in double precision.  ``gram_condition`` records the rung
+    that produced the coefficients (``rung``: "float64" or "mp") and the
+    max residual of the scaled system after every step of every rung tried
+    (``refinement``).  The reported residual is max |G a - b| of the
+    unscaled system; callers judge it (the runner's ``residual_ok`` verdict
+    requires <= 1e-10 |b|).
     """
     ms = gram.ms
     modes = gram.modes
@@ -280,8 +286,8 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
             for ccol in range(m):
                 Gs[r, ccol] = rho[r] * G_mp[r, ccol] * rho[ccol]
         bs = mp.matrix([rho[r] * b_mp[r] for r in range(m)])
-        x, _ = hermitian_solve(Gs, bs)
-        a_mp = [rho[r] * x[r] for r in range(m)]
+        solve = hermitian_solve(Gs, bs)
+        a_mp = [rho[r] * solve.x[r] for r in range(m)]
         Ga = G_mp * mp.matrix(a_mp)
         residual = float(max(abs(Ga[i] - b_mp[i]) for i in range(m)))
         norm_sq = sum(mp.re(mp.conj(a_mp[r]) * Ga[r]) for r in range(m))
@@ -290,7 +296,8 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
     return ControlField(
         modes=modes, a=np.array([complex(v) for v in a_mp]), omega0=gram.omega0, T=gram.T,
         residual=residual, rhs_norm=rhs_norm, norm=norm, method="direct",
-        gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps},
+        gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps,
+                        "rung": solve.rung, "refinement": solve.history},
         ms=ms, a_mp=a_mp, spec_mp=spec,
     )
 

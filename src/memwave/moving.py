@@ -462,6 +462,8 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
                 note="no mode has its resonant partner inside the truncation; enlarge N",
             ))
     # ---- coverage audit ----------------------------------------------------
+    # every pair is counted only when its distance meets the bound of the
+    # clause that claims it; the near-resonant pairs are branch-2/3 pairs
     total_pairs = 0
     covered = 0
     all_modes = [(n, j) for n in ns for j in BRANCHES]
@@ -469,18 +471,19 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     for i, a in enumerate(all_modes):
         for b in all_modes[i + 1 :]:
             total_pairs += 1
-            key = frozenset({a, b})
-            if a[1] == 1 or b[1] == 1:
-                covered += 1  # branch-1 clauses
-            elif crit_pair is not None and key == crit_pair:
-                covered += 1
-            elif key in paired:
-                covered += 1
+            d = abs(lam[a] - lam[b])
+            if a[1] == 1 and b[1] == 1:
+                ok = d - c * abs(kappa[a[0]] - kappa[b[0]]) >= -1e-12
+            elif a[1] == 1 or b[1] == 1:
+                ok = d >= bound_1 - 1e-9
+            elif crit_pair is not None and frozenset({a, b}) == crit_pair:
+                ok = d <= 1e-9
             else:
-                covered += 1  # finite-truncation minimum clause
+                ok = d > 0
+            covered += bool(ok)
     clauses.append(ClauseCheck(
         name="pair_coverage", passed=bool(covered == total_pairs),
-        measured={"total_pairs": total_pairs, "near_resonant_pairs": len(paired)},
+        measured={"total_pairs": total_pairs, "covered": covered, "near_resonant_pairs": len(paired)},
     ))
 
     asserted = [cl for cl in clauses if cl.passed is not None]

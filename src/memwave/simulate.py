@@ -136,8 +136,9 @@ class GalerkinSimulator:
                 import warnings
 
                 warnings.warn(
-                    f"plane-wave Gram condition {cond:.2e} above budget; "
-                    "projection falls back to iteratively refined solves"
+                    f"plane-wave Gram condition {cond:.2e} exceeds 1e12; the exact_gram "
+                    "projection still inverts it in float64, so its forcing amplitudes "
+                    "are not reliable"
                 )
 
     def _propagator(self, n: int) -> ModePropagator:

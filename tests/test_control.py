@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave import control as ctl
+from memwave import hp
 from memwave.hp import MpSpectrum
 from memwave.biorthogonal import horizon_threshold
 from memwave.fractional import build_eigenvalue_table
 from memwave.moving import build_moving_spectrum
+from memwave.simulate import GalerkinSimulator
 
 OMEGA0 = (-0.3, 0.3)
 
@@ -70,11 +72,19 @@ def test_gram_full_domain_sinc(setup):
     assert g2.G[i, k] == pytest.approx(want, rel=1e-12)
 
 
-def test_gram_hermitian_psd(setup):
-    _, _, gram = setup
-    assert np.max(np.abs(gram.G - gram.G.conj().T)) < 1e-14 * np.max(np.abs(gram.G))
-    w = np.linalg.eigvalsh(gram.G)
-    assert w[0] >= -1e-10 * np.abs(w[-1])
+@settings(max_examples=12, deadline=None)
+@given(
+    M=st.floats(0.2, 2.0),
+    negative=st.booleans(),
+    c=st.floats(0.5, 1.4),
+    N=st.integers(1, 6),
+)
+def test_gram_hermitian_psd(M, negative, c, N):
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 6), -M if negative else M, c, N)
+    gram = ctl.assemble_gram(ms, OMEGA0, 1.05 * horizon_threshold(c, ms.gamma))
+    scale = np.max(np.abs(gram.G))
+    assert np.max(np.abs(gram.G - gram.G.conj().T)) < 1e-14 * scale
+    assert np.linalg.eigvalsh(gram.G)[0] >= -1e-12 * scale
 
 
 def test_gram_quadrature_crosscheck(setup):
@@ -106,6 +116,54 @@ def test_synthesis_and_moment_feasibility(setup):
     qm = ctl.quadrature_moments(cf, ms)
     rel = np.abs(qm - msys.b) / np.maximum(np.abs(msys.b), 1e-300)
     assert np.max(rel) < 1e-6
+
+
+def test_ladder_float64_rung(setup):
+    # at M = 0.5 one float64 factor refined against mp residuals suffices
+    ms, T, gram = setup
+    cf = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=11), ms), gram)
+    assert cf.gram_condition["rung"] == "float64"
+    history = cf.gram_condition["refinement"]
+    assert list(history) == ["float64"]
+    steps = history["float64"]
+    assert len(steps) >= 3 and all(b < a for a, b in zip(steps, steps[1:]))
+    assert cf.residual <= 1e-10 * cf.rhs_norm
+
+
+def test_ladder_escalates_to_one_mp_factorization(monkeypatch):
+    # at M = 5 the scaled Gram (condition ~1e38) is beyond one float64
+    # factor: rung 1 stalls, and rung 2 factors in mpmath exactly once
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    data = ctl.random_initial_data(ms, seed=11)
+    factorizations = []
+    real_decomp = mp.mp.LU_decomp
+
+    def counting_decomp(*args, **kwargs):
+        factorizations.append(args[0].rows)
+        return real_decomp(*args, **kwargs)
+
+    monkeypatch.setattr(mp.mp, "LU_decomp", counting_decomp)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
+    assert cf.gram_condition["rung"] == "mp"
+    assert len(factorizations) == 1
+    assert list(cf.gram_condition["refinement"]) == ["float64", "mp"]
+    assert cf.residual <= 1e-10 * cf.rhs_norm
+    _, report = GalerkinSimulator(ms, OMEGA0).run_to_T(data, cf, T, tol_rel=1e-6, precision="mp")
+    assert report.passed, report.ratios
+
+
+def test_ladder_overflowing_matrix_goes_to_mp():
+    # entries beyond the float64 range skip rung 1 altogether
+    with mp.workdps(30):
+        scale = mp.mpf("1e400")
+        A = mp.matrix([[2 * scale, scale], [scale, 2 * scale]])
+        b = mp.matrix([3 * scale, 3 * scale])
+        solve = hp.hermitian_solve(A, b)
+        assert solve.rung == "mp" and list(solve.history) == ["mp"]
+        assert solve.residual <= 1e-25 * 3 * scale
+        assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
 
 
 def test_linearity_scaling(setup):

@@ -96,6 +96,17 @@ def test_gap_report_clauses_pass(table):
     assert rep.clause("branch23_finite_minimum").measured["upsilon"] > 0
 
 
+def test_pair_coverage_fails_on_coinciding_branch23_pair(table, monkeypatch):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 8)
+    true = ms.eigenvalue
+    monkeypatch.setattr(ms, "eigenvalue", lambda n, j: true(3, 2) if (n, j) == (2, 3) else true(n, j))
+    rep = moving.gap_diagnostics(ms)
+    cl = rep.clause("pair_coverage")
+    assert cl.passed is False
+    assert cl.measured["covered"] == cl.measured["total_pairs"] - 1
+    assert not rep.passed
+
+
 def test_gap_report_negative_velocity_matches_positive(table):
     ms_p = moving.build_moving_spectrum(table, 0.5, 1.1, 16)
     ms_m = moving.build_moving_spectrum(table, 0.5, -1.1, 16)

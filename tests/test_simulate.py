@@ -247,6 +247,13 @@ def test_exact_gram_projection_reported(world):
     assert np.isfinite(sum(rep.norms.values()))
 
 
+def test_exact_gram_warning_says_what_it_does():
+    # at N = 16 the plane-wave Gram is numerically singular (condition ~4e300)
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
+    with pytest.warns(UserWarning, match="still inverts it in float64"):
+        sim.GalerkinSimulator(ms, OMEGA0, projection="exact_gram")
+
+
 def test_terminal_report_json(tmp_path, world):
     ms, T, data, cf, simulator = world
     _, rep = simulator.run_to_T(data, cf, T, n_checkpoints=6)
