@@ -73,7 +73,6 @@ class BiorthogonalFamily:
     raw_deviation: float
     raw_diag_error: float
     tail_estimate: float
-    polished: bool
 
     def index(self, n: int, j: int) -> int:
         return self.modes.index((n, j))
@@ -104,7 +103,7 @@ class BiorthogonalFamily:
             "gram_deviation": self.gram_deviation,
             "raw_deviation": self.raw_deviation,
             "tail_estimate": self.tail_estimate,
-            "polished": self.polished,
+            "polished": True,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -117,7 +116,6 @@ def build_biorthogonal(
     x_window: float | None = None,
     per_panel: int = 8,
     n_export: int = 640,
-    polish: bool = True,
     symmetrize: bool | None = None,
     tol: float = 1.0e-3,
 ) -> BiorthogonalFamily:
@@ -196,7 +194,7 @@ def build_biorthogonal(
         raw_dev = float(np.max(np.abs(gram_raw - eye)))
         raw_diag = float(np.max(np.abs(np.diag(gram_raw) - 1.0)))
 
-        C = np.linalg.inv(gram_raw) if polish else eye
+        C = np.linalg.inv(gram_raw)
 
         # independent verification quadrature (different panel layout)
         t2, w2 = _time_quadrature(T, X, per_panel=10, density=1.37)
@@ -204,7 +202,7 @@ def build_biorthogonal(
         E2 = np.exp(-np.conj(lam)[:, None] * t2[None, :])
         gram = theta2 @ (E2 * w2[None, :]).T
         dev = float(np.max(np.abs(gram - eye)))
-        if dev <= tol or not polish:
+        if dev <= tol:
             break
         last_dev = dev
         X *= 1.5
@@ -221,7 +219,7 @@ def build_biorthogonal(
         modes=modes, lam=lam, rho=rho, T=T, window=X,
         t_grid=t_grid, theta=theta_exp, norms=norms,
         gram=gram, gram_deviation=dev, raw_deviation=raw_dev,
-        raw_diag_error=raw_diag, tail_estimate=tail_est, polished=polish,
+        raw_diag_error=raw_diag, tail_estimate=tail_est,
     )
 
 

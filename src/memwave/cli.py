@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runner import ConfigError, load_config, run_pipeline, sweep
+from .runner import ConfigError, load_config, parse_value, run_pipeline, sweep
 
 VERBS = ("spectrum", "gaps", "biorthogonal", "control", "simulate", "sweep", "verify-all")
 
@@ -50,8 +50,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, overrides={k: v for k, v in overrides.items() if v is not None})
         if args.verb == "sweep":
-            caster = int if args.param == "N" else float
-            values = [caster(v) for v in args.values.split(",")]
+            values = [parse_value(args.param, v) for v in args.values.split(",")]
             rows, path = sweep(config, args.param, values, pipeline=args.pipeline)
             passed = sum(r["passed"] for r in rows)
             print(f"sweep over {args.param}: {passed}/{len(rows)} runs passed -> {path}")

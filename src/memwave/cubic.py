@@ -11,7 +11,6 @@ inside, which is the structural reason a fixed-support control cannot work.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,8 @@ __all__ = [
     "SpectralTriple",
     "check_memory_coefficient",
     "solve_cubic",
+    "real_root",
+    "complex_root",
     "spectral_triples",
     "mu1_bounds",
     "Mu1AsymptoticsReport",
@@ -87,18 +88,30 @@ def solve_cubic(rho: float, M: float, n: int | None = None) -> SpectralTriple:
             lo = mid
         else:
             hi = mid
-    mu1 = 0.5 * (lo + hi)
-    for _ in range(8):
-        f = _cubic(mu1, rho, M)
-        fp = 3 * mu1 * mu1 + rho
-        step = f / fp
-        mu1 -= step
-        if abs(step) < 1e-17 * max(abs(mu1), 1e-300):
-            break
-    mu2 = -mu1 / 2.0 + 1j * math.sqrt(3.0 * (mu1 / 2.0) ** 2 + rho)
+    mu1 = float(real_root(rho, M, start=0.5 * (lo + hi), steps=8))
+    mu2 = complex(complex_root(mu1, rho))
     mu3 = np.conj(mu2)
     residual = max(abs(_cubic(m, rho, M)) for m in (mu1, mu2, mu3))
     return SpectralTriple(rho=rho, M=M, mu1=float(mu1), mu2=complex(mu2), mu3=complex(mu3), residual=float(residual), n=n)
+
+
+def real_root(rho, M, start=None, steps: int = 24, tol: float = 1e-17):
+    """Newton iteration for the real root of mu^3 + rho*mu - M*rho, elementwise in
+    rho (numpy arrays, or mpmath numbers at the working precision), from ``start``
+    or else from M - M^3/rho (good for rho >> M^2); stops after ``steps`` or once
+    no step reaches tol*|mu|."""
+    mu = M - M**3 / rho if start is None else start
+    for _ in range(steps):
+        step = _cubic(mu, rho, M) / (3 * mu * mu + rho)
+        mu = mu - step
+        if np.all(np.abs(step) < tol * np.maximum(np.abs(mu), 1e-300)):
+            break
+    return mu
+
+
+def complex_root(mu1, rho, sqrt=np.sqrt):
+    """mu2 = -mu1/2 + i*sqrt(3*(mu1/2)^2 + rho) from the real root; mu3 = conj(mu2)."""
+    return -mu1 / 2.0 + 1j * sqrt(3.0 * (mu1 / 2.0) ** 2 + rho)
 
 
 def spectral_triples(table: EigenvalueTable, M: float) -> list[SpectralTriple]:

@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "normalization_constant",
+    "asymptotic_kappa",
+    "asymptotic_level",
     "asymptotic_eigenvalues",
     "discretized_eigenvalues",
     "EigenvalueTable",
@@ -59,6 +61,16 @@ def normalization_constant(s: float) -> float:
     return s * 2.0 ** (2 * s) * gamma_fn((1 + 2 * s) / 2.0) / (math.sqrt(math.pi) * gamma_fn(1 - s))
 
 
+def asymptotic_kappa(s: float, k):
+    """Closed-form frequency kappa_k = k*pi/2 - (1-s)*pi/4, for real (also fractional) k."""
+    return np.asarray(k, dtype=float) * math.pi / 2.0 - (1.0 - s) * math.pi / 4.0
+
+
+def asymptotic_level(s: float, kappa):
+    """The real level k at which asymptotic_kappa(s, k) equals kappa."""
+    return (np.asarray(kappa, dtype=float) + (1.0 - s) * math.pi / 4.0) / (math.pi / 2.0)
+
+
 def asymptotic_eigenvalues(s: float, n_max: int) -> np.ndarray:
     """Closed-form approximation rho_n = (n*pi/2 - (1-s)*pi/4)^(2s), n = 1..n_max.
 
@@ -66,9 +78,7 @@ def asymptotic_eigenvalues(s: float, n_max: int) -> np.ndarray:
     collocation backend is the cross-check.
     """
     s = _check_order(s)
-    n = np.arange(1, n_max + 1, dtype=float)
-    base = n * math.pi / 2.0 - (1.0 - s) * math.pi / 4.0
-    return base ** (2.0 * s)
+    return asymptotic_kappa(s, np.arange(1, n_max + 1)) ** (2.0 * s)
 
 
 def _cell_kernel_weights(s: float, a: np.ndarray, h: float):
@@ -108,15 +118,11 @@ def collocation_matrix(s: float, grid_points: int) -> np.ndarray:
     offsets = h * np.arange(1, m)
     W = (np.abs(offsets - h / 2.0) ** (-2 * s) - (offsets + h / 2.0) ** (-2 * s)) / (2 * s)
 
-    A = np.zeros((m, m))
+    A = -toeplitz(np.concatenate([[0.0], W]))
     idx = np.arange(m)
-    for d in range(1, m):
-        A[idx[:-d], idx[d:]] = -W[d - 1]
-    A = A + A.T
-    row_sums = np.zeros(m)
-    for d in range(1, m):
-        row_sums[:-d] += W[d - 1]
-        row_sums[d:] += W[d - 1]
+    # row i couples to offsets 1..i on the left and 1..m-1-i on the right
+    cum = np.concatenate([[0.0], np.cumsum(W)])
+    row_sums = cum[idx] + cum[m - 1 - idx]
     tail = ((1.0 + x) ** (-2 * s) + (1.0 - x) ** (-2 * s)) / (2 * s)
     A[idx, idx] = row_sums + tail
 
@@ -149,19 +155,15 @@ def _collocation_eigenvalues_raw(s: float, n_max: int, grid_points: int) -> np.n
     return np.asarray(vals)
 
 
-def discretized_eigenvalues(
-    s: float, n_max: int, grid_points: int = 2400, richardson: bool = True
-) -> np.ndarray:
+def discretized_eigenvalues(s: float, n_max: int, grid_points: int = 2400) -> np.ndarray:
     """Lowest n_max eigenvalues of the dense collocation operator.
 
-    The scheme's leading eigenvalue error is a clean h^(2-2s) term; with
-    ``richardson`` the two-grid extrapolation at that rate removes it,
-    which is what brings every desk-scale mode into the closed-form
-    approximation's own O(1/n) band.
+    The scheme's leading eigenvalue error is a clean h^(2-2s) term; the
+    two-grid Richardson extrapolation at that rate removes it, which is what
+    brings every desk-scale mode into the closed-form approximation's own
+    O(1/n) band.
     """
     vals_fine = _collocation_eigenvalues_raw(s, n_max, grid_points)
-    if not richardson:
-        return vals_fine
     vals_coarse = _collocation_eigenvalues_raw(s, n_max, grid_points // 2)
     r = 2.0 ** (-(2.0 - 2.0 * s))
     vals = vals_fine + (vals_fine - vals_coarse) * r / (1.0 - r)

@@ -23,6 +23,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
+from .cubic import complex_root, real_root
 from .moving import MovingSpectrum
 
 __all__ = ["MpSpectrum", "LadderSolve", "hermitian_solve"]
@@ -40,13 +41,8 @@ class MpSpectrum:
             self.mu = []  # (mu1, mu2, mu3) per level
             tol = mp.mpf(10) ** (-self.dps + 2)
             for rho, seed in zip(self.rho_pos, ms.mu[1].real):
-                mu1 = mp.mpf(float(seed))
-                for _ in range(60):
-                    step = (mu1**3 + rho * mu1 - self.M * rho) / (3 * mu1**2 + rho)
-                    mu1 -= step
-                    if abs(step) < tol * max(abs(mu1), 1):
-                        break
-                mu2 = mp.mpc(-mu1 / 2, mp.sqrt(3 * (mu1 / 2) ** 2 + rho))
+                mu1 = real_root(rho, self.M, start=mp.mpf(float(seed)), steps=60, tol=tol)
+                mu2 = complex_root(mu1, rho, mp.sqrt)
                 self.mu.append((mp.mpc(mu1), mu2, mp.conj(mu2)))
 
     def kappa(self, n: int):

@@ -9,11 +9,14 @@ many orders of magnitude), so the evaluator has three layers:
 
 * exact factors for every mode of the supplied spectrum (the relabeling
   convention at a critical velocity included);
-* direct six-factor blocks for modes beyond the table, generated from the
-  closed-form frequency extension kappa_k = k*pi/2 - (1-s)*pi/4 and the
-  per-mode cubic; the six factors at level k combine into
-  prod_j ((z + i mu^j)^2 - c^2 kappa^2) / ((i mu^j)^2 - c^2 kappa^2),
-  evaluated out to where all remaining levels are safely non-resonant;
+* direct blocks for levels beyond the table: level k contributes the six
+  factors 1 + z/a with a = i mu^j -+ c kappa_k, from the closed-form
+  frequency extension kappa_k = k*pi/2 - (1-s)*pi/4 and the per-level
+  cubic, out to where all remaining levels are safely non-resonant.  Exact
+  and block factors are summed as log(1 + z/a) by one routine: zeros within
+  twice the batch's max|z| as explicit logs, every farther zero through the
+  power series -sum_k (-z)^k S_k / k with power sums S_k = sum a^(-k), so
+  the far part costs a few dozen terms per point and is exact to round-off;
 * the far tail summed by Euler-Maclaurin: the block log is a smooth,
   non-oscillatory function of the continuous level index once
   c*kappa_k dominates |z|, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
@@ -26,8 +29,9 @@ r^(2s-1), so log|P| carries a genuine subexponential growth trend
 and the trend vanishes, which is where the flat-modulus expectation comes
 from).  The growth is o(|x|) and can therefore be cancelled at zero cost in
 exponential type by a sparse real-zero multiplier whose counting function
-matches the measured trend; ``growth_compensator`` builds it, and the
-Fourier-side constructions evaluate the compensated product.
+matches the measured trend; ``growth_compensator`` builds it (its explicit
+zeros go through the same near/far sum), and the Fourier-side constructions
+evaluate the compensated product.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .cubic import solve_cubic
+from .cubic import complex_root, real_root, solve_cubic
+from .fractional import asymptotic_kappa, asymptotic_level
 from .moving import MovingSpectrum, BRANCHES
 
 __all__ = [
@@ -52,80 +57,102 @@ __all__ = [
 ]
 
 _CHUNK = 512
+_SAFETY = 4.0      # direct blocks run out to c*kappa >= _SAFETY * max|z|
+_NEAR_RATIO = 2.0  # zeros within _NEAR_RATIO * max|z| are summed explicitly
+
+
+def _log_factor_sum(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over a of log(1 + z/a) at each z, mod 2 pi i.
+
+    Zeros with |a| <= _NEAR_RATIO * max|z| are summed as explicit logs
+    log(a + z) - log(a), which vanish identically when z sits on a zero.
+    Every farther zero enters through log(1 + w) = -sum_k (-w)^k / k, so the
+    far part is -sum_k (-z)^k S_k / k with power sums S_k = sum a^(-k) taken
+    once; K terms with r^K <= 1e-17, r = max|z| / min|a_far|, leave a
+    truncation below round-off.
+    """
+    zmax = float(np.max(np.abs(z), initial=0.0))
+    near = np.abs(a) <= _NEAR_RATIO * zmax
+    acc = np.zeros(len(z), dtype=complex)
+    a_near = a[near]
+    with np.errstate(divide="ignore"):
+        for start in range(0, len(a_near), _CHUNK):
+            chunk = a_near[start : start + _CHUNK]
+            acc += np.sum(np.log(chunk[None, :] + z[:, None]) - np.log(chunk)[None, :], axis=1)
+    inv = 1.0 / a[~near]
+    if len(inv) and zmax > 0.0:
+        r = zmax * float(np.max(np.abs(inv)))
+        K = max(1, math.ceil(-17.0 / math.log10(r)))
+        coef = np.empty(K, dtype=complex)  # (-1)^(k+1) S_k / k, k = 1..K
+        power = inv.copy()
+        for k in range(1, K + 1):
+            coef[k - 1] = (-1) ** (k + 1) * np.sum(power) / k
+            power *= inv
+        series = 0.0
+        for c_k in coef[::-1]:  # Horner in z
+            series = (series + c_k) * z
+        acc += series
+    return acc
 
 
 class ProductFunction:
     """Evaluator for P and P' built over a moving spectrum.
 
-    ``radius`` filters the exact modes by |lam|; by default every mode of the
-    spectrum is a factor.  ``safety`` sets where the analytic remainder takes
-    over: direct blocks run out to c*kappa >= safety * max|z| of the batch.
+    Every mode of the spectrum is an exact factor; direct blocks run out to
+    c*kappa >= _SAFETY * max|z| of the batch, where the analytic remainder
+    takes over.
     """
 
-    def __init__(self, ms: MovingSpectrum, radius: float | None = None, safety: float = 4.0):
+    def __init__(self, ms: MovingSpectrum):
         self.ms = ms
-        self.safety = float(safety)
-        modes = []
-        for n, j in ms.modes():
-            lam = ms.lam(n, j)
-            if radius is None or abs(lam) <= radius:
-                modes.append((n, j))
-        if radius is not None and len({abs(n) for n, _ in modes}) < ms.N:
-            raise ValueError("radius drops whole table levels; increase it to cover |n| <= N")
-        self.modes = modes
-        self.zeta_factor = np.array([1j * np.conj(ms.lam(n, j)) for n, j in modes])
+        self.modes = list(ms.modes())
+        self.zeta_factor = np.array([1j * np.conj(ms.lam(n, j)) for n, j in self.modes])
         self.zeros = -self.zeta_factor
         dists = np.abs(self.zeros[:, None] - self.zeros[None, :])
         np.fill_diagonal(dists, np.inf)
         if dists.min() <= 0.0:
             raise ValueError("zero set is not simple; apply the critical-velocity relabeling first")
-        # closed-form frequency extension parameters
-        self._a = math.pi / 2.0
-        self._b = -(1.0 - ms.s) * math.pi / 4.0
 
     # -- extension ----------------------------------------------------------
-    def _kappa_ext(self, k):
-        return self._a * np.asarray(k, dtype=float) + self._b
-
     def _mu_tuple(self, k_real):
-        """Vectorized cubic roots along the extension for (possibly fractional) k."""
-        kap = self._kappa_ext(k_real)
+        """Cubic roots along the extension for (possibly fractional) levels k."""
+        kap = asymptotic_kappa(self.ms.s, k_real)
         rho = kap ** (2.0 * self.ms.s)
-        M = self.ms.M
-        mu1 = M - M**3 / rho
-        for _ in range(24):
-            f = mu1**3 + rho * mu1 - M * rho
-            mu1 = mu1 - f / (3.0 * mu1**2 + rho)
-        beta = np.sqrt(3.0 * (mu1 / 2.0) ** 2 + rho)
-        mu2 = -mu1 / 2.0 + 1j * beta
+        mu1 = real_root(rho, self.ms.M)
+        mu2 = complex_root(mu1, rho)
         return kap, mu1.astype(complex), mu2, np.conj(mu2)
-
-    def _mu_ext(self, k: int):
-        _, m1, m2, m3 = self._mu_tuple(np.array([float(k)]))
-        return (complex(m1[0]), complex(m2[0]), complex(m3[0]))
 
     def _direct_cutoff(self, zmax: float) -> int:
         """Last level handled by direct blocks; beyond it |w_j| <= ~0.2."""
         c, s = abs(self.ms.c), self.ms.s
         zmax = max(zmax, 1.0)
         kap_need = max(
-            self.safety * zmax / c,
+            _SAFETY * zmax / c,
             (10.0 * zmax / c**2) ** (1.0 / (2.0 - s)),
         )
-        k = int(math.ceil((kap_need - self._b) / self._a))
+        k = int(math.ceil(asymptotic_level(s, kap_need)))
         return max(k, self.ms.N + 1)
 
-    def _block_log(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
-        """Sum over branches of the grouped-level log factors, per (z, k)."""
-        c = abs(self.ms.c)
+    def _level_zeros(self, k_real) -> np.ndarray:
+        """The zeros a = i mu^j -+ c kappa_k of level k's six factors 1 + z/a, shape (6, len(k))."""
         kap, m1, m2, m3 = self._mu_tuple(k_real)
-        ck2 = (c * kap) ** 2
-        acc = 0.0
-        for mu in (m1, m2, m3):
-            num = (z[:, None] + 1j * mu[None, :]) ** 2 - ck2[None, :]
-            den = (1j * mu[None, :]) ** 2 - ck2[None, :]
-            acc = acc + np.log(num / den)
-        return acc
+        ims = 1j * np.stack([m1, m2, m3])
+        ck = abs(self.ms.c) * kap
+        return np.concatenate([ims - ck, ims + ck])
+
+    def _block_log(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
+        """Sum of the level's six log factors, per (z, k)."""
+        return sum(np.log(1.0 + z[:, None] / a[None, :]) for a in self._level_zeros(k_real))
+
+    def _block_log_deriv(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
+        return sum(1.0 / (z[:, None] + a[None, :]) for a in self._level_zeros(k_real))
+
+    def _factor_zeros(self, k_cut: int, skip: int | None = None) -> np.ndarray:
+        """Every a of a factor 1 + z/a: the spectrum's modes (but ``skip``) and
+        the six zeros of each direct-block level k <= k_cut."""
+        exact = self.zeta_factor if skip is None else np.delete(self.zeta_factor, skip)
+        levels = self._level_zeros(np.arange(self.ms.N + 1, k_cut + 1, dtype=float))
+        return np.concatenate([exact, levels.ravel()])
 
     # -- evaluation ---------------------------------------------------------
     def log_eval(self, z) -> np.ndarray:
@@ -134,8 +161,7 @@ class ProductFunction:
         out = np.where(z == 0, -np.inf + 0j, 3.0 * np.log(np.where(z == 0, 1.0, z)))
         out = out.astype(complex)
         nz = z != 0
-        out[nz] += self._log_exact(z[nz])
-        out[nz] += self._log_blocks_and_tail(z[nz])
+        out[nz] += self._log_factors(z[nz])
         return out
 
     def eval(self, z) -> np.ndarray:
@@ -145,27 +171,10 @@ class ProductFunction:
         res[nz] = np.exp(self.log_eval(z[nz]))
         return res
 
-    def _log_exact(self, z: np.ndarray, skip: int | None = None) -> np.ndarray:
-        # written as log(zeta + z) - log(zeta): the sum zeta + z cancels
-        # exactly in floating point when z sits on a stored zero
-        acc = np.zeros(len(z), dtype=complex)
-        with np.errstate(divide="ignore"):
-            for start in range(0, len(self.zeta_factor), _CHUNK):
-                zeta = self.zeta_factor[start : start + _CHUNK]
-                if skip is not None and start <= skip < start + _CHUNK:
-                    zeta = np.delete(zeta, skip - start)
-                acc += np.sum(np.log(zeta[None, :] + z[:, None]) - np.log(zeta[None, :]), axis=1)
-        return acc
-
-    def _log_blocks_and_tail(self, z: np.ndarray) -> np.ndarray:
-        zmax = float(np.max(np.abs(z))) if len(z) else 1.0
-        k_cut = self._direct_cutoff(zmax)
-        acc = np.zeros(len(z), dtype=complex)
-        ks = np.arange(self.ms.N + 1, k_cut + 1, dtype=float)
-        for start in range(0, len(ks), _CHUNK):
-            acc += np.sum(self._block_log(z, ks[start : start + _CHUNK]), axis=1)
-        acc += self._log_remainder(z, k_cut)
-        return acc
+    def _log_factors(self, z: np.ndarray, skip: int | None = None) -> np.ndarray:
+        """log of every factor but z^3: exact modes, direct blocks, remainder."""
+        k_cut = self._direct_cutoff(float(np.max(np.abs(z), initial=1.0)))
+        return _log_factor_sum(self._factor_zeros(k_cut, skip), z) + self._log_remainder(z, k_cut)
 
     # nodes/weights for the compactified tail integral
     _GAUSS_N = 48
@@ -178,27 +187,23 @@ class ProductFunction:
             cls._gauss_cache = (0.5 * (x + 1.0), 0.5 * w)  # on (0,1)
         return cls._gauss_cache
 
-    def _log_remainder(self, z: np.ndarray, k_cut: int) -> np.ndarray:
-        """Euler-Maclaurin sum of the block logs over levels k > k_cut.
+    def _log_remainder(self, z: np.ndarray, k_cut: int, block=None) -> np.ndarray:
+        """Euler-Maclaurin sum over levels k > k_cut of ``block`` (default the
+        block logs; the log-derivative passes its own per-level terms).
 
         Past the direct cutoff the block log is smooth and non-oscillatory in
         the continuous level index and decays like k^{-2}, so
         sum_{k>K} f(k) = int_{K+1}^inf f dk + f(K+1)/2 - f'(K+1)/12 + ...,
         with the integral computed on the compactified variable t = (K+1)/k.
         """
+        block = self._block_log if block is None else block
         K1 = float(k_cut + 1)
         t, w = self._gauss()
         # int_{K1}^inf f dk = K1 * int_0^1 f(K1/t) / t^2 dt
-        k_nodes = K1 / t
-        vals = self._block_log(z, k_nodes)
-        integral = K1 * np.sum(vals * (w / t**2)[None, :], axis=1)
-        f0 = self._block_log(z, np.array([K1]))[:, 0]
+        integral = K1 * np.sum(block(z, K1 / t) * (w / t**2)[None, :], axis=1)
         h = 1e-3 * K1
-        fp = (
-            self._block_log(z, np.array([K1 + h]))[:, 0]
-            - self._block_log(z, np.array([K1 - h]))[:, 0]
-        ) / (2.0 * h)
-        return integral + 0.5 * f0 - fp / 12.0
+        f0, f_up, f_down = block(z, np.array([K1, K1 + h, K1 - h])).T
+        return integral + 0.5 * f0 - (f_up - f_down) / (2.0 * h) / 12.0
 
     # -- derivatives --------------------------------------------------------
     def derivative_at_mode(self, n: int, j: int) -> complex:
@@ -208,45 +213,20 @@ class ProductFunction:
         except ValueError:
             raise KeyError(f"mode {(n, j)} is not an included factor") from None
         z0 = self.zeros[idx]
-        log_others = self._log_exact(np.array([z0]), skip=idx)[0]
-        log_rest = self._log_blocks_and_tail(np.array([z0]))[0]
-        return complex(z0**3 / self.zeta_factor[idx] * np.exp(log_others + log_rest))
+        log_rest = self._log_factors(np.array([z0]), skip=idx)[0]
+        return complex(z0**3 / self.zeta_factor[idx] * np.exp(log_rest))
 
     def log_derivative(self, z) -> np.ndarray:
         """P'(z)/P(z) away from the zero set."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        acc = 3.0 / z + np.sum(1.0 / (z[:, None] + self.zeta_factor[None, :]), axis=1)
         k_cut = self._direct_cutoff(float(np.max(np.abs(z))))
-        ks = np.arange(self.ms.N + 1, k_cut + 1, dtype=float)
-        for start in range(0, len(ks), _CHUNK):
-            acc += np.sum(self._block_log_deriv(z, ks[start : start + _CHUNK]), axis=1)
-        # Euler-Maclaurin tail of the log-derivative
-        K1 = float(k_cut + 1)
-        t, w = self._gauss()
-        vals = self._block_log_deriv(z, K1 / t)
-        acc += K1 * np.sum(vals * (w / t**2)[None, :], axis=1)
-        f0 = self._block_log_deriv(z, np.array([K1]))[:, 0]
-        h = 1e-3 * K1
-        fp = (
-            self._block_log_deriv(z, np.array([K1 + h]))[:, 0]
-            - self._block_log_deriv(z, np.array([K1 - h]))[:, 0]
-        ) / (2.0 * h)
-        acc += 0.5 * f0 - fp / 12.0
-        return acc
-
-    def _block_log_deriv(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
-        c = abs(self.ms.c)
-        kap, m1, m2, m3 = self._mu_tuple(k_real)
-        ck = c * kap
-        acc = 0.0
-        for mu in (m1, m2, m3):
-            u = z[:, None] + 1j * mu[None, :]
-            acc = acc + 1.0 / (u - ck[None, :]) + 1.0 / (u + ck[None, :])
-        return acc
+        a = self._factor_zeros(k_cut)
+        acc = 3.0 / z + np.sum(1.0 / (z[:, None] + a[None, :]), axis=1)
+        return acc + self._log_remainder(z, k_cut, self._block_log_deriv)
 
 
-def build_product(ms: MovingSpectrum, radius: float | None = None, safety: float = 4.0) -> ProductFunction:
-    return ProductFunction(ms, radius=radius, safety=safety)
+def build_product(ms: MovingSpectrum) -> ProductFunction:
+    return ProductFunction(ms)
 
 
 @dataclass
@@ -263,13 +243,9 @@ def zero_abscissas(pf: ProductFunction, x_max: float) -> np.ndarray:
     """Real parts of the zeros on the positive axis, table and extension."""
     ms = pf.ms
     c = abs(ms.c)
-    out = [np.abs(pf.zeros.real)]
-    k_hi = int(math.ceil((x_max / c - pf._b) / pf._a)) + 2
-    for k in range(ms.N + 1, k_hi + 1):
-        kap = float(pf._kappa_ext(k))
-        beta = pf._mu_ext(k)[1].imag
-        out.append(np.array([c * kap, c * kap + beta, abs(c * kap - beta)]))
-    xs = np.concatenate(out)
+    k_hi = int(math.ceil(asymptotic_level(ms.s, x_max / c))) + 2
+    kap, _, m2, _ = pf._mu_tuple(np.arange(ms.N + 1, k_hi + 1, dtype=float))
+    xs = np.concatenate([np.abs(pf.zeros.real), c * kap, c * kap + m2.imag, np.abs(c * kap - m2.imag)])
     return np.sort(np.unique(xs[(xs > 0.0) & (xs <= x_max)]))
 
 
@@ -326,7 +302,6 @@ class GrowthCompensator:
             t = (2.0 * j + self._omega(t) / math.pi) / self.B
         self.t = t[:-1]
         self._m0 = J + 1 + (self.B * t[-1] / 2.0 - (J + 1))
-        self._J = J
 
     def _omega(self, t):
         tt = np.maximum(np.asarray(t, dtype=float), self.t0)
@@ -336,19 +311,11 @@ class GrowthCompensator:
         from scipy.special import loggamma
 
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        acc = np.zeros(len(z), dtype=complex)
         zeta = self.t + 1j * self.offset
-        for start in range(0, len(self.t), _CHUNK):
-            zt = zeta[start : start + _CHUNK]
-            acc += np.sum(
-                np.log(1.0 - (z[:, None] / zt[None, :]) ** 2)
-                + np.log(1.0 - (z[:, None] / np.conj(zt)[None, :]) ** 2),
-                axis=1,
-            )
+        acc = _log_factor_sum(np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)]), z)
         # two linear chains beyond the explicit zeros, spacing 2/B each
         w = z * self.B / 2.0
-        m0 = self._m0
-        acc += 2.0 * (2.0 * loggamma(m0) - loggamma(m0 + w) - loggamma(m0 - w))
+        acc += 2.0 * (2.0 * loggamma(self._m0) - loggamma(self._m0 + w) - loggamma(self._m0 - w))
         return acc
 
 

@@ -27,7 +27,7 @@ from . import moving
 from . import product as pr
 from . import simulate as sim
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "run_pipeline", "sweep", "PIPELINES"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_value", "run_pipeline", "sweep", "PIPELINES"]
 
 PIPELINES = ("spectrum", "gaps", "biorthogonal", "control", "simulate", "full")
 
@@ -36,36 +36,50 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1", "on"):
+def _parse_bool(value) -> bool:
+    text = str(value).lower()
+    if text in ("true", "yes", "1", "on"):
         return True
-    if text.lower() in ("false", "no", "0", "off"):
+    if text in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ConfigError(f"not a boolean: {value!r}")
+
+
+def _parse_float(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"not a finite number: {value!r}")
+    return x
+
+
+def _parse_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (str, int, np.integer)):
+        raise ConfigError(f"not an integer: {value!r}")
+    return int(value)
 
 
 _SCHEMA = {
     # name: (parser, default)
-    "s": (float, 0.75),
-    "M": (float, 0.5),
-    "c": (float, 1.0),
-    "T_factor": (float, 1.05),
-    "T": (float, None),
-    "N": (int, 16),
-    "family_N": (int, 12),
-    "n_table": (int, 200),
-    "omega0_lo": (float, -0.3),
-    "omega0_hi": (float, 0.3),
-    "sigma_xi": (float, 3.0),
-    "sigma_xi_dot": (float, 2.0),
-    "sigma_zeta": (float, 1.0),
+    "s": (_parse_float, 0.75),
+    "M": (_parse_float, 0.5),
+    "c": (_parse_float, 1.0),
+    "T_factor": (_parse_float, 1.05),
+    "T": (_parse_float, None),
+    "N": (_parse_int, 16),
+    "family_N": (_parse_int, 12),
+    "n_table": (_parse_int, 200),
+    "omega0_lo": (_parse_float, -0.3),
+    "omega0_hi": (_parse_float, 0.3),
+    "sigma_xi": (_parse_float, 3.0),
+    "sigma_xi_dot": (_parse_float, 2.0),
+    "sigma_zeta": (_parse_float, 1.0),
     "backend": (str, "asymptotic"),
     "projection": (str, "orthogonal"),
     "precision": (str, "mp"),
-    "terminal_tol": (float, 1.0e-6),
-    "gap_epsilon": (float, None),
-    "trials": (int, 200),
-    "seed": (int, 0),
+    "terminal_tol": (_parse_float, 1.0e-6),
+    "gap_epsilon": (_parse_float, None),
+    "trials": (_parse_int, 200),
+    "seed": (_parse_int, 0),
     "outdir": (str, "out"),
     "allow_short_horizon": (_parse_bool, False),
 }
@@ -83,12 +97,15 @@ class RunConfig:
 
     def validated(self) -> "RunConfig":
         v = self.values
+        for key, value in v.items():
+            if value is not None:
+                v[key] = parse_value(key, value)
         if not 0.0 < v["s"] < 1.0:
             raise ConfigError("s must lie in (0,1)")
         if v["M"] == 0.0:
             raise ConfigError("M must be nonzero")
-        if v["N"] < 1 or v["family_N"] < 1:
-            raise ConfigError("N and family_N must be positive")
+        if min(v["N"], v["family_N"], v["n_table"], v["trials"]) < 1:
+            raise ConfigError("N, family_N, n_table and trials must be positive")
         if not v["omega0_hi"] > v["omega0_lo"]:
             raise ConfigError("omega0 must be a nonempty interval")
         if v["backend"] not in ("asymptotic", "discretized"):
@@ -119,6 +136,16 @@ class RunConfig:
         return RunConfig(vals).validated()
 
 
+def parse_value(key: str, value):
+    """One configuration value through its schema parser; ConfigError if it does not parse."""
+    if key not in _SCHEMA:
+        raise ConfigError(f"unknown key {key!r}")
+    try:
+        return _SCHEMA[key][0](value)
+    except (TypeError, ValueError) as exc:  # ConfigError included
+        raise ConfigError(f"bad value for {key}: {exc}") from None
+
+
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Typed key=value configuration; unknown keys are rejected."""
     values = {k: default for k, (_, default) in _SCHEMA.items()}
@@ -131,15 +158,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
-            if key not in _SCHEMA:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parser = _SCHEMA[key][0]
             try:
-                values[key] = parser(text)
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+                values[key] = parse_value(key, text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if overrides:
         for key, val in overrides.items():
             if key not in _SCHEMA:

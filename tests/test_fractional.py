@@ -142,3 +142,30 @@ def test_n_max_validation():
         fr.build_eigenvalue_table(0.75, 0)
     with pytest.raises(ValueError):
         fr.build_eigenvalue_table(0.75, 10, backend="bogus")
+
+
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.95])
+def test_collocation_matrix_matches_loop_assembly(s):
+    # reference: the kernel part assembled one diagonal at a time, with the
+    # row sums accumulated the same way; only the summation order differs
+    m = 240
+    A = fr.collocation_matrix(s, m)
+    h = 2.0 / m
+    x = -1.0 + h / 2.0 + h * np.arange(m)
+    offsets = h * np.arange(1, m)
+    W = (np.abs(offsets - h / 2.0) ** (-2 * s) - (offsets + h / 2.0) ** (-2 * s)) / (2 * s)
+    ref = np.zeros((m, m))
+    row_sums = np.zeros(m)
+    for d in range(1, m):
+        ref[np.arange(m - d), np.arange(d, m)] = -W[d - 1]
+        row_sums[:-d] += W[d - 1]
+        row_sums[d:] += W[d - 1]
+    ref = ref + ref.T
+    ref[np.diag_indices(m)] = row_sums + ((1.0 + x) ** (-2 * s) + (1.0 - x) ** (-2 * s)) / (2 * s)
+    beta = (h / 2.0) ** (2 - 2 * s) / (2 - 2 * s)
+    ref[np.diag_indices(m)] += 2.0 * beta / h**2
+    ref[np.arange(m - 1), np.arange(1, m)] -= beta / h**2
+    ref[np.arange(1, m), np.arange(m - 1)] -= beta / h**2
+    ref *= fr.normalization_constant(s)
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import product as pr
-from memwave.fractional import build_eigenvalue_table
+from memwave.cubic import complex_root, real_root
+from memwave.fractional import asymptotic_kappa, build_eigenvalue_table
 from memwave.moving import build_moving_spectrum
 
 
@@ -63,8 +66,8 @@ def test_remainder_model_against_direct_blocks(pf):
     ks = np.arange(k_cut + 1, 40 * k_cut)
     for start in range(0, len(ks), 4096):
         kk = ks[start : start + 4096]
-        kap = pf._kappa_ext(kk)
-        mus = np.array([pf._mu_ext(int(k)) for k in kk])
+        kap, m1, m2, m3 = pf._mu_tuple(kk.astype(float))
+        mus = np.stack([m1, m2, m3], axis=1)
         ck2 = (c * kap)[:, None] ** 2
         num = (z[:, None, None] + 1j * mus[None, :, :]) ** 2 - ck2[None, :, :]
         den = (1j * mus[None, :, :]) ** 2 - ck2[None, :, :]
@@ -114,3 +117,64 @@ def test_product_report(pf):
     assert rep.strip_stable
     # growth trend recorded
     assert rep.growth.d1 > 0
+
+
+def _explicit_log_sum(a, z):
+    return np.sum(np.log(a[None, :] + z[:, None]) - np.log(a)[None, :], axis=1)
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["product", "compensator"]),
+    count=st.integers(1, 300),
+    window=st.floats(0.5, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_factor_sum_matches_explicit_sum(kind, count, window, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        # the six zeros i mu^j +- c kappa_k of consecutive extension levels
+        s, M, c = rng.uniform(0.55, 0.95), rng.uniform(0.2, 2.0), rng.uniform(0.5, 1.4)
+        kap = asymptotic_kappa(s, np.arange(1, count + 1))
+        rho = kap ** (2.0 * s)
+        mu1 = real_root(rho, M)
+        mu2 = complex_root(mu1, rho)
+        ims = 1j * np.concatenate([mu1, mu2, np.conj(mu2)])
+        cks = np.tile(c * kap, 3)
+        a = np.concatenate([ims - cks, ims + cks])
+    else:
+        # conjugate pairs t_j +- i*offset and their mirror images
+        zeta = np.cumsum(rng.uniform(0.3, 3.0, count)) + 1j * rng.uniform(0.1, 1.0)
+        a = np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)])
+    z = rng.uniform(-window, window, 48) + 1j * rng.uniform(-1.0, 1.0, 48)
+    got = pr._log_factor_sum(a, z)
+    want = _explicit_log_sum(a, z)
+    diff = got - want
+    diff -= 2j * np.pi * np.round(diff.imag / (2 * np.pi))
+    scale = 1.0 + np.sum(np.abs(np.log(a[None, :] + z[:, None]) - np.log(a)[None, :]), axis=1)
+    assert np.all(np.abs(diff) <= 1e-12 * scale)
+
+
+def test_family_configuration_takes_far_branch(monkeypatch):
+    # the benchmark's family configuration: product spectrum N = 16, window 150
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
+    pf = pr.build_product(ms)
+    comp, _ = pr.growth_compensator(pf, 150.0)
+    calls = []
+    helper = pr._log_factor_sum
+    monkeypatch.setattr(pr, "_log_factor_sum", lambda a, z: calls.append((a, z)) or helper(a, z))
+    z = np.linspace(-150.0, 150.0, 801) + 0.5j
+
+    def far_zeros(a, z):
+        return int(np.count_nonzero(np.abs(a) > pr._NEAR_RATIO * np.max(np.abs(z))))
+
+    comp.log_eval(z)
+    (a, zz), = calls
+    assert len(a) == 4 * len(comp.t)
+    assert far_zeros(a, zz) > len(a) // 2
+    calls.clear()
+    pf.log_eval(z)
+    (a, zz), = calls
+    # exact modes plus six zeros per direct-block level
+    assert len(a) > len(pf.zeros) and (len(a) - len(pf.zeros)) % 6 == 0
+    assert far_zeros(a, zz) > 0

@@ -1,11 +1,19 @@
 """Configuration parsing, pipeline manifests, determinism, CLI exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import cli
-from memwave.runner import ConfigError, load_config, run_pipeline, sweep
+from memwave.runner import SWEEPABLE, ConfigError, load_config, run_pipeline, sweep
+
+FLOAT_KEYS = ("s", "M", "c", "T_factor", "T", "omega0_lo", "omega0_hi", "sigma_xi",
+              "sigma_xi_dot", "sigma_zeta", "terminal_tol", "gap_epsilon")
+INT_KEYS = ("N", "family_N", "n_table", "trials", "seed")
 
 
 def small_config(tmp_path, **extra):
@@ -131,3 +139,42 @@ def test_cli_watermark_is_not_a_verdict(tmp_path, capsys):
     assert rc == 0
     assert "below_threshold_watermark=no" in out
     assert "FAIL" not in out
+
+
+def _cli_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+_non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_bad_values = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_KEYS), _non_finite),
+    st.tuples(st.sampled_from(FLOAT_KEYS), st.sampled_from(["abc", "", "1e999", "0x"])),
+    st.tuples(st.sampled_from(INT_KEYS), st.floats(allow_nan=False, allow_infinity=False)),
+    st.tuples(st.sampled_from(INT_KEYS), st.sampled_from(["abc", "", "2.5", "1e3", "nan"])),
+)
+
+
+@settings(max_examples=40)
+@given(case=_bad_values)
+def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
+    key, value = case
+    text = value if isinstance(value, str) else repr(value)
+    with pytest.raises(ConfigError):
+        load_config(overrides={key: value})
+    d = tmp_path_factory.mktemp("bad")
+    path = d / "run.cfg"
+    path.write_text(f"{key} = {text}\n")
+    rc, err = _cli_exit(["spectrum", "--config", str(path), "--out", str(d / "out")])
+    assert rc == 2 and len(err.splitlines()) == 1
+    assert not (d / "out").exists()
+    if key in SWEEPABLE:
+        rc, err = _cli_exit(["sweep", "--param", key, f"--values={text}", "--out", str(d / "sw")])
+        assert rc == 2 and len(err.splitlines()) == 1
+
+
+def test_cli_boolean_override_still_parses():
+    cfg = load_config(overrides={"allow_short_horizon": True, "N": "8", "c": 2})
+    assert cfg.allow_short_horizon is True and cfg.N == 8 and cfg.c == 2.0
