@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fractional import gauss_legendre
 from .moving import BRANCHES, j_conj
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
@@ -44,7 +45,7 @@ def horizon_threshold(c: float, gamma: float) -> float:
 
 
 def _gauss_panels(breaks: np.ndarray, per_panel: int):
-    x0, w0 = np.polynomial.legendre.leggauss(per_panel)
+    x0, w0 = gauss_legendre(per_panel)
     mid = 0.5 * (breaks[1:] + breaks[:-1])
     half = 0.5 * (breaks[1:] - breaks[:-1])
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()

@@ -9,18 +9,20 @@ moment constraints on the control: for each mode pair (n, j),
 The minimum-L2-norm control solving them lives in the span of the conjugated
 constraint kernels, and its coefficients solve the Hermitian positive
 semidefinite Gram system G a = b whose entries factor into closed-form space
-and time integrals.  Those closed forms take the exponential as a parameter,
-so one implementation serves the float64 Gram, the mpmath Gram and the
-propagator.  Branch-2/3 kernels grow like e^{|M| T/2} in time, so the Gram's
-scale spread is extreme; the solve runs at extended precision on the
-configured spectrum (``hp.MpSpectrum``) with the rho-weighted prescaling,
-and the solved coefficients are kept both as doubles (exports, diagnostics)
-and at full precision (terminal-state evaluation).
+and time integrals.  Those closed forms take exponential values and
+broadcast over numpy arrays of doubles or of mpmath values, so one
+implementation serves the float64 Gram, the mpmath Gram and the propagator;
+the pairwise exponentials are products of one per-mode table, so a Gram
+costs 3m exponentials instead of 3m^2.  Branch-2/3 kernels grow like
+e^{|M| T/2} in time, so the Gram's scale spread is extreme; the solve runs
+at extended precision on the configured spectrum (``hp.MpSpectrum``) with
+the rho-weighted prescaling, and the solved coefficients are kept both as
+doubles (exports, diagnostics) and at full precision (terminal-state
+evaluation).
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
+from .fractional import gauss_legendre
 from .hp import MpSpectrum, hermitian_solve
 from .moving import BRANCHES, MovingSpectrum
 
@@ -104,23 +107,45 @@ def assemble_moments(data: InitialData, ms: MovingSpectrum) -> MomentSystem:
     return MomentSystem(modes=modes, b=b, data=data)
 
 
-def _space_factor(delta, x0, x1, exp=cmath.exp):
-    """int_{x0}^{x1} e^{i delta x} dx; ``exp`` is cmath.exp or mpmath.exp."""
-    if abs(delta) < 1e-14:
-        return x1 - x0
-    return (exp(1j * delta * x1) - exp(1j * delta * x0)) / (1j * delta)
+_MP_EXP = np.frompyfunc(mp.exp, 1, 1)  # elementwise mpmath exp for object arrays
 
 
-def _time_factor(w, T, exp=cmath.exp):
-    """int_0^T e^{-w t} dt; ``exp`` is cmath.exp or mpmath.exp."""
-    if abs(w) < 1e-14:
-        return T
-    return (1 - exp(-w * T)) / w
+def _space_factor(delta, x0, x1, e0, e1):
+    """int_{x0}^{x1} e^{i delta x} dx from e0 = e^{i delta x0}, e1 = e^{i delta x1}.
+
+    Like every closed form here it broadcasts over numpy arrays, of complex
+    doubles or of mpmath values (dtype object).
+    """
+    small = np.abs(delta) < 1e-14
+    return np.where(small, x1 - x0, (e1 - e0) / (1j * np.where(small, 1, delta)))
 
 
-def _gram_entry(lam_r, kap_r, lam_c, kap_c, x0, x1, T, exp=cmath.exp):
-    """G[r, c]: the restricted space-time pairing of kernels c and r."""
-    return _space_factor(kap_c - kap_r, x0, x1, exp) * _time_factor(lam_c + lam_r.conjugate(), T, exp)
+def _time_factor(w, T, e):
+    """int_0^T e^{-w t} dt from e = e^{-w T}."""
+    small = np.abs(w) < 1e-14
+    return np.where(small, T, (1 - e) / np.where(small, 1, w))
+
+
+def _mode_exponentials(lam, kap, x0, x1, T, exp=np.exp):
+    """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m).
+
+    ``exp`` is np.exp, or ``_MP_EXP`` for object arrays of mpmath values.
+    Every pairwise factor of the Gram and of the Duhamel sums is a product
+    of two entries, since kap, x0, x1 and T are real:
+    e^{i (kap_c - kap_r) x} = e^{i kap_c x} conj(e^{i kap_r x}) and
+    e^{-(lam_c + conj(lam_r)) T} = e^{-lam_c T} conj(e^{-lam_r T}).
+    """
+    return np.array([exp(1j * kap * x0), exp(1j * kap * x1), exp(-lam * T)])
+
+
+def _gram_entry(lam_r, kap_r, tab_r, lam_c, kap_c, tab_c, x0, x1, T):
+    """G[r, c]: the restricted space-time pairing of kernels c and r.
+
+    ``tab_r`` and ``tab_c`` are the kernels' ``_mode_exponentials`` columns.
+    """
+    (r0, r1, rT), (c0, c1, cT) = tab_r, tab_c
+    space = _space_factor(kap_c - kap_r, x0, x1, c0 * np.conj(r0), c1 * np.conj(r1))
+    return space * _time_factor(lam_c + np.conj(lam_r), T, cT * np.conj(rT))
 
 
 @dataclass
@@ -144,13 +169,10 @@ def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
     if not x1 > x0:
         raise ValueError("omega0 must be a nonempty interval")
     modes = [(n, j) for n in ms.mode_indices() for j in BRANCHES]
-    lam = [ms.eigenvalue(n, j) for n, j in modes]
-    kap = [ms.kappa(n) for n, _ in modes]
-    m = len(modes)
-    G = np.empty((m, m), dtype=complex)
-    for r in range(m):
-        for ccol in range(m):
-            G[r, ccol] = _gram_entry(lam[r], kap[r], lam[ccol], kap[ccol], x0, x1, T)
+    lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
+    kap = np.array([ms.kappa(n) for n, _ in modes])
+    tab = _mode_exponentials(lam, kap, x0, x1, T)
+    G = _gram_entry(lam[:, None], kap[:, None], tab[:, :, None], lam, kap, tab[:, None, :], x0, x1, T)
     herm = np.max(np.abs(G - G.conj().T))
     if herm > 1e-12 * np.max(np.abs(G)):
         raise RuntimeError(f"assembly lost Hermitian symmetry: deviation {herm:.2e}")
@@ -164,16 +186,20 @@ def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
 
 
 def _assemble_gram_mp(spec: MpSpectrum, modes, omega0, T):
+    """The Gram at the working precision: 3m exponentials, the upper
+    triangle from their products and the lower triangle by conjugation,
+    so the matrix is Hermitian by construction."""
     x0, x1 = mp.mpf(omega0[0]), mp.mpf(omega0[1])
     T_mp = mp.mpf(T)
-    m = len(modes)
-    lam = [spec.lam(n, j) for n, j in modes]
-    kap = [spec.kappa(n) for n, _ in modes]
-    G = mp.matrix(m, m)
-    for r in range(m):
-        for ccol in range(m):
-            G[r, ccol] = _gram_entry(lam[r], kap[r], lam[ccol], kap[ccol], x0, x1, T_mp, mp.exp)
-    return G
+    lam = np.array([spec.lam(n, j) for n, j in modes], dtype=object)
+    kap = np.array([spec.kappa(n) for n, _ in modes], dtype=object)
+    tab = _mode_exponentials(lam, kap, x0, x1, T_mp, _MP_EXP)
+    r, c = np.triu_indices(len(modes))
+    G = np.empty((len(modes), len(modes)), dtype=object)
+    upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T_mp)
+    G[c, r] = np.conj(upper)
+    G[r, c] = upper
+    return mp.matrix(G.tolist())
 
 
 def _moments_mp(spec: MpSpectrum, modes, data: InitialData):
@@ -208,12 +234,7 @@ class ControlField:
         x = np.asarray(x, dtype=float)
         lam = np.array([self.ms.eigenvalue(n, j) for n, j in self.modes])
         kap = np.array([self.ms.kappa(n) for n, _ in self.modes])
-        vals = np.einsum(
-            "m,mt,mx->tx",
-            self.a,
-            np.exp(-lam[:, None] * t[None, :]),
-            np.exp(1j * kap[:, None] * x[None, :]),
-        )
+        vals = np.exp(-lam[:, None] * t[None, :]).T @ (self.a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
         mask = ((t >= 0) & (t <= self.T))[:, None] & ((x >= self.omega0[0]) & (x <= self.omega0[1]))[None, :]
         return np.where(mask, vals, 0.0)
 
@@ -314,17 +335,17 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None
     if nt is None:
         periods = control.T * 2.0 * np.max(np.abs(lam.imag)) / (2.0 * math.pi)
         nt = max(360, math.ceil(3.0 * periods))
-    tg, tw = np.polynomial.legendre.leggauss(nt)
-    xg, xw = np.polynomial.legendre.leggauss(nx)
+    tg, tw = gauss_legendre(nt)
+    xg, xw = gauss_legendre(nx)
     t = 0.5 * control.T * (tg + 1.0)
     tw = 0.5 * control.T * tw
     x0, x1 = control.omega0
     x = 0.5 * (x1 - x0) * (xg + 1.0) + x0
     xw = 0.5 * (x1 - x0) * xw
-    u = np.einsum("m,mt,mx->tx", control.a, np.exp(-lam[:, None] * t[None, :]), np.exp(1j * kap[:, None] * x[None, :]))
+    u = np.exp(-lam[:, None] * t[None, :]).T @ (control.a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
     E_t = np.exp(-np.conj(lam)[:, None] * t[None, :]) * tw[None, :]
     E_x = np.exp(-1j * kap[:, None] * x[None, :]) * xw[None, :]
-    return np.einsum("tx,mt,mx->m", u, E_t, E_x)
+    return np.sum((E_t @ u) * E_x, axis=1)
 
 
 @dataclass

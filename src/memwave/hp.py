@@ -75,11 +75,12 @@ def hermitian_solve(A: mp.matrix, b: mp.matrix) -> LadderSolve:
     residual b - A x is recomputed at the working precision (mixed-precision
     iterative refinement).  It continues while each step shrinks max |r|
     at least tenfold.  Rung "mp" runs when A does not fit in double
-    precision or rung 1 stalls above the working-precision floor
-    10^(8 - dps) max |b|: one mpmath LU factorization at 10 extra bits, as
-    ``mp.lu_solve`` uses, serves the solve and three refinement steps.
+    precision or rung 1 stalls above the floor m 10^(-dps) max|A| max|x|,
+    the residual that rounding A x at the working precision alone can
+    leave, so no factorization can promise less: one mpmath LU
+    factorization at 10 extra bits, as ``mp.lu_solve`` uses, serves the
+    solve and three refinement steps.
     """
-    floor = mp.mpf(10) ** (8 - mp.mp.dps) * _max_abs(b)
     history = {}
     A64 = np.array(A.tolist(), dtype=complex)
     if np.all(np.isfinite(A64)):
@@ -101,6 +102,7 @@ def hermitian_solve(A: mp.matrix, b: mp.matrix) -> LadderSolve:
             steps.append(float(res))
             if not contracted:
                 break
+        floor = A.rows * mp.mpf(10) ** (-mp.mp.dps) * float(np.max(np.abs(A64))) * _max_abs(x)
         if res <= floor:
             return LadderSolve(x, float(res), "float64", history)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .cubic import complex_root, real_root, solve_cubic
-from .fractional import asymptotic_kappa, asymptotic_level
+from .fractional import asymptotic_kappa, asymptotic_level, gauss_legendre
 from .moving import MovingSpectrum, BRANCHES
 
 __all__ = [
@@ -178,14 +178,11 @@ class ProductFunction:
 
     # nodes/weights for the compactified tail integral
     _GAUSS_N = 48
-    _gauss_cache: tuple | None = None
 
     @classmethod
     def _gauss(cls):
-        if cls._gauss_cache is None:
-            x, w = np.polynomial.legendre.leggauss(cls._GAUSS_N)
-            cls._gauss_cache = (0.5 * (x + 1.0), 0.5 * w)  # on (0,1)
-        return cls._gauss_cache
+        x, w = gauss_legendre(cls._GAUSS_N)
+        return 0.5 * (x + 1.0), 0.5 * w  # on (0,1)
 
     def _log_remainder(self, z: np.ndarray, k_cut: int, block=None) -> np.ndarray:
         """Euler-Maclaurin sum over levels k > k_cut of ``block`` (default the

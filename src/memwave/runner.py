@@ -106,6 +106,10 @@ class RunConfig:
             raise ConfigError("M must be nonzero")
         if min(v["N"], v["family_N"], v["n_table"], v["trials"]) < 1:
             raise ConfigError("N, family_N, n_table and trials must be positive")
+        if not (v["T_factor"] > 0.0 and v["terminal_tol"] > 0.0 and (v["T"] is None or v["T"] > 0.0)):
+            raise ConfigError("T, T_factor and terminal_tol must be positive")
+        if min(v["sigma_xi"], v["sigma_xi_dot"], v["sigma_zeta"]) < 0.0:
+            raise ConfigError("the sigma weights must be nonnegative")
         if not v["omega0_hi"] > v["omega0_lo"]:
             raise ConfigError("omega0 must be a nonempty interval")
         if v["backend"] not in ("asymptotic", "discretized"):

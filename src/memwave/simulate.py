@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .control import ControlField, InitialData, _space_factor, _time_factor
+from .control import _MP_EXP, ControlField, InitialData, _mode_exponentials, _space_factor, _time_factor
+from .fractional import gauss_legendre
 from .hp import MpSpectrum
 from .moving import BRANCHES, MovingSpectrum
 
@@ -198,7 +199,8 @@ class GalerkinSimulator:
         lam = np.array([self.ms.eigenvalue(n, j) for n, j in control.modes])
         kap_c = np.array([self.ms.kappa(n) for n, _ in control.modes])
         x0, x1 = self.omega0
-        S = np.array([[_space_factor(km - kn, x0, x1) for km in kap_c] for kn in self.kappa])
+        d = kap_c[None, :] - self.kappa[:, None]
+        S = _space_factor(d, x0, x1, np.exp(1j * d * x0), np.exp(1j * d * x1))
         out = {}
         if self.projection == "orthogonal":
             for i, n in enumerate(self.ns):
@@ -301,24 +303,28 @@ class GalerkinSimulator:
                 spec = MpSpectrum(self.ms, dps=dps)
             T_mp = mp.mpf(T)
             x0, x1 = mp.mpf(self.omega0[0]), mp.mpf(self.omega0[1])
-            a_mp, lam_c, kap_c = [], [], []
+            modes, a_mp = [], []
             if control is not None:
+                modes = control.modes
                 a_mp = control.a_mp if control.a_mp is not None else [mp.mpc(v) for v in control.a]
-                lam_c = [spec.lam(n, j) for n, j in control.modes]
-                kap_c = [spec.kappa(n) for n, _ in control.modes]
+            a_mp = np.array(a_mp, dtype=object)
+            lam_c = np.array([spec.lam(n, j) for n, j in modes], dtype=object)
+            kap_c = np.array([spec.kappa(n) for n, _ in modes], dtype=object)
+            c0, c1, cT = _mode_exponentials(lam_c, kap_c, x0, x1, T_mp, _MP_EXP)
             sq = [mp.mpf(0), mp.mpf(0), mp.mpf(0)]
             for n in [int(v) for v in self.ns]:
                 kap, rho = spec.kappa(n), spec.rho(n)
                 ick = 1j * spec.c * kap
                 y0n, y1n = (mp.mpc(v) for v in data.coeff(n))
                 X0 = (y0n, y1n - ick * y0n, 0)
-                amps = [a * _space_factor(kc - kap, x0, x1, mp.exp) / 2 for a, kc in zip(a_mp, kap_c)]
+                e0, e1 = mp.conj(mp.exp(1j * kap * x0)), mp.conj(mp.exp(1j * kap * x1))
+                amps = a_mp * _space_factor(kap_c - kap, x0, x1, c0 * e0, c1 * e1) / 2
                 XT = [mp.mpc(0), mp.mpc(0), mp.mpc(0)]
                 for mu in spec.mu[abs(n) - 1]:
                     v, w, wv = _eigen_rows(mu, rho, spec.M, ick)
                     nu = v[1]
                     bracket = sum(wk * xk for wk, xk in zip(w, X0))
-                    bracket += sum(amp * _time_factor(nu + lc, T_mp, mp.exp) for amp, lc in zip(amps, lam_c))
+                    bracket += sum(amps * _time_factor(lam_c + nu, T_mp, cT * mp.exp(-nu * T_mp)))
                     coord_T = mp.exp(nu * T_mp) * bracket / wv
                     for comp in range(3):
                         XT[comp] += v[comp] * coord_T
@@ -419,19 +425,19 @@ def verify_duality(
     lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
     kap = np.array([ms.kappa(n) for n, _ in modes])
 
-    tg, tw = np.polynomial.legendre.leggauss(nt)
+    tg, tw = gauss_legendre(nt)
     t = 0.5 * T * (tg + 1.0)
     tw = 0.5 * T * tw
     x0, x1 = control.omega0
-    xg, xw = np.polynomial.legendre.leggauss(nx)
+    xg, xw = gauss_legendre(nx)
     x = 0.5 * (x1 - x0) * (xg + 1.0) + x0
     xw = 0.5 * (x1 - x0) * xw
 
     lam_u = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
     kap_u = np.array([ms.kappa(n) for n, _ in control.modes])
-    u = np.einsum("m,mt,mx->tx", control.a, np.exp(-lam_u[:, None] * t[None, :]), np.exp(1j * kap_u[:, None] * x[None, :]))
-    phi = np.einsum("m,mt,mx->tx", bcoef, np.exp(lam[:, None] * (T - t[None, :])), np.exp(1j * kap[:, None] * x[None, :]))
-    lhs = complex(np.einsum("tx,t,x->", u * np.conj(phi), tw, xw))
+    u = np.exp(-lam_u[:, None] * t[None, :]).T @ (control.a[:, None] * np.exp(1j * kap_u[:, None] * x[None, :]))
+    phi = np.exp(lam[:, None] * (T - t[None, :])).T @ (bcoef[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
+    lhs = complex(tw @ (u * np.conj(phi)) @ xw)
 
     rhs = 0.0 + 0.0j
     for i, n in enumerate(np.array(ms.mode_indices())):

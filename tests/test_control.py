@@ -166,6 +166,56 @@ def test_ladder_overflowing_matrix_goes_to_mp():
         assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
 
 
+def test_ladder_stays_on_float64_where_the_mp_rung_gains_nothing():
+    # at M = 3, N = 16 (dps 61) rung 1 stalls near 1e-50, which is what the
+    # mp rung reaches there too; the floor m 10^-dps max|A| max|x| keeps the
+    # solve on rung 1, and the result passes both downstream checks
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 3.0, 1.0, 16)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    data = ctl.random_initial_data(ms, seed=11)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
+    assert cf.gram_condition["dps"] == 61
+    assert cf.gram_condition["rung"] == "float64"
+    assert list(cf.gram_condition["refinement"]) == ["float64"]
+    assert cf.residual <= 1e-10 * cf.rhs_norm
+    _, report = GalerkinSimulator(ms, OMEGA0).run_to_T(data, cf, T, tol_rel=1e-6, precision="mp")
+    assert report.passed, report.ratios
+
+
+def _gram_entry_reference(lam_r, kap_r, lam_c, kap_c, x0, x1, T):
+    # one entry from the exponentials of the differences, not of the modes
+    d = kap_c - kap_r
+    space = x1 - x0 if abs(d) < 1e-14 else (mp.exp(1j * d * x1) - mp.exp(1j * d * x0)) / (1j * d)
+    w = lam_c + mp.conj(lam_r)
+    return space * (T if abs(w) < 1e-14 else (1 - mp.exp(-w * T)) / w)
+
+
+@pytest.mark.parametrize("M", [0.5, -1.5])
+@pytest.mark.parametrize("dps", [40, 60])
+def test_separable_mp_gram_matches_entrywise_closed_form(M, dps):
+    # the reference runs 20 digits above the Gram on the same mp spectrum;
+    # what remains is the Gram's own rounding of the exponents lam T
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 4), M, 1.0, 4)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
+    spec = MpSpectrum(ms, dps=dps)
+    with mp.workdps(dps):
+        G = ctl._assemble_gram_mp(spec, modes, OMEGA0, T)
+        lam = [spec.lam(n, j) for n, j in modes]
+        kap = [spec.kappa(n) for n, _ in modes]
+        m = len(modes)
+        assert all(G[r, c] == mp.conj(G[c, r]) for r in range(m) for c in range(m))
+    with mp.workdps(dps + 20):
+        x0, x1, T_mp = mp.mpf(OMEGA0[0]), mp.mpf(OMEGA0[1]), mp.mpf(T)
+        worst = max(
+            abs(G[r, c] - ref) / abs(ref)
+            for r in range(m) for c in range(m)
+            for ref in [_gram_entry_reference(lam[r], kap[r], lam[c], kap[c], x0, x1, T_mp)]
+        )
+    assert worst <= 100 * mp.mpf(10) ** (-dps)
+
+
 def test_linearity_scaling(setup):
     ms, T, gram = setup
     data = ctl.random_initial_data(ms, seed=5)

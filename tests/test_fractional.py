@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from memwave import fractional as fr
 
@@ -169,3 +172,28 @@ def test_collocation_matrix_matches_loop_assembly(s):
     ref *= fr.normalization_constant(s)
     assert np.array_equal(A, A.T)
     assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@settings(max_examples=30)
+@given(s=st.floats(0.55, 0.95), half=st.integers(32, 200), odd=st.booleans())
+def test_even_odd_split_matches_full_eigen_solve(s, half, odd):
+    # reference: one dense eigen-solve of the full collocation matrix, on
+    # even and odd grid sizes (an odd grid has a centre point)
+    grid_points = 2 * half + odd
+    n_max = min(16, grid_points // 4)
+    ref = eigh(fr.collocation_matrix(s, grid_points), eigvals_only=True, subset_by_index=(0, n_max - 1))
+    got = fr._collocation_eigenvalues_raw(s, n_max, grid_points)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref) / ref) <= 1e-10
+
+
+def test_gauss_legendre_nodes_are_cached_and_read_only():
+    x, w = fr.gauss_legendre(33)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(33)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert fr.gauss_legendre(33)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave import cli
-from memwave.runner import SWEEPABLE, ConfigError, load_config, run_pipeline, sweep
+from memwave.runner import SWEEPABLE, ConfigError, load_config, parse_value, run_pipeline, sweep
 
 FLOAT_KEYS = ("s", "M", "c", "T_factor", "T", "omega0_lo", "omega0_hi", "sigma_xi",
               "sigma_xi_dot", "sigma_zeta", "terminal_tol", "gap_epsilon")
@@ -157,13 +157,24 @@ _bad_values = st.one_of(
 )
 
 
-@settings(max_examples=40)
-@given(case=_bad_values)
+_nonpositive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+_negative = st.floats(max_value=0.0, exclude_max=True, allow_nan=False, allow_infinity=False)
+_out_of_range = st.one_of(
+    st.tuples(st.sampled_from(["T", "T_factor", "terminal_tol"]), _nonpositive),
+    st.tuples(st.sampled_from(["sigma_xi", "sigma_xi_dot", "sigma_zeta"]), _negative),
+)
+
+
+@settings(max_examples=60)
+@given(case=st.one_of(_bad_values, _out_of_range))
 def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
     key, value = case
     text = value if isinstance(value, str) else repr(value)
     with pytest.raises(ConfigError):
         load_config(overrides={key: value})
+    if key == "T":  # a short horizon is allowed; a non-positive one is not
+        with pytest.raises(ConfigError):
+            load_config(overrides={key: value, "allow_short_horizon": True})
     d = tmp_path_factory.mktemp("bad")
     path = d / "run.cfg"
     path.write_text(f"{key} = {text}\n")
@@ -172,7 +183,12 @@ def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
     assert not (d / "out").exists()
     if key in SWEEPABLE:
         rc, err = _cli_exit(["sweep", "--param", key, f"--values={text}", "--out", str(d / "sw")])
-        assert rc == 2 and len(err.splitlines()) == 1
+        try:
+            parse_value(key, value)
+        except ConfigError:
+            assert rc == 2 and len(err.splitlines()) == 1
+        else:  # parses but out of range: a failed sweep value, like c = 0
+            assert rc == 1
 
 
 def test_cli_boolean_override_still_parses():

@@ -215,6 +215,51 @@ def test_duality_single_mode_matches_moment(world):
     assert np.isfinite(lhs_expected)
 
 
+def _duality_reference(data, control, adjoint_coeffs, T, ms, nt=480, nx=48):
+    # the same identity with fresh nodes and three-operand einsums
+    modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
+    bcoef = np.array([adjoint_coeffs.get(mk, 0.0) for mk in modes], dtype=complex)
+    lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
+    kap = np.array([ms.kappa(n) for n, _ in modes])
+    tg, tw = np.polynomial.legendre.leggauss(nt)
+    t, tw = 0.5 * T * (tg + 1.0), 0.5 * T * tw
+    xg, xw = np.polynomial.legendre.leggauss(nx)
+    x0, x1 = control.omega0
+    x, xw = 0.5 * (x1 - x0) * (xg + 1.0) + x0, 0.5 * (x1 - x0) * xw
+    lam_u = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
+    kap_u = np.array([ms.kappa(n) for n, _ in control.modes])
+    u = np.einsum("m,mt,mx->tx", control.a, np.exp(-lam_u[:, None] * t), np.exp(1j * kap_u[:, None] * x))
+    phi = np.einsum("m,mt,mx->tx", bcoef, np.exp(lam[:, None] * (T - t)), np.exp(1j * kap[:, None] * x))
+    lhs = complex(np.einsum("tx,t,x->", u * np.conj(phi), tw, xw))
+    rhs = 0.0
+    for n in ms.mode_indices():
+        y0n, y1n = data.coeff(n)
+        sel = [k for k, (nn, _) in enumerate(modes) if nn == n]
+        phi_n0 = np.sum(bcoef[sel] * np.exp(lam[sel] * T))
+        phi_t_n0 = np.sum(bcoef[sel] * (-lam[sel]) * np.exp(lam[sel] * T))
+        rhs += 2.0 * (y0n * np.conj(phi_t_n0) - (y1n + 1j * ms.c * ms.kappa(n) * y0n) * np.conj(phi_n0))
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+
+
+def test_duality_matches_einsum_reference(world):
+    # with the synthesized control the residual is round-off; with random
+    # control coefficients the identity fails at O(1), so agreement there
+    # checks the quadrature itself
+    ms, T, data, cf, simulator = world
+    rng = np.random.default_rng(5)
+    modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
+    coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
+    wrong = ctl.ControlField(
+        modes=cf.modes, a=cf.a * (1 + 0.5 * rng.standard_normal(len(cf.a))), omega0=cf.omega0, T=cf.T,
+        residual=np.nan, rhs_norm=cf.rhs_norm, norm=np.nan, method="perturbed", gram_condition={}, ms=ms,
+    )
+    for control in (cf, wrong):
+        got = sim.verify_duality(data, control, coeffs, T, ms)
+        want = _duality_reference(data, control, coeffs, T, ms)
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
+    assert want > 1e-3
+
+
 def test_energy_envelope_report(world):
     # uncontrolled runs stay under C (1 + C|M| e^{C|M| t}) times the data norm
     ms, T, data, cf, simulator = world
