@@ -13,7 +13,14 @@ within-span recombination against the measured Gram (the constructive
 realization of the horizon-extension step) makes the produced family
 biorthogonal to quadrature accuracy.  The reported figures keep both stages
 visible: ``raw_deviation`` for the analytic construction, ``gram_deviation``
-for the shipped family measured on an independent quadrature.
+for the shipped family measured on an independent quadrature, and
+``window_attempts`` for every frequency window tried on the way.
+
+Every time grid is uniform blocks: the Gauss panels of both time quadratures
+partition [-T/2, T/2] evenly, and the export grid is equally spaced, so each
+node is a block center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.
+The inverse transform therefore takes exponentials per center and per offset
+instead of per node.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ __all__ = [
     "time_gram",
 ]
 
+_SAMPLE_COLUMNS = 256  # time nodes per block of the inverse transform
+
 
 def horizon_threshold(c: float, gamma: float) -> float:
     """2 pi (1/|c| + 1/|c+gamma| + 1/|c-gamma|), the working horizon floor."""
@@ -54,9 +63,46 @@ def _gauss_panels(breaks: np.ndarray, per_panel: int):
 
 
 def _time_quadrature(T: float, x_window: float, per_panel: int = 12, density: float = 1.0):
+    """Gauss panels on a uniform partition of [-T/2, T/2].
+
+    Returns (centers, offsets, weights): the nodes are
+    centers[:, None] + offsets[None, :] raveled, one row per panel.
+    """
     n_panels = max(8, int(math.ceil(density * T * x_window / (1.5 * per_panel))))
-    breaks = np.linspace(-T / 2.0, T / 2.0, n_panels + 1)
-    return _gauss_panels(breaks, per_panel)
+    half = T / (2.0 * n_panels)
+    x0, w0 = gauss_legendre(per_panel)
+    centers = -T / 2.0 + half * (2.0 * np.arange(n_panels) + 1.0)
+    return centers, half * x0, np.tile(half * w0, n_panels)
+
+
+def _export_grid(T: float, n: int):
+    """n equally spaced points on [-T/2, T/2] as blocks of about sqrt(n)
+    consecutive points: (centers, offsets), of which the first n of
+    centers[:, None] + offsets[None, :] raveled are the grid."""
+    dt = T / max(n - 1, 1)
+    block = max(1, math.ceil(math.sqrt(n)))
+    centers = -T / 2.0 + dt * block * np.arange(math.ceil(n / block))
+    return centers, dt * np.arange(block)
+
+
+def _grid(centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    return (centers[:, None] + offsets[None, :]).ravel()
+
+
+def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, centers: np.ndarray,
+                       offsets: np.ndarray) -> np.ndarray:
+    """sum_x weighted[:, x] e^{ixt} / (2 pi) at t = centers[:, None] + offsets[None, :]
+    (raveled), with e^{ixt} = e^{ix t_c} e^{ix delta}: exponentials are taken
+    per center and per offset, not per node, and each block of centers is
+    one matmul."""
+    out = np.empty((len(weighted), len(centers), len(offsets)), dtype=complex)
+    e_offsets = np.exp(1j * np.outer(x_nodes, offsets))
+    step = max(1, _SAMPLE_COLUMNS // len(offsets))
+    for start in range(0, len(centers), step):
+        cs = slice(start, start + step)
+        W = np.exp(1j * np.outer(x_nodes, centers[cs]))[:, :, None] * e_offsets[:, None, :]
+        out[:, cs] = (weighted @ W.reshape(len(x_nodes), -1)).reshape(len(weighted), -1, len(offsets))
+    return out.reshape(len(weighted), -1) / (2.0 * math.pi)
 
 
 @dataclass
@@ -74,6 +120,7 @@ class BiorthogonalFamily:
     raw_deviation: float
     raw_diag_error: float
     tail_estimate: float
+    window_attempts: list        # {"window", "gram_deviation"} of each window tried, in order
 
     def index(self, n: int, j: int) -> int:
         return self.modes.index((n, j))
@@ -104,6 +151,7 @@ class BiorthogonalFamily:
             "gram_deviation": self.gram_deviation,
             "raw_deviation": self.raw_deviation,
             "tail_estimate": self.tail_estimate,
+            "window_attempts": self.window_attempts,
             "polished": True,
         }
         with open(path, "w", encoding="utf-8") as fh:
@@ -137,8 +185,8 @@ def build_biorthogonal(
     x_max_im = float(np.max(np.abs(lam.imag)))
     X = float(x_window) if x_window is not None else max(150.0, 5.0 * x_max_im)
 
-    last_dev = None
-    for attempt in range(3):
+    attempts = []
+    for _ in range(3):
         comp, fit = growth_compensator(pf, X)
         # exponential-type budget: product plus multiplier must fit T/2
         y_probe = np.linspace(0.3, 0.55, 6) * abs(ms.c) * float(ms.kappa_pos[-1])
@@ -172,24 +220,19 @@ def build_biorthogonal(
         tail_est = float(np.max(edge_rows) * kmax / (2.0 * math.pi) / (T / 2.0))
 
         primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
-        partner = {i: modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries}
+        partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries]
+        weighted = theta_hat[primaries] * x_weights[None, :]
 
-        def sample(t_nodes):
-            out = np.empty((len(modes), len(t_nodes)), dtype=complex)
-            weighted = theta_hat * x_weights[None, :]
-            for start in range(0, len(t_nodes), 256):
-                tt = t_nodes[start : start + 256]
-                W = np.exp(1j * np.outer(x_nodes, tt))
-                block = weighted[primaries] @ W / (2.0 * math.pi)
-                for row, i in enumerate(primaries):
-                    out[i, start : start + len(tt)] = block[row]
-                    if symmetrize:
-                        out[partner[i], start : start + len(tt)] = np.conj(block[row])
+        def sample(centers, offsets):
+            out = np.empty((len(modes), len(centers) * len(offsets)), dtype=complex)
+            out[primaries] = _inverse_transform(weighted, x_nodes, centers, offsets)
+            if symmetrize:
+                out[partners] = np.conj(out[primaries])
             return out
 
-        t1, w1 = _time_quadrature(T, X, per_panel=12, density=1.0)
-        theta_raw = sample(t1)
-        E1 = np.exp(-np.conj(lam)[:, None] * t1[None, :])
+        c1, o1, w1 = _time_quadrature(T, X, per_panel=12, density=1.0)
+        theta_raw = sample(c1, o1)
+        E1 = np.exp(-np.conj(lam)[:, None] * _grid(c1, o1)[None, :])
         gram_raw = theta_raw @ (E1 * w1[None, :]).T
         eye = np.eye(len(modes))
         raw_dev = float(np.max(np.abs(gram_raw - eye)))
@@ -198,29 +241,31 @@ def build_biorthogonal(
         C = np.linalg.inv(gram_raw)
 
         # independent verification quadrature (different panel layout)
-        t2, w2 = _time_quadrature(T, X, per_panel=10, density=1.37)
-        theta2 = C @ sample(t2)
-        E2 = np.exp(-np.conj(lam)[:, None] * t2[None, :])
+        c2, o2, w2 = _time_quadrature(T, X, per_panel=10, density=1.37)
+        theta2 = C @ sample(c2, o2)
+        E2 = np.exp(-np.conj(lam)[:, None] * _grid(c2, o2)[None, :])
         gram = theta2 @ (E2 * w2[None, :]).T
         dev = float(np.max(np.abs(gram - eye)))
+        attempts.append({"window": X, "gram_deviation": dev})
         if dev <= tol:
             break
-        last_dev = dev
         X *= 1.5
     else:
+        tried = ", ".join(f"{a['window']:g}" for a in attempts)
         raise RuntimeError(
-            f"window enlargement failed: family deviation {last_dev:.2e} > {tol:.0e}"
+            f"window enlargement failed: family deviation {dev:.2e} > {tol:.0e} (windows {tried})"
         )
 
     norms = np.sqrt(np.abs((np.abs(theta2) ** 2 @ w2)))
-    t_grid = np.linspace(-T / 2.0, T / 2.0, n_export)
-    theta_exp = C @ sample(t_grid)
+    ce, oe = _export_grid(T, n_export)
+    t_grid = _grid(ce, oe)[:n_export]
+    theta_exp = C @ sample(ce, oe)[:, :n_export]
 
     return BiorthogonalFamily(
         modes=modes, lam=lam, rho=rho, T=T, window=X,
         t_grid=t_grid, theta=theta_exp, norms=norms,
         gram=gram, gram_deviation=dev, raw_deviation=raw_dev,
-        raw_diag_error=raw_diag, tail_estimate=tail_est,
+        raw_diag_error=raw_diag, tail_estimate=tail_est, window_attempts=attempts,
     )
 
 

@@ -323,6 +323,14 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
     )
 
 
+def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:
+    """Gauss-Legendre nodes on (0, T) for products e^{-lam t} conj(e^{-lam' t}):
+    three per period of the fastest one (frequency 2 max|Im lam|), never
+    fewer than ``floor``."""
+    periods = T * 2.0 * float(np.max(np.abs(np.imag(lam)))) / (2.0 * math.pi)
+    return max(floor, math.ceil(3.0 * periods))
+
+
 def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None = None, nx: int = 48) -> np.ndarray:
     """Recompute every moment by Gauss-Legendre quadrature, not closed forms.
 
@@ -332,10 +340,7 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None
     """
     lam = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
     kap = np.array([ms.kappa(n) for n, _ in control.modes])
-    if nt is None:
-        periods = control.T * 2.0 * np.max(np.abs(lam.imag)) / (2.0 * math.pi)
-        nt = max(360, math.ceil(3.0 * periods))
-    tg, tw = gauss_legendre(nt)
+    tg, tw = gauss_legendre(nt if nt is not None else _time_nodes(control.T, lam, 360))
     xg, xw = gauss_legendre(nx)
     t = 0.5 * control.T * (tg + 1.0)
     tw = 0.5 * control.T * tw

@@ -21,6 +21,11 @@ many orders of magnitude), so the evaluator has three layers:
   non-oscillatory function of the continuous level index once
   c*kappa_k dominates |z|, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
   with the integral taken by quadrature on the compactified variable.
+  Every term of that formula is a level's six zeros with a weight (the
+  quadrature weight, 1/2, or the difference weight of f'), so the tail goes
+  through the same sum as the other zeros; lying past the direct blocks,
+  its zeros land among the far ones, where they only add w a^(-k) to the
+  power sums and cost nothing per point beyond the series.
 
 One structural fact matters downstream: for 1/2 < s < 1 the dispersive comb
 offset beta_n ~ kappa_n^s makes the zero counting irregular at order
@@ -56,37 +61,49 @@ __all__ = [
     "verify_product_properties",
 ]
 
-_CHUNK = 512
+_CHUNK = 1 << 20    # points x zeros in one block of explicit logs
 _SAFETY = 4.0      # direct blocks run out to c*kappa >= _SAFETY * max|z|
 _NEAR_RATIO = 2.0  # zeros within _NEAR_RATIO * max|z| are summed explicitly
 
 
-def _log_factor_sum(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum over a of log(1 + z/a) at each z, mod 2 pi i.
+def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum over a of w * log(1 + z/a) at each z, principal branch (w = 1 by default).
 
     Zeros with |a| <= _NEAR_RATIO * max|z| are summed as explicit logs
-    log(a + z) - log(a), which vanish identically when z sits on a zero.
-    Every farther zero enters through log(1 + w) = -sum_k (-w)^k / k, so the
-    far part is -sum_k (-z)^k S_k / k with power sums S_k = sum a^(-k) taken
-    once; K terms with r^K <= 1e-17, r = max|z| / min|a_far|, leave a
-    truncation below round-off.
+    log(a + z) - log(a), which vanish identically when z sits on a zero,
+    with the phase brought back to (-pi, pi] so that a weight need not be an
+    integer.  Every farther zero enters through log(1 + q) =
+    -sum_k (-q)^k / k, so the far part is -sum_k (-z)^k S_k / k with the
+    weighted power sums S_k = sum w a^(-k) taken once; K terms with
+    r^K <= 1e-17, r = max|z| / min|a_far|, leave a truncation below
+    round-off.
     """
     zmax = float(np.max(np.abs(z), initial=0.0))
+    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
     near = np.abs(a) <= _NEAR_RATIO * zmax
     acc = np.zeros(len(z), dtype=complex)
-    a_near = a[near]
+    a_near, w_near = a[near], w[near]
+    step = max(1, _CHUNK // max(len(z), 1))
     with np.errstate(divide="ignore"):
-        for start in range(0, len(a_near), _CHUNK):
-            chunk = a_near[start : start + _CHUNK]
-            acc += np.sum(np.log(chunk[None, :] + z[:, None]) - np.log(chunk)[None, :], axis=1)
-    inv = 1.0 / a[~near]
+        for start in range(0, len(a_near), step):
+            chunk, w_chunk = a_near[start : start + step], w_near[start : start + step]
+            terms = chunk[None, :] + z[:, None]
+            np.log(terms, out=terms)
+            terms -= np.log(chunk)[None, :]
+            turns = terms.imag / (2.0 * math.pi)
+            np.round(turns, out=turns)
+            turns *= 2.0 * math.pi
+            terms.imag -= turns
+            # real and imaginary parts apart, so a -inf at an exact zero stays -inf
+            acc += terms.real @ w_chunk + 1j * (terms.imag @ w_chunk)
+    inv, w_far = 1.0 / a[~near], w[~near]
     if len(inv) and zmax > 0.0:
         r = zmax * float(np.max(np.abs(inv)))
         K = max(1, math.ceil(-17.0 / math.log10(r)))
         coef = np.empty(K, dtype=complex)  # (-1)^(k+1) S_k / k, k = 1..K
         power = inv.copy()
         for k in range(1, K + 1):
-            coef[k - 1] = (-1) ** (k + 1) * np.sum(power) / k
+            coef[k - 1] = (-1) ** (k + 1) * (power @ w_far) / k
             power *= inv
         series = 0.0
         for c_k in coef[::-1]:  # Horner in z
@@ -140,19 +157,40 @@ class ProductFunction:
         ck = abs(self.ms.c) * kap
         return np.concatenate([ims - ck, ims + ck])
 
-    def _block_log(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
-        """Sum of the level's six log factors, per (z, k)."""
-        return sum(np.log(1.0 + z[:, None] / a[None, :]) for a in self._level_zeros(k_real))
-
-    def _block_log_deriv(self, z: np.ndarray, k_real: np.ndarray) -> np.ndarray:
-        return sum(1.0 / (z[:, None] + a[None, :]) for a in self._level_zeros(k_real))
-
-    def _factor_zeros(self, k_cut: int, skip: int | None = None) -> np.ndarray:
-        """Every a of a factor 1 + z/a: the spectrum's modes (but ``skip``) and
-        the six zeros of each direct-block level k <= k_cut."""
+    def _factor_zeros(self, k_cut: int, skip: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every zero a of a factor 1 + z/a with its weight: the spectrum's
+        modes (but ``skip``) and the six zeros of each direct-block level
+        k <= k_cut with weight 1, then the weighted remainder zeros."""
         exact = self.zeta_factor if skip is None else np.delete(self.zeta_factor, skip)
-        levels = self._level_zeros(np.arange(self.ms.N + 1, k_cut + 1, dtype=float))
-        return np.concatenate([exact, levels.ravel()])
+        levels = self._level_zeros(np.arange(self.ms.N + 1, k_cut + 1, dtype=float)).ravel()
+        tail, w_tail = self._remainder_zeros(k_cut)
+        return np.concatenate([exact, levels, tail]), np.concatenate([np.ones(len(exact) + len(levels)), w_tail])
+
+    # nodes/weights for the compactified tail integral
+    _GAUSS_N = 48
+
+    @classmethod
+    def _gauss(cls):
+        x, w = gauss_legendre(cls._GAUSS_N)
+        return 0.5 * (x + 1.0), 0.5 * w  # on (0,1)
+
+    def _remainder_zeros(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted zeros whose log sum is the Euler-Maclaurin sum over the
+        levels k > k_cut.
+
+        Past the direct cutoff a level's log sum f(k) is smooth and
+        non-oscillatory in the continuous level index and decays like k^{-2},
+        so sum_{k>K} f(k) = int_{K1}^inf f dk + f(K1)/2 - f'(K1)/12 + ...,
+        K1 = K + 1, with the integral K1 * int_0^1 f(K1/t) / t^2 dt on Gauss
+        nodes and f' a central difference of step h.  Each term is f at one
+        level times a weight, and f is a sum over the level's six zeros.
+        """
+        K1 = float(k_cut + 1)
+        t, w = self._gauss()
+        h = 1e-3 * K1
+        levels = np.concatenate([K1 / t, [K1, K1 + h, K1 - h]])
+        weights = np.concatenate([K1 * w / t**2, [0.5, -1.0 / (24.0 * h), 1.0 / (24.0 * h)]])
+        return self._level_zeros(levels).ravel(), np.tile(weights, 6)
 
     # -- evaluation ---------------------------------------------------------
     def log_eval(self, z) -> np.ndarray:
@@ -174,33 +212,8 @@ class ProductFunction:
     def _log_factors(self, z: np.ndarray, skip: int | None = None) -> np.ndarray:
         """log of every factor but z^3: exact modes, direct blocks, remainder."""
         k_cut = self._direct_cutoff(float(np.max(np.abs(z), initial=1.0)))
-        return _log_factor_sum(self._factor_zeros(k_cut, skip), z) + self._log_remainder(z, k_cut)
-
-    # nodes/weights for the compactified tail integral
-    _GAUSS_N = 48
-
-    @classmethod
-    def _gauss(cls):
-        x, w = gauss_legendre(cls._GAUSS_N)
-        return 0.5 * (x + 1.0), 0.5 * w  # on (0,1)
-
-    def _log_remainder(self, z: np.ndarray, k_cut: int, block=None) -> np.ndarray:
-        """Euler-Maclaurin sum over levels k > k_cut of ``block`` (default the
-        block logs; the log-derivative passes its own per-level terms).
-
-        Past the direct cutoff the block log is smooth and non-oscillatory in
-        the continuous level index and decays like k^{-2}, so
-        sum_{k>K} f(k) = int_{K+1}^inf f dk + f(K+1)/2 - f'(K+1)/12 + ...,
-        with the integral computed on the compactified variable t = (K+1)/k.
-        """
-        block = self._block_log if block is None else block
-        K1 = float(k_cut + 1)
-        t, w = self._gauss()
-        # int_{K1}^inf f dk = K1 * int_0^1 f(K1/t) / t^2 dt
-        integral = K1 * np.sum(block(z, K1 / t) * (w / t**2)[None, :], axis=1)
-        h = 1e-3 * K1
-        f0, f_up, f_down = block(z, np.array([K1, K1 + h, K1 - h])).T
-        return integral + 0.5 * f0 - (f_up - f_down) / (2.0 * h) / 12.0
+        a, w = self._factor_zeros(k_cut, skip)
+        return _log_factor_sum(a, z, w)
 
     # -- derivatives --------------------------------------------------------
     def derivative_at_mode(self, n: int, j: int) -> complex:
@@ -214,12 +227,10 @@ class ProductFunction:
         return complex(z0**3 / self.zeta_factor[idx] * np.exp(log_rest))
 
     def log_derivative(self, z) -> np.ndarray:
-        """P'(z)/P(z) away from the zero set."""
+        """P'(z)/P(z) away from the zero set: 3/z + sum w / (z + a)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        k_cut = self._direct_cutoff(float(np.max(np.abs(z))))
-        a = self._factor_zeros(k_cut)
-        acc = 3.0 / z + np.sum(1.0 / (z[:, None] + a[None, :]), axis=1)
-        return acc + self._log_remainder(z, k_cut, self._block_log_deriv)
+        a, w = self._factor_zeros(self._direct_cutoff(float(np.max(np.abs(z)))))
+        return 3.0 / z + (1.0 / (z[:, None] + a[None, :])) @ w
 
 
 def build_product(ms: MovingSpectrum) -> ProductFunction:

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .control import _MP_EXP, ControlField, InitialData, _mode_exponentials, _space_factor, _time_factor
+from .control import (
+    _MP_EXP, ControlField, InitialData, _mode_exponentials, _space_factor, _time_factor, _time_nodes,
+)
 from .fractional import gauss_legendre
 from .hp import MpSpectrum
 from .moving import BRANCHES, MovingSpectrum
@@ -410,13 +412,15 @@ def verify_duality(
     adjoint_coeffs: dict,
     T: float,
     ms: MovingSpectrum,
-    nt: int = 480,
+    nt: int | None = None,
     nx: int = 48,
 ) -> float:
     """Relative residual between the quadrature and coefficient evaluations.
 
     Left side: space-time Gauss quadrature of u * conj(phi) over (0,T) x
-    omega0 with phi the adjoint flow of the given terminal coefficients.
+    omega0 with phi the adjoint flow of the given terminal coefficients; the
+    default ``nt`` puts three time nodes on each period of the fastest
+    integrand, never fewer than 480.
     Right side: the coefficient pairing 2 sum_n [ y0_n conj(phi_t,n(0)) -
     (y1_n + i c kappa_n y0_n) conj(phi_n(0)) ].
     """
@@ -425,7 +429,7 @@ def verify_duality(
     lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
     kap = np.array([ms.kappa(n) for n, _ in modes])
 
-    tg, tw = gauss_legendre(nt)
+    tg, tw = gauss_legendre(nt if nt is not None else _time_nodes(T, lam, 480))
     t = 0.5 * T * (tg + 1.0)
     tw = 0.5 * T * tw
     x0, x1 = control.omega0

@@ -128,3 +128,58 @@ def test_export(tmp_path, family):
     assert len(files) == len(family.modes)
     header = files[0].read_text().splitlines()[0]
     assert header == "t,re_theta,im_theta"
+
+
+@pytest.mark.parametrize("window", [150.0, 300.0])
+def test_separable_sampling_matches_direct_exponentials(window):
+    # e^{ixt} = e^{ix t_c} e^{ix delta} over every grid the construction samples on
+    rng = np.random.default_rng(5)
+    T = 20.7
+    x = np.sort(rng.uniform(-window, window, 2000))
+    weighted = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
+    grids = [bio._time_quadrature(T, window, per_panel=12)[:2],
+             bio._time_quadrature(T, window, per_panel=10, density=1.37)[:2],
+             bio._export_grid(T, 640), bio._export_grid(T, 7)]
+    for centers, offsets in grids:
+        t = bio._grid(centers, offsets)
+        got = bio._inverse_transform(weighted, x, centers, offsets)
+        want = weighted @ np.exp(1j * np.outer(x, t)) / (2 * np.pi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 640, 641])
+def test_export_grid_is_equally_spaced(n):
+    T = 20.7
+    grid = bio._grid(*bio._export_grid(T, n))[:n]
+    assert len(grid) == n
+    assert np.max(np.abs(grid - np.linspace(-T / 2, T / 2, n)), initial=0.0) <= 1e-14 * T
+
+
+def test_time_quadrature_integrates_exponentials():
+    # the centers (+) offsets layout is still a Gauss rule on [-T/2, T/2]
+    T, lam = 20.7, 0.3 + 12.0j
+    centers, offsets, weights = bio._time_quadrature(T, 150.0)
+    t = bio._grid(centers, offsets)
+    assert len(t) == len(weights) and np.all(np.diff(t) > 0)
+    got = weights @ np.exp(-lam * t)
+    assert got == pytest.approx(2 * np.sinh(lam * T / 2) / lam, rel=1e-12)
+
+
+def test_window_attempts_are_recorded(tmp_path):
+    import json
+
+    table = build_eigenvalue_table(0.75, 12)
+    ms = build_moving_spectrum(table, 0.5, 1.0, 12)
+    pf = build_product(ms)
+    T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
+    first = bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0)
+    assert first.window_attempts == [{"window": 20.0, "gram_deviation": first.gram_deviation}]
+    # a tolerance just below the first window's deviation forces one enlargement
+    again = bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0, tol=0.99 * first.gram_deviation)
+    assert [a["window"] for a in again.window_attempts] == [20.0, 30.0]
+    assert again.window_attempts[0] == first.window_attempts[0]
+    assert again.window_attempts[-1]["gram_deviation"] == again.gram_deviation and again.window == 30.0
+    again.export_manifest(tmp_path / "family.json")
+    assert json.loads((tmp_path / "family.json").read_text())["window_attempts"] == again.window_attempts
+    with pytest.raises(RuntimeError, match=r"windows 20, 30, 45"):
+        bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0, tol=1e-30)

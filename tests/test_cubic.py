@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import cubic
 from memwave.fractional import build_eigenvalue_table
@@ -88,6 +90,22 @@ def test_mu1_bounds_hold_at_n1():
     t = cubic.solve_cubic(table.rho[0], 0.5)
     lower, upper = cubic.mu1_bounds(table.rho[0], 0.5)
     assert lower <= abs(t.mu1) < upper
+
+
+@settings(max_examples=40)
+@given(
+    s=st.floats(0.55, 0.95),
+    magnitude=st.floats(0.05, 5.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    n=st.integers(1, 64),
+)
+def test_mu1_bounds_hold_over_random_tables(s, magnitude, sign, n):
+    # |M|/(M^2/rho_1 + 1) <= |mu1_n| < |M| for every mode of the table
+    M = sign * magnitude
+    table = build_eigenvalue_table(s, n)
+    lower, upper = cubic.mu1_bounds(table.rho[0], M)
+    mu1 = np.abs([t.mu1 for t in cubic.spectral_triples(table, M)])
+    assert np.all(lower <= mu1) and np.all(mu1 < upper)
 
 
 def test_mu1_asymptotics_envelope():

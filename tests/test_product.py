@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,12 +56,17 @@ def test_block_extension_agrees_with_exact_factors():
     assert np.max(np.abs(diff.imag - 2 * np.pi * winding)) < 1e-6
 
 
+def _remainder(pf, z, k_cut):
+    a, w = pf._remainder_zeros(k_cut)
+    return pr._log_factor_sum(a, z, w)
+
+
 def test_remainder_model_against_direct_blocks(pf):
     # direct block summation over (k_cut, 40 k_cut] + far remainder must match
     # the remainder model at k_cut
     z = np.array([250 + 0.3j, 100 + 0.5j, 40j, 10 + 0.1j])
     k_cut = pf._direct_cutoff(float(np.max(np.abs(z))))
-    model = pf._log_remainder(z, k_cut)
+    model = _remainder(pf, z, k_cut)
     c = abs(pf.ms.c)
     acc = np.zeros(len(z), dtype=complex)
     ks = np.arange(k_cut + 1, 40 * k_cut)
@@ -72,8 +78,38 @@ def test_remainder_model_against_direct_blocks(pf):
         num = (z[:, None, None] + 1j * mus[None, :, :]) ** 2 - ck2[None, :, :]
         den = (1j * mus[None, :, :]) ** 2 - ck2[None, :, :]
         acc += np.sum(np.log(num / den), axis=(1, 2))
-    acc += pf._log_remainder(z, int(ks[-1]))
+    acc += _remainder(pf, z, int(ks[-1]))
     assert np.max(np.abs(model - acc)) < 2e-3
+
+
+def _per_level_euler_maclaurin(pf, z, k_cut):
+    """sum_{k > k_cut} f(k) ~ int_{K1}^inf f + f(K1)/2 - f'(K1)/12, K1 = k_cut + 1,
+    with f(k) the sum of level k's six log factors, level by level.  Each f is
+    taken at 30 digits: in float64 the six logs of a far level cancel to
+    ~1e-8 of their size, which leaves this sum ~1e-10 off."""
+
+    def f(levels):
+        a = pf._level_zeros(np.asarray(levels, dtype=float))
+        with mp.workdps(30):
+            return np.array([[complex(mp.fsum(mp.log(1 + mp.mpc(x) / mp.mpc(b)) for b in a[:, i]))
+                              for i in range(a.shape[1])] for x in z])
+
+    K1 = float(k_cut + 1)
+    t, w = pf._gauss()
+    integral = K1 * f(K1 / t) @ (w / t**2)
+    h = 1e-3 * K1
+    f0, f_up, f_down = f([K1, K1 + h, K1 - h]).T
+    return integral + 0.5 * f0 - (f_up - f_down) / (2.0 * h) / 12.0
+
+
+def test_weighted_remainder_is_the_euler_maclaurin_sum(pf):
+    # the remainder as weighted zeros in the far power sums is the per-level
+    # Euler-Maclaurin formula, term for term
+    z = np.array([250 + 0.3j, 100 + 0.5j, 40j, 10 + 0.1j, -3.0 + 0.0j])
+    k_cut = pf._direct_cutoff(float(np.max(np.abs(z))))
+    want = _per_level_euler_maclaurin(pf, z, k_cut)
+    got = _remainder(pf, z, k_cut)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
 
 def test_axis_growth_trend_and_compensation(pf):
@@ -155,6 +191,42 @@ def test_log_factor_sum_matches_explicit_sum(kind, count, window, seed):
     assert np.all(np.abs(diff) <= 1e-12 * scale)
 
 
+def _principal_log_sum(a, z, w):
+    # w * log(1 + z/a) on the principal branch, as log(a + z) - log(a) brought into (-pi, pi]
+    terms = np.log(a[None, :] + z[:, None]) - np.log(a)[None, :]
+    terms.imag -= 2 * np.pi * np.round(terms.imag / (2 * np.pi))
+    return terms @ w, np.sum(np.abs(terms * w[None, :]), axis=1)
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["product", "compensator"]),
+    count=st.integers(1, 300),
+    window=st.floats(0.5, 200.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_log_factor_sum_matches_explicit_sum(kind, count, window, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "product":
+        s, M, c = rng.uniform(0.55, 0.95), rng.uniform(0.2, 2.0), rng.uniform(0.5, 1.4)
+        kap = asymptotic_kappa(s, np.arange(1, count + 1))
+        rho = kap ** (2.0 * s)
+        mu1 = real_root(rho, M)
+        mu2 = complex_root(mu1, rho)
+        ims = 1j * np.concatenate([mu1, mu2, np.conj(mu2)])
+        cks = np.tile(c * kap, 3)
+        a = np.concatenate([ims - cks, ims + cks])
+    else:
+        zeta = np.cumsum(rng.uniform(0.3, 3.0, count)) + 1j * rng.uniform(0.1, 1.0)
+        a = np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)])
+    # real weights of either sign and any size, near zeros and far zeros alike
+    w = rng.uniform(-3.0, 3.0, len(a)) * 10.0 ** rng.uniform(-2.0, 3.0, len(a))
+    z = rng.uniform(-window, window, 48) + 1j * rng.uniform(-1.0, 1.0, 48)
+    got = pr._log_factor_sum(a, z, w)
+    want, scale = _principal_log_sum(a, z, w)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
+
+
 def test_family_configuration_takes_far_branch(monkeypatch):
     # the benchmark's family configuration: product spectrum N = 16, window 150
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
@@ -162,19 +234,23 @@ def test_family_configuration_takes_far_branch(monkeypatch):
     comp, _ = pr.growth_compensator(pf, 150.0)
     calls = []
     helper = pr._log_factor_sum
-    monkeypatch.setattr(pr, "_log_factor_sum", lambda a, z: calls.append((a, z)) or helper(a, z))
+    monkeypatch.setattr(pr, "_log_factor_sum",
+                        lambda a, z, weights=None: calls.append((a, z, weights)) or helper(a, z, weights))
     z = np.linspace(-150.0, 150.0, 801) + 0.5j
 
     def far_zeros(a, z):
         return int(np.count_nonzero(np.abs(a) > pr._NEAR_RATIO * np.max(np.abs(z))))
 
     comp.log_eval(z)
-    (a, zz), = calls
-    assert len(a) == 4 * len(comp.t)
+    (a, zz, w), = calls
+    assert len(a) == 4 * len(comp.t) and w is None
     assert far_zeros(a, zz) > len(a) // 2
     calls.clear()
     pf.log_eval(z)
-    (a, zz), = calls
-    # exact modes plus six zeros per direct-block level
+    (a, zz, w), = calls
+    # exact modes plus six zeros per direct-block level and per remainder level
     assert len(a) > len(pf.zeros) and (len(a) - len(pf.zeros)) % 6 == 0
     assert far_zeros(a, zz) > 0
+    # weight 1 but on the remainder zeros, which are all far
+    tail = 6 * (pf._GAUSS_N + 3)
+    assert np.all(w[:-tail] == 1.0) and np.all(np.abs(a[-tail:]) > pr._NEAR_RATIO * np.max(np.abs(zz)))

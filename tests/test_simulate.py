@@ -1,5 +1,7 @@
 """Exact modal propagation, duality, frame maps, and the ODE oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -331,3 +333,29 @@ def test_discretized_backend_control_nulls_state():
     for precision in ("float64", "mp"):
         _, report = simulator.run_to_T(data, cf, T, tol_rel=1e-6, precision=precision)
         assert report.passed, (precision, report.ratios)
+
+
+@pytest.mark.parametrize("N", [8, 32])
+def test_duality_nodes_follow_the_fastest_period(monkeypatch, N):
+    # three Gauss nodes per period of the fastest integrand, never fewer than
+    # 480: the floor at N = 8, about 3 x 454 at N = 32
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), 0.5, 1.0, N)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
+    rng = np.random.default_rng(N)
+    control = ctl.ControlField(
+        modes=modes, a=rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes)), omega0=OMEGA0,
+        T=T, residual=np.nan, rhs_norm=np.nan, norm=np.nan, method="random", gram_condition={}, ms=ms,
+    )
+    data = ctl.random_initial_data(ms, seed=N)
+    coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
+    counts = []
+    gauss = sim.gauss_legendre
+    monkeypatch.setattr(sim, "gauss_legendre", lambda n: counts.append(n) or gauss(n))
+    res = sim.verify_duality(data, control, coeffs, T, ms)
+    nt = counts[0]
+    fastest = max(abs(ms.eigenvalue(n, j).imag) for n, j in modes)
+    assert nt == max(480, math.ceil(3.0 * T * 2.0 * fastest / (2.0 * math.pi)))
+    assert (nt == 480) == (N == 8)
+    # the default is resolved: doubling the nodes moves nothing
+    assert abs(res - sim.verify_duality(data, control, coeffs, T, ms, nt=2 * nt)) <= 1e-10 * max(res, 1.0)
