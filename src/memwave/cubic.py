@@ -98,9 +98,13 @@ def solve_cubic(rho: float, M: float, n: int | None = None) -> SpectralTriple:
 def real_root(rho, M, start=None, steps: int = 24, tol: float = 1e-17):
     """Newton iteration for the real root of mu^3 + rho*mu - M*rho, elementwise in
     rho (numpy arrays, or mpmath numbers at the working precision), from ``start``
-    or else from M - M^3/rho (good for rho >> M^2); stops after ``steps`` or once
-    no step reaches tol*|mu|."""
-    mu = M - M**3 / rho if start is None else start
+    or else from M; stops after ``steps`` or once no step reaches tol*|mu|.
+
+    From M the iteration converges for every rho > 0: K(M) = M^3 has the sign
+    of M and K is convex on that side of 0, so |mu| decreases monotonically
+    onto the root (the first step already gives M - M^3/(rho + 3 M^2)).
+    """
+    mu = M if start is None else start
     for _ in range(steps):
         step = _cubic(mu, rho, M) / (3 * mu * mu + rho)
         mu = mu - step

@@ -13,10 +13,15 @@ many orders of magnitude), so the evaluator has three layers:
   factors 1 + z/a with a = i mu^j -+ c kappa_k, from the closed-form
   frequency extension kappa_k = k*pi/2 - (1-s)*pi/4 and the per-level
   cubic, out to where all remaining levels are safely non-resonant.  Exact
-  and block factors are summed as log(1 + z/a) by one routine: zeros within
-  twice the batch's max|z| as explicit logs, every farther zero through the
-  power series -sum_k (-z)^k S_k / k with power sums S_k = sum a^(-k), so
-  the far part costs a few dozen terms per point and is exact to round-off;
+  and block factors are summed as log(1 + z/a) by one routine of local
+  expansions: every zero farther than twice the batch's max|z| through the
+  power series -sum_k (-z)^k S_k / k about z = 0 with S_k = sum a^(-k); the
+  nearer zeros per panel of points about its centre z_c, as the constant
+  sum [log(a + z_c) - log a] plus the same series in z - z_c with
+  S_k = sum (a + z_c)^(-k).  Only the zeros within twice a panel's radius
+  of -z_c (and weighted near zeros) stay explicit logs, so the cost is a few
+  dozen series terms per point plus a few dozen logs, exact to round-off;
+  with unit weights the phase is defined mod 2 pi i;
 * the far tail summed by Euler-Maclaurin: the block log is a smooth,
   non-oscillatory function of the continuous level index once
   c*kappa_k dominates |z|, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
@@ -35,7 +40,7 @@ and the trend vanishes, which is where the flat-modulus expectation comes
 from).  The growth is o(|x|) and can therefore be cancelled at zero cost in
 exponential type by a sparse real-zero multiplier whose counting function
 matches the measured trend; ``growth_compensator`` builds it (its explicit
-zeros go through the same near/far sum), and the Fourier-side constructions
+zeros go through the same expansions), and the Fourier-side constructions
 evaluate the compensated product.
 """
 
@@ -62,31 +67,46 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20    # points x zeros in one block of explicit logs
+_PANEL = 256        # points per panel of the near-zero expansions
 _SAFETY = 4.0      # direct blocks run out to c*kappa >= _SAFETY * max|z|
-_NEAR_RATIO = 2.0  # zeros within _NEAR_RATIO * max|z| are summed explicitly
+_MAX_LEVEL = 1 << 20  # six direct zeros per level: 6.3e6 zeros, ~100 MB per array
+_NEAR_RATIO = 2.0  # a zero is expanded about z_c once |a + z_c| > _NEAR_RATIO * radius
 
 
-def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum over a of w * log(1 + z/a) at each z, principal branch (w = 1 by default).
+def _expansion(a: np.ndarray, w: np.ndarray, zc: complex, u: np.ndarray) -> np.ndarray:
+    """sum over a of w * log(1 + (z_c + u)/a) by the expansion about z_c:
+    the constant sum w [log(a + z_c) - log a] plus -sum_k (-u)^k S_k / k with
+    S_k = sum w (a + z_c)^(-k).  Needs r = max|u| / min|a + z_c| < 1; K terms
+    with r^K <= 1e-17 leave a truncation below round-off."""
+    out = np.zeros(len(u), dtype=complex)
+    if not len(a):
+        return out
+    inv = 1.0 / (a + zc)
+    if zc != 0.0:
+        out += w @ (np.log(a + zc) - np.log(a))
+    r = float(np.max(np.abs(u), initial=0.0)) * float(np.max(np.abs(inv)))
+    if r > 0.0:
+        K = max(1, math.ceil(-17.0 / math.log10(r)))
+        coef = np.empty(K, dtype=complex)  # (-1)^(k+1) S_k / k, k = 1..K
+        power = inv.copy()
+        for k in range(1, K + 1):
+            coef[k - 1] = (-1) ** (k + 1) * (power @ w) / k
+            power *= inv
+        series = 0.0
+        for c_k in coef[::-1]:  # Horner in u
+            series = (series + c_k) * u
+        out += series
+    return out
 
-    Zeros with |a| <= _NEAR_RATIO * max|z| are summed as explicit logs
-    log(a + z) - log(a), which vanish identically when z sits on a zero,
-    with the phase brought back to (-pi, pi] so that a weight need not be an
-    integer.  Every farther zero enters through log(1 + q) =
-    -sum_k (-q)^k / k, so the far part is -sum_k (-z)^k S_k / k with the
-    weighted power sums S_k = sum w a^(-k) taken once; K terms with
-    r^K <= 1e-17, r = max|z| / min|a_far|, leave a truncation below
-    round-off.
-    """
-    zmax = float(np.max(np.abs(z), initial=0.0))
-    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
-    near = np.abs(a) <= _NEAR_RATIO * zmax
-    acc = np.zeros(len(z), dtype=complex)
-    a_near, w_near = a[near], w[near]
+
+def _explicit_logs(a: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over a of w * log(1 + z/a) as explicit logs log(a + z) - log(a),
+    brought back to (-pi, pi]; vanishes identically when z sits on a zero."""
+    out = np.zeros(len(z), dtype=complex)
     step = max(1, _CHUNK // max(len(z), 1))
     with np.errstate(divide="ignore"):
-        for start in range(0, len(a_near), step):
-            chunk, w_chunk = a_near[start : start + step], w_near[start : start + step]
+        for start in range(0, len(a), step):
+            chunk, w_chunk = a[start : start + step], w[start : start + step]
             terms = chunk[None, :] + z[:, None]
             np.log(terms, out=terms)
             terms -= np.log(chunk)[None, :]
@@ -95,20 +115,45 @@ def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = N
             turns *= 2.0 * math.pi
             terms.imag -= turns
             # real and imaginary parts apart, so a -inf at an exact zero stays -inf
-            acc += terms.real @ w_chunk + 1j * (terms.imag @ w_chunk)
-    inv, w_far = 1.0 / a[~near], w[~near]
-    if len(inv) and zmax > 0.0:
-        r = zmax * float(np.max(np.abs(inv)))
-        K = max(1, math.ceil(-17.0 / math.log10(r)))
-        coef = np.empty(K, dtype=complex)  # (-1)^(k+1) S_k / k, k = 1..K
-        power = inv.copy()
-        for k in range(1, K + 1):
-            coef[k - 1] = (-1) ** (k + 1) * (power @ w_far) / k
-            power *= inv
-        series = 0.0
-        for c_k in coef[::-1]:  # Horner in z
-            series = (series + c_k) * z
-        acc += series
+            out += terms.real @ w_chunk + 1j * (terms.imag @ w_chunk)
+    return out
+
+
+def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum over a of w * log(1 + z/a) at each z (w = 1 by default).
+
+    Each zero enters through a local expansion about the centre z_c of a group
+    of points of radius rho (``_expansion``) wherever |a + z_c| >
+    _NEAR_RATIO * rho, so the truncation is below round-off with r <= 1/2:
+
+    * far zeros, |a| > _NEAR_RATIO * max|z|, about z_c = 0 for every point:
+      the constant vanishes and the series is the principal log(1 + z/a);
+    * near zeros of weight 1 per panel: the points sorted by real part and
+      cut into panels of _PANEL consecutive points, each about the centre of
+      its bounding box.
+
+    The rest stay explicit logs (``_explicit_logs``): near zeros within
+    _NEAR_RATIO * rho of -z_c, so a z that sits on a zero gives -inf, and
+    near zeros whose weight is not 1, so a weighted term is on the principal
+    branch.  A panel's constant log(a + z_c) - log a carries the phase only
+    mod 2 pi i, so with unit weights the sum is defined mod 2 pi i, which
+    exp() does not see.
+    """
+    zmax = float(np.max(np.abs(z), initial=0.0))
+    w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
+    near = np.abs(a) <= _NEAR_RATIO * zmax
+    acc = _expansion(a[~near], w[~near], 0.0, z)
+    a_near, w_near = a[near], w[near]
+    unit = w_near == 1.0
+    order = np.lexsort((z.imag, z.real))
+    for start in range(0, len(z), _PANEL):
+        idx = order[start : start + _PANEL]
+        zp = z[idx]
+        zc = complex(0.5 * (zp.real.min() + zp.real.max()), 0.5 * (zp.imag.min() + zp.imag.max()))
+        rho = float(np.max(np.abs(zp - zc)))
+        local = unit & (np.abs(a_near + zc) > _NEAR_RATIO * rho)
+        acc[idx] += _expansion(a_near[local], w_near[local], zc, zp - zc)
+        acc[idx] += _explicit_logs(a_near[~local], w_near[~local], zp)
     return acc
 
 
@@ -116,8 +161,9 @@ class ProductFunction:
     """Evaluator for P and P' built over a moving spectrum.
 
     Every mode of the spectrum is an exact factor; direct blocks run out to
-    c*kappa >= _SAFETY * max|z| of the batch, where the analytic remainder
-    takes over.
+    c*kappa >= _SAFETY * max|z| of the batch, and on until every remainder
+    zero lies beyond _NEAR_RATIO * max|z|, where the analytic remainder takes
+    over.
     """
 
     def __init__(self, ms: MovingSpectrum):
@@ -140,15 +186,35 @@ class ProductFunction:
         return kap, mu1.astype(complex), mu2, np.conj(mu2)
 
     def _direct_cutoff(self, zmax: float) -> int:
-        """Last level handled by direct blocks; beyond it |w_j| <= ~0.2."""
+        """Last level handled by direct blocks: beyond it |w_j| <= ~0.2, and
+        every remainder zero lies beyond _NEAR_RATIO * max|z|.
+
+        The branch-2/3 zeros i mu2 -+ c kappa sit Im mu2 ~ kappa^s closer to the
+        origin than c kappa, and c kappa - Im mu2 stays negative up to
+        kappa ~ c^(-1/(1-s)) (about 1e6 at s = 0.95, c = 0.5), where those
+        zeros cross the window.  So the cutoff grows by a quarter until
+        g = c kappa - sqrt(3 M^2/4 + kappa^(2s)) exceeds _NEAR_RATIO * max|z| at
+        the lowest remainder level.  g is a lower bound of c kappa - Im mu2
+        (|mu1| < |M|), and once positive it only grows with kappa (c kappa >
+        kappa^s there), so every remainder zero has |Re a| > _NEAR_RATIO * max|z|.
+        """
         c, s = abs(self.ms.c), self.ms.s
         zmax = max(zmax, 1.0)
         kap_need = max(
             _SAFETY * zmax / c,
             (10.0 * zmax / c**2) ** (1.0 / (2.0 - s)),
         )
-        k = int(math.ceil(asymptotic_level(s, kap_need)))
-        return max(k, self.ms.N + 1)
+        k = max(int(math.ceil(asymptotic_level(s, kap_need))), self.ms.N + 1)
+        while True:
+            kap = asymptotic_kappa(s, self._remainder_levels(k)[0].min())
+            if c * kap - complex_root(abs(self.ms.M), kap ** (2.0 * s)).imag > _NEAR_RATIO * zmax:
+                return k
+            k = math.ceil(1.25 * k)
+            if k > _MAX_LEVEL:
+                raise ValueError(
+                    f"direct blocks would run past level {_MAX_LEVEL}: the branch-2/3 zeros "
+                    f"i mu2 -+ c kappa are still within {_NEAR_RATIO:g} max|z| there (s = {s}, c = {c})"
+                )
 
     def _level_zeros(self, k_real) -> np.ndarray:
         """The zeros a = i mu^j -+ c kappa_k of level k's six factors 1 + z/a, shape (6, len(k))."""
@@ -174,9 +240,9 @@ class ProductFunction:
         x, w = gauss_legendre(cls._GAUSS_N)
         return 0.5 * (x + 1.0), 0.5 * w  # on (0,1)
 
-    def _remainder_zeros(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted zeros whose log sum is the Euler-Maclaurin sum over the
-        levels k > k_cut.
+    def _remainder_levels(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
+        """Levels and weights whose weighted level log sums are the
+        Euler-Maclaurin sum over the levels k > k_cut.
 
         Past the direct cutoff a level's log sum f(k) is smooth and
         non-oscillatory in the continuous level index and decays like k^{-2},
@@ -190,6 +256,11 @@ class ProductFunction:
         h = 1e-3 * K1
         levels = np.concatenate([K1 / t, [K1, K1 + h, K1 - h]])
         weights = np.concatenate([K1 * w / t**2, [0.5, -1.0 / (24.0 * h), 1.0 / (24.0 * h)]])
+        return levels, weights
+
+    def _remainder_zeros(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
+        """The remainder levels' six zeros each, with their level's weight."""
+        levels, weights = self._remainder_levels(k_cut)
         return self._level_zeros(levels).ravel(), np.tile(weights, 6)
 
     # -- evaluation ---------------------------------------------------------

@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("M must be nonzero")
         if min(v["N"], v["family_N"], v["n_table"], v["trials"]) < 1:
             raise ConfigError("N, family_N, n_table and trials must be positive")
+        if v["n_table"] < v["N"]:
+            raise ConfigError(f"n_table = {v['n_table']} must be at least N = {v['N']}")
         if not (v["T_factor"] > 0.0 and v["terminal_tol"] > 0.0 and (v["T"] is None or v["T"] > 0.0)):
             raise ConfigError("T, T_factor and terminal_tol must be positive")
         if min(v["sigma_xi"], v["sigma_xi_dot"], v["sigma_zeta"]) < 0.0:
@@ -200,7 +202,7 @@ class _Run:
     # ---- stage implementations -------------------------------------------
     def table(self) -> fr.EigenvalueTable:
         if "table" not in self.cache:
-            n_max = max(self.config.n_table, 4 * self.config.family_N, self.config.N)
+            n_max = max(self.config.n_table, 4 * self.config.family_N)
             self.cache["table"] = fr.build_eigenvalue_table(self.config.s, n_max, backend=self.config.backend)
         return self.cache["table"]
 

@@ -126,3 +126,28 @@ def test_csv_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == ["n", "rho", "mu1", "re_mu2", "im_mu2", "residual"]
     assert len(lines) == 5
+
+
+@settings(max_examples=60)
+@given(
+    log_rho=st.lists(st.floats(-2.0, 10.0), min_size=1, max_size=64),
+    magnitude=st.floats(0.05, 5.0),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_vectorised_roots_over_raw_rho(log_rho, magnitude, sign):
+    # real_root and complex_root as _level_zeros calls them: an array of rho, no start;
+    # rho in [1e-2, 1e10] covers the remainder levels and rho < M^2 alike
+    M = sign * magnitude
+    rho = 10.0 ** np.array(log_rho)
+    mu1 = cubic.real_root(rho, M)
+    mu2 = cubic.complex_root(mu1, rho)
+    eps = np.finfo(float).eps
+    for mu in (mu1, mu2):
+        residual = np.abs(cubic._cubic(mu, rho, M))
+        assert np.all(residual <= 8 * eps * rho * (np.abs(mu) + abs(M)))
+    assert np.all(np.sign(mu1) == np.sign(M))
+    # |M|/(M^2/rho + 1) <= |mu1| < |M|; the lower bound is within round-off of
+    # mu1 once rho >> M^2 (the gap is 2 M^5/rho^2)
+    lower = abs(M) / (M * M / rho + 1.0)
+    assert np.all(np.abs(mu1) >= lower * (1.0 - 4 * eps)) and np.all(np.abs(mu1) < abs(M))
+    assert np.all(np.abs(mu1 + 2.0 * mu2.real) <= eps * np.abs(mu1))

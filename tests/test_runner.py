@@ -163,10 +163,13 @@ _out_of_range = st.one_of(
     st.tuples(st.sampled_from(["T", "T_factor", "terminal_tol"]), _nonpositive),
     st.tuples(st.sampled_from(["sigma_xi", "sigma_xi_dot", "sigma_zeta"]), _negative),
 )
+# a table smaller than the default N = 16 is rejected, not silently enlarged
+_short_table = st.tuples(st.just("n_table"), st.integers(1, 15))
 
 
-@settings(max_examples=60)
-@given(case=st.one_of(_bad_values, _out_of_range))
+# a third of the examples go to the short table, so the other two cases keep their 30 each
+@settings(max_examples=90)
+@given(case=st.one_of(_bad_values, _out_of_range, _short_table))
 def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
     key, value = case
     text = value if isinstance(value, str) else repr(value)
