@@ -130,8 +130,8 @@ def _mode_exponentials(lam, kap, x0, x1, T, exp=np.exp):
     """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m).
 
     ``exp`` is np.exp, or ``_MP_EXP`` for object arrays of mpmath values.
-    Every pairwise factor of the Gram and of the Duhamel sums is a product
-    of two entries, since kap, x0, x1 and T are real:
+    Every pairwise factor of the Gram is a product of two entries, since
+    kap, x0, x1 and T are real:
     e^{i (kap_c - kap_r) x} = e^{i kap_c x} conj(e^{i kap_r x}) and
     e^{-(lam_c + conj(lam_r)) T} = e^{-lam_c T} conj(e^{-lam_r T}).
     """

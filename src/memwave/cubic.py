@@ -65,30 +65,15 @@ class SpectralTriple:
 
 
 def solve_cubic(rho: float, M: float, n: int | None = None) -> SpectralTriple:
-    """Solve mu^3 + rho*mu - M*rho = 0 by bracketed bisection plus Newton.
-
-    The real root is bracketed by [0, M] since K(0) = -M*rho and K(M) = M^3
-    have opposite signs; bisection narrows the bracket to 1e-8*|M| and Newton
-    polishes to machine residual.  The complex pair follows in closed form.
+    """Solve mu^3 + rho*mu - M*rho = 0: the real root by Newton from M
+    (``real_root``, which converges for every rho > 0), the complex pair in
+    closed form.
     """
     rho = float(rho)
     M = check_memory_coefficient(M)
     if rho <= 0:
         raise ValueError("rho must be positive")
-    # endpoint values in exact form: K(0) = -M*rho, K(M) = M^3 (the rho terms
-    # cancel identically, which naive evaluation loses for tiny M)
-    f0, fM = -M * rho, M**3
-    if not (np.sign(f0) == -np.sign(M) and np.sign(fM) == np.sign(M)):
-        raise RuntimeError(f"bracketing failed: K(0)={f0}, K(M)={fM}")
-    lo, hi = (0.0, M) if M > 0 else (M, 0.0)
-    f_lo = f0 if M > 0 else fM
-    while hi - lo > 1e-8 * abs(M):
-        mid = 0.5 * (lo + hi)
-        if _cubic(mid, rho, M) * f_lo > 0:
-            lo = mid
-        else:
-            hi = mid
-    mu1 = float(real_root(rho, M, start=0.5 * (lo + hi), steps=8))
+    mu1 = float(real_root(rho, M))
     mu2 = complex(complex_root(mu1, rho))
     mu3 = np.conj(mu2)
     residual = max(abs(_cubic(m, rho, M)) for m in (mu1, mu2, mu3))

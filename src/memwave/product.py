@@ -50,7 +50,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .cubic import complex_root, real_root, solve_cubic
+from .cubic import complex_root, real_root
 from .fractional import asymptotic_kappa, asymptotic_level, gauss_legendre
 from .moving import MovingSpectrum, BRANCHES
 

@@ -74,7 +74,6 @@ _SCHEMA = {
     "sigma_xi_dot": (_parse_float, 2.0),
     "sigma_zeta": (_parse_float, 1.0),
     "backend": (str, "asymptotic"),
-    "projection": (str, "orthogonal"),
     "precision": (str, "mp"),
     "terminal_tol": (_parse_float, 1.0e-6),
     "gap_epsilon": (_parse_float, None),
@@ -106,8 +105,10 @@ class RunConfig:
             raise ConfigError("M must be nonzero")
         if min(v["N"], v["family_N"], v["n_table"], v["trials"]) < 1:
             raise ConfigError("N, family_N, n_table and trials must be positive")
-        if v["n_table"] < v["N"]:
-            raise ConfigError(f"n_table = {v['n_table']} must be at least N = {v['N']}")
+        if v["n_table"] < max(v["N"], 4 * v["family_N"]):
+            raise ConfigError(
+                f"n_table = {v['n_table']} must be at least N = {v['N']} and 4 family_N = {4 * v['family_N']}"
+            )
         if not (v["T_factor"] > 0.0 and v["terminal_tol"] > 0.0 and (v["T"] is None or v["T"] > 0.0)):
             raise ConfigError("T, T_factor and terminal_tol must be positive")
         if min(v["sigma_xi"], v["sigma_xi_dot"], v["sigma_zeta"]) < 0.0:
@@ -116,8 +117,6 @@ class RunConfig:
             raise ConfigError("omega0 must be a nonempty interval")
         if v["backend"] not in ("asymptotic", "discretized"):
             raise ConfigError("backend must be asymptotic or discretized")
-        if v["projection"] not in ("orthogonal", "exact_gram"):
-            raise ConfigError("projection must be orthogonal or exact_gram")
         if v["precision"] not in ("mp", "float64"):
             raise ConfigError("precision must be mp or float64")
         if v["s"] <= 0.5:
@@ -202,8 +201,8 @@ class _Run:
     # ---- stage implementations -------------------------------------------
     def table(self) -> fr.EigenvalueTable:
         if "table" not in self.cache:
-            n_max = max(self.config.n_table, 4 * self.config.family_N)
-            self.cache["table"] = fr.build_eigenvalue_table(self.config.s, n_max, backend=self.config.backend)
+            cfg = self.config
+            self.cache["table"] = fr.build_eigenvalue_table(cfg.s, cfg.n_table, backend=cfg.backend)
         return self.cache["table"]
 
     def spectrum_stage(self):
@@ -310,12 +309,9 @@ class _Run:
         if "control" not in self.cache:
             self.control_stage()
         data, cf, T = self.cache["control"]
-        simulator = sim.GalerkinSimulator(
-            ms, cfg.omega0(), projection=cfg.projection,
-            sigma_weights=(cfg.sigma_xi, cfg.sigma_xi_dot, cfg.sigma_zeta),
-        )
-        precision = cfg.precision if cfg.projection == "orthogonal" else "float64"
-        _, report = simulator.run_to_T(data, cf, T, tol_rel=cfg.terminal_tol, n_checkpoints=24, precision=precision)
+        sigma = (cfg.sigma_xi, cfg.sigma_xi_dot, cfg.sigma_zeta)
+        simulator = sim.GalerkinSimulator(ms, cfg.omega0(), sigma_weights=sigma)
+        _, report = simulator.run_to_T(data, cf, T, tol_rel=cfg.terminal_tol, n_checkpoints=24, precision=cfg.precision)
         rep_path = self.outdir / "terminal_report.json"
         report.to_json(rep_path)
         report.trajectory_csv(self.outdir / "trajectory.csv")

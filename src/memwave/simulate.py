@@ -6,26 +6,28 @@ transport phase, nu_j = mu_j - i c kappa_n, so propagation is exact modal
 exponentials and control forcing enters through closed-form Duhamel terms
 (the forcing is itself a finite sum of space-time exponentials).  There is no
 time-stepping error: what remains is truncation plus synthesis residual.
+One routine does the propagation, on doubles or on mpmath values: the
+float64 steps and the extended-precision terminal check run the same code.
 
 The control forcing is projected on the modes with the factor-1/2 plane-wave
 convention, which is exactly the pairing under which the moment right-hand
-sides -2(conj(mu) y0 + y1) null the state; the exact non-orthogonal Gram of
-the plane waves on the length-2 interval is computed and reported (its
+sides -2(conj(mu) y0 + y1) null the state.  The exact non-orthogonal Gram of
+the plane waves on the length-2 interval is computed and reported only: its
 off-diagonal mass quantifies the convention's deviation from the exact
-L2-projection), and an ``exact_gram`` projection is available for comparative
-runs.
+L2-projection.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
 from .control import (
-    _MP_EXP, ControlField, InitialData, _mode_exponentials, _space_factor, _time_factor, _time_nodes,
+    _MP_EXP, ControlField, InitialData, _space_factor, _time_factor, _time_nodes,
 )
 from .fractional import gauss_legendre
 from .hp import MpSpectrum
@@ -33,7 +35,8 @@ from .moving import BRANCHES, MovingSpectrum
 
 __all__ = [
     "GalerkinState",
-    "ModePropagator",
+    "Forcing",
+    "ModalTable",
     "PlaneWaveGram",
     "GalerkinSimulator",
     "TerminalReport",
@@ -57,26 +60,88 @@ class GalerkinState:
         return GalerkinState(self.t, self.ns.copy(), self.xi.copy(), self.xi_dot.copy(), self.zeta.copy(), self.frame)
 
 
-@dataclass
-class ModePropagator:
-    """Eigen-structure of one mode's companion system."""
+class ModalTable(NamedTuple):
+    """Eigen-structure of every mode's companion system, stacked by mode.
 
-    n: int
-    rho: float
-    kappa: float
-    nu: np.ndarray       # three forward exponents
-    V: np.ndarray        # right eigenvectors as columns
-    W: np.ndarray        # left eigenvectors as rows
-    wv: np.ndarray       # W_j . V_j normalizers
-    kappa_transport: float = 0.0
+    Row i holds mode i's forward exponents ``nu`` (3 branches), right
+    eigenvectors ``V[i, :, j]``, left eigenvectors ``W[i, j, :]`` and
+    normalizers ``wv[i, j]``, as doubles or as mpmath values.
+    """
 
-    def characteristic_residual(self, M: float) -> float:
-        """Max residual of (nu + i c kappa)^3 + rho (.) - M rho over branches."""
-        res = 0.0
-        for j in range(3):
-            mu = self.nu[j] + 1j * self.kappa_transport
-            res = max(res, abs(mu**3 + self.rho * mu - M * self.rho))
-        return float(res)
+    nu: np.ndarray
+    V: np.ndarray
+    W: np.ndarray
+    wv: np.ndarray
+
+    @classmethod
+    def build(cls, mu, rho, M, ick) -> "ModalTable":
+        """From the cubic roots ``mu`` (modes x 3) and per-mode rho and ick = i c kappa."""
+        v, w, wv = _eigen_rows(mu, rho[:, None], M, ick[:, None])
+        return cls(nu=v[1], V=np.stack(np.broadcast_arrays(*v), axis=1),
+                   W=np.stack(np.broadcast_arrays(*w), axis=2), wv=wv)
+
+
+class Forcing(NamedTuple):
+    """Control forcing sum_k amps[i, k] e^{expos[i, k] t} on mode i.
+
+    It is the factor-1/2 projection of the control sum_k a_k e^{-lam_k t}
+    e^{i kap_k x} on omega0 onto the plane wave e^{i kappa_i x}, so
+    amps[i, k] = a_k S[i, k] / 2 with S[i, k] = int_omega0 e^{i (kap_k -
+    kappa_i) x} dx.  The exponents separate as expos[i, k] = shift[i] -
+    lam[k], so every exponential the propagation needs is a product of two
+    per-mode tables.
+    """
+
+    a: np.ndarray
+    S: np.ndarray
+    lam: np.ndarray
+    shift: np.ndarray
+
+    @property
+    def amps(self) -> np.ndarray:
+        return self.a * self.S / 2
+
+    @property
+    def expos(self) -> np.ndarray:
+        return self.shift[:, None] - self.lam[None, :]
+
+    @classmethod
+    def bind(cls, a, lam_c, kap_c, kappa, omega0, shift) -> "Forcing":
+        exp = _MP_EXP if a.dtype == object else np.exp
+        x0, x1 = omega0
+        e0 = exp(1j * kap_c * x0)[None, :] * exp(-1j * kappa * x0)[:, None]
+        e1 = exp(1j * kap_c * x1)[None, :] * exp(-1j * kappa * x1)[:, None]
+        return cls(a, _space_factor(kap_c[None, :] - kappa[:, None], x0, x1, e0, e1), lam_c, shift)
+
+
+def _advance(modal: ModalTable, X, t, dt, forcing: Forcing):
+    """States X (modes x (xi, xi_dot, zeta)) advanced from t to t + dt.
+
+    Exact modal exponentials plus the closed-form Duhamel term: with
+    expos = shift - lam and w = nu - shift + lam,
+    int_0^dt e^{nu (dt - s)} e^{expos (t + s)} ds
+        = e^{shift t} e^{-lam t} e^{nu dt} _time_factor(w, dt, e^{-lam dt} e^{-(nu - shift) dt}),
+    so every exponential comes from a per-mode table.  Doubles in, doubles
+    out; mpmath values (dtype object) in, mpmath values out.
+    """
+    exp = _MP_EXP if modal.nu.dtype == object else np.exp
+    e_nu, e_lam = exp(modal.nu * dt), exp(-forcing.lam * dt)
+    rel, e_rel = modal.nu - forcing.shift[:, None], exp(forcing.shift * dt)[:, None] / e_nu
+    at_t = forcing.S * (forcing.a * exp(-forcing.lam * t) / 2)
+    # one mode at a time: holding the mpmath temporaries of every (mode, branch,
+    # control mode) triple at once costs the garbage collector more than the arithmetic
+    duhamel = np.array([
+        (at_t[i] * _time_factor(rel[i][:, None] + forcing.lam, dt, e_rel[i][:, None] * e_lam)).sum(axis=1)
+        for i in range(len(rel))
+    ]) * exp(forcing.shift * t)[:, None]
+    coords = ((modal.W * X[:, None, :]).sum(axis=2) + duhamel) * e_nu / modal.wv
+    return (modal.V * coords[:, None, :]).sum(axis=2)
+
+
+def _weighted_norms(rho, X, sigma_weights) -> dict:
+    """sqrt(sum_n rho_n^(2 sigma) |X_n|^2) per column (xi, xi_dot, zeta) of X, at the values' precision."""
+    sq = (rho[:, None] ** (2 * np.asarray(sigma_weights)) * np.abs(X) ** 2).sum(axis=0)
+    return {name: float(v ** 0.5) for name, v in zip(("xi", "xi_dot", "zeta"), sq)}
 
 
 @dataclass
@@ -85,27 +150,23 @@ class PlaneWaveGram:
 
     Off-diagonal entries 2 sin(kappa_m - kappa_n)/(kappa_m - kappa_n) do not
     vanish, so the family is only asymptotically orthogonal; the deviation
-    report carries the measured mass and conditioning.  On the moving
-    interval the entries pick up the conjugation phase exp(i (kappa_m -
-    kappa_n) c t) around the same core matrix.
+    report carries the measured off-diagonal mass.  On the moving interval
+    the entries pick up the conjugation phase exp(i (kappa_m - kappa_n) c t)
+    around the same core matrix.
     """
 
     ns: np.ndarray
     kappa: np.ndarray
     entries: np.ndarray
     deviation: float
-    eig_min: float
-    eig_max: float
 
     @classmethod
     def build(cls, ns, kappa) -> "PlaneWaveGram":
         d = kappa[None, :] - kappa[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             core = np.where(np.abs(d) < 1e-14, 2.0, 2.0 * np.sin(d) / np.where(np.abs(d) < 1e-14, 1.0, d))
-        w = np.linalg.eigvalsh(core)
         off = core - np.diag(np.diag(core))
-        return cls(ns=np.asarray(ns), kappa=kappa, entries=core,
-                   deviation=float(np.max(np.abs(off))), eig_min=float(w[0]), eig_max=float(w[-1]))
+        return cls(ns=np.asarray(ns), kappa=kappa, entries=core, deviation=float(np.max(np.abs(off))))
 
     def entries_at(self, t: float, c: float) -> np.ndarray:
         phase = np.exp(1j * self.kappa * c * t)
@@ -115,51 +176,25 @@ class PlaneWaveGram:
 class GalerkinSimulator:
     """Exact modal propagator for the moving- or fixed-frame system."""
 
-    def __init__(
-        self, ms: MovingSpectrum, omega0, frame: str = "moving",
-        projection: str = "orthogonal", sigma_weights=SIGMA_WEIGHTS,
-    ):
+    def __init__(self, ms: MovingSpectrum, omega0, frame: str = "moving", sigma_weights=SIGMA_WEIGHTS):
         if frame not in ("moving", "fixed"):
             raise ValueError("frame must be 'moving' or 'fixed'")
-        if projection not in ("orthogonal", "exact_gram"):
-            raise ValueError("projection must be 'orthogonal' or 'exact_gram'")
         self.ms = ms
         self.sigma_weights = tuple(float(v) for v in sigma_weights)
         self.omega0 = (float(omega0[0]), float(omega0[1]))
         self.frame = frame
-        self.projection = projection
         self.ns = np.array(ms.mode_indices())
         self.kappa = np.array([ms.kappa(n) for n in self.ns])
         self.rho = np.array([ms.rho(n) for n in self.ns])
         self.gram = PlaneWaveGram.build(self.ns, self.kappa)
-        self.props = {int(n): self._propagator(int(n)) for n in self.ns}
-        if projection == "exact_gram":
-            cond = self.gram.eig_max / max(self.gram.eig_min, 1e-300)
-            if cond > 1e12:
-                import warnings
-
-                warnings.warn(
-                    f"plane-wave Gram condition {cond:.2e} exceeds 1e12; the exact_gram "
-                    "projection still inverts it in float64, so its forcing amplitudes "
-                    "are not reliable"
-                )
-
-    def _propagator(self, n: int) -> ModePropagator:
-        ms = self.ms
-        rho, kap = ms.rho(n), ms.kappa(n)
-        c_eff = ms.c if self.frame == "moving" else 0.0
-        rows = [_eigen_rows(ms.mu_of(n, j), rho, ms.M, 1j * c_eff * kap) for j in BRANCHES]
-        V = np.array([v for v, _, _ in rows]).T
-        W = np.array([w for _, w, _ in rows])
-        wv = np.array([d for _, _, d in rows])
-        nu = V[1].copy()
-        prop = ModePropagator(n=n, rho=rho, kappa=kap, nu=nu, V=V, W=W, wv=wv, kappa_transport=c_eff * kap)
-        for j in range(3):
-            m = nu[j] + 1j * c_eff * kap
-            res = abs(m**3 + rho * m - ms.M * rho)
-            if res > 1e-10 * (abs(ms.M) * rho + abs(ms.M) ** 3):
-                raise RuntimeError(f"propagator exponent residual {res:.2e} too large for mode {n}")
-        return prop
+        mu = np.array([[ms.mu_of(int(n), j) for j in BRANCHES] for n in self.ns])
+        ick = 1j * (ms.c if frame == "moving" else 0.0) * self.kappa
+        self.modal = ModalTable.build(mu, self.rho, ms.M, ick)
+        root, rho = self.modal.nu + ick[:, None], self.rho[:, None]
+        res = np.abs(root**3 + rho * root - ms.M * rho) / (abs(ms.M) * rho + abs(ms.M) ** 3)
+        if np.max(res) > 1e-10:
+            n = self.ns[np.argmax(res) // 3]
+            raise RuntimeError(f"propagator exponent residual {np.max(res):.2e} (relative) too large for mode {n}")
 
     # -- states --------------------------------------------------------------
     def initial_state(self, data: InitialData) -> GalerkinState:
@@ -173,16 +208,11 @@ class GalerkinSimulator:
         return GalerkinState(t=0.0, ns=self.ns.copy(), xi=xi, xi_dot=xi_dot, zeta=zeta, frame="moving")
 
     def weighted_norms(self, state: GalerkinState) -> dict:
-        s_xi, s_v, s_z = self.sigma_weights
-        return {
-            "xi": float(np.sqrt(np.sum(self.rho ** (2 * s_xi) * np.abs(state.xi) ** 2))),
-            "xi_dot": float(np.sqrt(np.sum(self.rho ** (2 * s_v) * np.abs(state.xi_dot) ** 2))),
-            "zeta": float(np.sqrt(np.sum(self.rho ** (2 * s_z) * np.abs(state.zeta) ** 2))),
-        }
+        return _weighted_norms(self.rho, np.stack([state.xi, state.xi_dot, state.zeta], axis=1), self.sigma_weights)
 
     # -- forcing --------------------------------------------------------------
-    def bind_forcing(self, control: ControlField | None, support_frame: str = "moving"):
-        """Per-mode exponential forcing terms (amplitude, exponent).
+    def bind_forcing(self, control: ControlField | None, support_frame: str = "moving") -> Forcing:
+        """The control's forcing on every mode, one row per mode.
 
         ``support_frame`` says where the control's support lives: "moving"
         is the synthesized situation (support fixed at omega0 in the
@@ -192,67 +222,23 @@ class GalerkinSimulator:
         """
         if support_frame not in ("moving", "frozen"):
             raise ValueError("support_frame must be 'moving' or 'frozen'")
-        if control is None:
-            return {int(n): (np.zeros(0, dtype=complex), np.zeros(0, dtype=complex)) for n in self.ns}
-        if control.omega0 != self.omega0:
+        if control is not None and control.omega0 != self.omega0:
             raise ValueError("control support differs from the simulator's omega0")
         if support_frame == "frozen" and self.frame != "fixed":
             raise ValueError("the frozen-support diagnostic runs in the fixed frame")
-        lam = np.array([self.ms.eigenvalue(n, j) for n, j in control.modes])
-        kap_c = np.array([self.ms.kappa(n) for n, _ in control.modes])
-        x0, x1 = self.omega0
-        d = kap_c[None, :] - self.kappa[:, None]
-        S = _space_factor(d, x0, x1, np.exp(1j * d * x0), np.exp(1j * d * x1))
-        out = {}
-        if self.projection == "orthogonal":
-            for i, n in enumerate(self.ns):
-                amps = 0.5 * S[i] * control.a
-                expos = -lam.copy()
-                if self.frame == "fixed" and support_frame == "moving":
-                    expos = expos + 1j * self.ms.c * self.kappa[i]
-                out[int(n)] = (amps, expos)
-        else:
-            Ginv = np.linalg.inv(self.gram.entries)
-            for i, n in enumerate(self.ns):
-                amps = []
-                expos = []
-                for p in range(len(self.ns)):
-                    w = Ginv[i, p]
-                    if abs(w) < 1e-16:
-                        continue
-                    amps.append(w * S[p] * control.a)
-                    shift = 1j * self.ms.c * (self.kappa[i] - self.kappa[p])
-                    expos.append(-lam - shift)
-                amps = np.concatenate(amps)
-                expos = np.concatenate(expos)
-                if self.frame == "fixed":
-                    expos = expos + 1j * self.ms.c * self.kappa[i]
-                out[int(n)] = (amps, expos)
-        return out
+        modes = control.modes if control is not None else []
+        a = control.a if control is not None else np.zeros(0, dtype=complex)
+        lam = np.array([self.ms.eigenvalue(n, j) for n, j in modes], dtype=complex)
+        kap_c = np.array([self.ms.kappa(n) for n, _ in modes])
+        transported = self.frame == "fixed" and support_frame == "moving"
+        shift = 1j * self.ms.c * self.kappa if transported else np.zeros(len(self.ns), dtype=complex)
+        return Forcing.bind(a, lam, kap_c, self.kappa, self.omega0, shift)
 
     # -- propagation -----------------------------------------------------------
-    def step_exact(self, state: GalerkinState, forcing, dt: float) -> GalerkinState:
+    def step_exact(self, state: GalerkinState, forcing: Forcing, dt: float) -> GalerkinState:
         """Advance by dt with exact exponentials and closed-form Duhamel."""
-        new = state.copy()
-        new.t = state.t + dt
-        for i, n in enumerate(self.ns):
-            prop = self.props[int(n)]
-            X = np.array([state.xi[i], state.xi_dot[i], state.zeta[i]])
-            coords = (prop.W @ X) / prop.wv
-            grow = np.exp(prop.nu * dt)
-            coords = coords * grow
-            amps, expos = forcing[int(n)]
-            if len(amps):
-                num = np.exp(expos[None, :] * state.t) * amps[None, :]
-                d = expos[None, :] - prop.nu[:, None]
-                small = np.abs(d) < 1e-12
-                d_safe = np.where(small, 1.0, d)
-                phi = (np.exp(expos[None, :] * dt) - np.exp(prop.nu[:, None] * dt)) / d_safe
-                phi = np.where(small, dt * np.exp(prop.nu[:, None] * dt), phi)
-                coords = coords + (num * phi).sum(axis=1) / prop.wv
-            X_new = prop.V @ coords
-            new.xi[i], new.xi_dot[i], new.zeta[i] = X_new
-        return new
+        X = _advance(self.modal, np.stack([state.xi, state.xi_dot, state.zeta], axis=1), state.t, dt, forcing)
+        return GalerkinState(state.t + dt, state.ns.copy(), *X.T, frame=state.frame)
 
     def run_to_T(
         self,
@@ -282,8 +268,7 @@ class GalerkinSimulator:
         report = TerminalReport(
             T=T, norms=norms, data_norm=data_norm, ratios=ratios,
             tol_rel=tol_rel, passed=bool(all(r <= tol_rel for r in ratios.values())),
-            projection=self.projection, precision=precision,
-            gram_deviation=self.gram.deviation,
+            precision=precision, gram_deviation=self.gram.deviation,
             trajectory=trajectory,
         )
         return state, report
@@ -291,52 +276,35 @@ class GalerkinSimulator:
     def _terminal_norms_mp(self, data: InitialData, control: ControlField | None, T: float) -> dict:
         """Terminal weighted norms with the cancellation done at high precision.
 
-        In eigen-coordinates the terminal value is e^{nu T} times a bracket
-        combining the initial coordinate with the Duhamel sums; the bracket is
-        where fourteen-plus digits cancel, so it is evaluated under mpmath
-        with the same spectral table the synthesis used.
+        The same propagation as ``step_exact``, from 0 to T, on mpmath values:
+        the modal table from the spectral table the synthesis used, the
+        forcing from the solved coefficients at full precision.  The terminal
+        coordinates are where fourteen-plus digits cancel.
         """
-        if self.frame != "moving" or self.projection != "orthogonal":
-            raise ValueError("the extended-precision path covers the moving frame, factor-1/2 projection")
+        if self.frame != "moving":
+            raise ValueError("the extended-precision path covers the moving frame")
         spec = control.spec_mp if (control is not None and control.spec_mp is not None) else None
         dps = spec.dps if spec is not None else 50
         with mp.workdps(dps):
             if spec is None:
                 spec = MpSpectrum(self.ms, dps=dps)
-            T_mp = mp.mpf(T)
-            x0, x1 = mp.mpf(self.omega0[0]), mp.mpf(self.omega0[1])
-            modes, a_mp = [], []
+            ns = [int(n) for n in self.ns]
+            modes, a = [], []
             if control is not None:
                 modes = control.modes
-                a_mp = control.a_mp if control.a_mp is not None else [mp.mpc(v) for v in control.a]
-            a_mp = np.array(a_mp, dtype=object)
-            lam_c = np.array([spec.lam(n, j) for n, j in modes], dtype=object)
-            kap_c = np.array([spec.kappa(n) for n, _ in modes], dtype=object)
-            c0, c1, cT = _mode_exponentials(lam_c, kap_c, x0, x1, T_mp, _MP_EXP)
-            sq = [mp.mpf(0), mp.mpf(0), mp.mpf(0)]
-            for n in [int(v) for v in self.ns]:
-                kap, rho = spec.kappa(n), spec.rho(n)
-                ick = 1j * spec.c * kap
-                y0n, y1n = (mp.mpc(v) for v in data.coeff(n))
-                X0 = (y0n, y1n - ick * y0n, 0)
-                e0, e1 = mp.conj(mp.exp(1j * kap * x0)), mp.conj(mp.exp(1j * kap * x1))
-                amps = a_mp * _space_factor(kap_c - kap, x0, x1, c0 * e0, c1 * e1) / 2
-                XT = [mp.mpc(0), mp.mpc(0), mp.mpc(0)]
-                for mu in spec.mu[abs(n) - 1]:
-                    v, w, wv = _eigen_rows(mu, rho, spec.M, ick)
-                    nu = v[1]
-                    bracket = sum(wk * xk for wk, xk in zip(w, X0))
-                    bracket += sum(amps * _time_factor(lam_c + nu, T_mp, cT * mp.exp(-nu * T_mp)))
-                    coord_T = mp.exp(nu * T_mp) * bracket / wv
-                    for comp in range(3):
-                        XT[comp] += v[comp] * coord_T
-                for comp, sigma in enumerate(self.sigma_weights):
-                    sq[comp] += rho ** (2 * mp.mpf(sigma)) * abs(XT[comp]) ** 2
-            return {
-                "xi": float(mp.sqrt(sq[0])),
-                "xi_dot": float(mp.sqrt(sq[1])),
-                "zeta": float(mp.sqrt(sq[2])),
-            }
+                a = control.a_mp if control.a_mp is not None else [mp.mpc(v) for v in control.a]
+            kappa = np.array([spec.kappa(n) for n in ns], dtype=object)
+            rho = np.array([spec.rho(n) for n in ns], dtype=object)
+            ick = 1j * spec.c * kappa
+            modal = ModalTable.build(np.array([spec.mu[abs(n) - 1] for n in ns], dtype=object), rho, spec.M, ick)
+            forcing = Forcing.bind(
+                np.array(a, dtype=object), np.array([spec.lam(n, j) for n, j in modes], dtype=object),
+                np.array([spec.kappa(n) for n, _ in modes], dtype=object), kappa,
+                (mp.mpf(self.omega0[0]), mp.mpf(self.omega0[1])), np.zeros(len(ns), dtype=object),
+            )
+            y0, y1 = (np.array([mp.mpc(data.coeff(n)[k]) for n in ns], dtype=object) for k in (0, 1))
+            X0 = np.stack([y0, y1 - ick * y0, np.zeros(len(ns), dtype=object)], axis=1)
+            return _weighted_norms(rho, _advance(modal, X0, 0, mp.mpf(T), forcing), self.sigma_weights)
 
 
 def _eigen_rows(mu, rho, M, ick):
@@ -345,7 +313,7 @@ def _eigen_rows(mu, rho, M, ick):
     With mu a cubic root and ick = i c kappa the transport shift, returns the
     right eigenvector V_j = (1, nu, rho/mu) (nu = mu - ick is the forward
     exponent), the left eigenvector W_j = (mu + ick, 1, M/mu) and the
-    normalizer W_j . V_j = 2 mu + M rho / mu^2.
+    normalizer W_j . V_j = 2 mu + M rho / mu^2.  Broadcasts over arrays.
     """
     return (1, mu - ick, rho / mu), (mu + ick, 1, M / mu), 2 * mu + M * rho / mu**2
 
@@ -358,7 +326,6 @@ class TerminalReport:
     ratios: dict
     tol_rel: float
     passed: bool
-    projection: str
     precision: str
     gram_deviation: float
     trajectory: list = field(default_factory=list)

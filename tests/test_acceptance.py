@@ -189,7 +189,7 @@ def test_criterion_8_oracle_equivalence(headline):
         )
         state.xi[i], state.xi_dot[i], state.zeta[i] = x0
         out = simulator.step_exact(state, forcing, 4.0)
-        amps, expos = forcing[n]
+        amps, expos = forcing.amps[i], forcing.expos[i]
         rho, kap, M, c = ms.rho(n), ms.kappa(n), ms.M, ms.c
 
         def rhs(t, y):

@@ -3,13 +3,15 @@
 import contextlib
 import io
 import json
+import pathlib
+import runpy
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave import cli
-from memwave.runner import SWEEPABLE, ConfigError, load_config, parse_value, run_pipeline, sweep
+from memwave.runner import PIPELINES, SWEEPABLE, ConfigError, load_config, parse_value, run_pipeline, sweep
 
 FLOAT_KEYS = ("s", "M", "c", "T_factor", "T", "omega0_lo", "omega0_hi", "sigma_xi",
               "sigma_xi_dot", "sigma_zeta", "terminal_tol", "gap_epsilon")
@@ -92,6 +94,26 @@ def test_full_pipeline_manifest_completeness(tmp_path):
     assert on_disk["stages"].keys() == stages.keys()
     assert on_disk["passed"] is True
     assert "terminal_ratios" in on_disk["stages"]["simulate"]["verdicts"]
+    # everything the benchmark worker reads from a run's outputs
+    assert "duality_max_residual" in on_disk["stages"]["simulate"]["verdicts"]
+    assert "gram_deviation" in on_disk["stages"]["biorthogonal"]["verdicts"]
+    assert "control.json" in on_disk["stages"]["control"]["artifacts"]
+    payload = json.loads((tmp_path / "full" / "control.json").read_text())
+    read = {"method", "residual", "rhs_norm", "control_norm", "gram_condition", "coefficients", "omega0", "T"}
+    assert read <= set(payload)
+    assert {"dps", "scaled"} <= set(payload["gram_condition"])
+    assert all({"n", "j", "re", "im"} <= set(c) for c in payload["coefficients"])
+
+
+def test_benchmark_workloads_are_valid_configurations():
+    # the benchmark drives the package through load_config; a removed key would break it from outside
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    assert workloads
+    for name, workload in workloads.items():
+        assert workload["pipeline"] in PIPELINES, name
+        cfg = load_config(overrides={**workload["config"], "seed": 1})
+        assert all(getattr(cfg, key) == value for key, value in workload["config"].items()), name
 
 
 def test_sweep_aggregation(tmp_path):
@@ -165,11 +187,15 @@ _out_of_range = st.one_of(
 )
 # a table smaller than the default N = 16 is rejected, not silently enlarged
 _short_table = st.tuples(st.just("n_table"), st.integers(1, 15))
+# so is one smaller than 4 family_N, which the biorthogonal stage's spectrum needs
+# (48 levels at the default family_N = 12; the default n_table = 200 covers family_N <= 50)
+_short_for_family = st.one_of(st.tuples(st.just("n_table"), st.integers(16, 47)),
+                              st.tuples(st.just("family_N"), st.integers(51, 5000)))
 
 
-# a third of the examples go to the short table, so the other two cases keep their 30 each
-@settings(max_examples=90)
-@given(case=st.one_of(_bad_values, _out_of_range, _short_table))
+# a quarter of the examples go to each case, so every case keeps its 30
+@settings(max_examples=120)
+@given(case=st.one_of(_bad_values, _out_of_range, _short_table, _short_for_family))
 def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
     key, value = case
     text = value if isinstance(value, str) else repr(value)
