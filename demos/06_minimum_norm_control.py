@@ -30,8 +30,8 @@ data = ctl.random_initial_data(ms, seed=7)
 print(f"data norm (sigma = 3, 2 weights): {data.weighted_norm():.4f}")
 msys = ctl.assemble_moments(data, ms)
 cf = ctl.synthesize_control(msys, gram)
-print(f"synthesis at {cf.gram_condition['dps']} digits: moment residual {cf.residual:.2e}, "
-      f"control norm {cf.norm:.4f}")
+print(f"synthesis in {cf.gram_condition['arithmetic']} arithmetic ({cf.gram_condition['dps']}-digit spectrum): "
+      f"moment residual {cf.residual:.2e}, control norm {cf.norm:.4f}")
 
 qm = ctl.quadrature_moments(cf, ms)
 rel = np.max(np.abs(qm - msys.b) / np.abs(msys.b))

@@ -10,15 +10,15 @@ The minimum-L2-norm control solving them lives in the span of the conjugated
 constraint kernels, and its coefficients solve the Hermitian positive
 semidefinite Gram system G a = b whose entries factor into closed-form space
 and time integrals.  Those closed forms take exponential values and
-broadcast over numpy arrays of doubles or of mpmath values, so one
-implementation serves the float64 Gram, the mpmath Gram and the propagator;
+broadcast over numpy arrays of doubles, of double-double values or of
+mpmath values, so one implementation serves every Gram and the propagator;
 the pairwise exponentials are products of one per-mode table, so a Gram
 costs 3m exponentials instead of 3m^2.  Branch-2/3 kernels grow like
 e^{|M| T/2} in time, so the Gram's scale spread is extreme; the solve runs
-at extended precision on the configured spectrum (``hp.MpSpectrum``) with
-the rho-weighted prescaling, and the solved coefficients are kept both as
-doubles (exports, diagnostics) and at full precision (terminal-state
-evaluation).
+in extended precision (double-double or mpmath, see ``hp``) on the
+configured spectrum (``hp.MpSpectrum``) with the rho-weighted prescaling,
+and the solved coefficients are kept both as doubles (exports,
+diagnostics) and at full precision (terminal-state evaluation).
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
+from . import dd
 from .fractional import gauss_legendre
-from .hp import MpSpectrum, hermitian_solve
+from .hp import MpSpectrum, RefinementStalled, choose_arithmetic, hermitian_solve, matvec
 from .moving import BRANCHES, MovingSpectrum
 
 __all__ = [
@@ -110,32 +111,51 @@ def assemble_moments(data: InitialData, ms: MovingSpectrum) -> MomentSystem:
 _MP_EXP = np.frompyfunc(mp.exp, 1, 1)  # elementwise mpmath exp for object arrays
 
 
+def _exp(x):
+    """e^x entrywise on doubles, on ``dd.DD`` values (one ``mp.exp`` per
+    entry, rounded) or on mpmath values (dtype object)."""
+    return _MP_EXP(x) if getattr(x, "dtype", None) == object else np.exp(x)
+
+
+_MPMATHIFY = np.frompyfunc(mp.mpmathify, 1, 1)
+
+
+def _lift(values, arithmetic: str):
+    """mpmath or Python numbers (a scalar or any nesting) in an arithmetic:
+    ``dd.DD`` values for "dd", mpmath values for "mp" (scalars stay scalars)."""
+    if arithmetic == "dd":
+        return dd.array(values)
+    if np.ndim(values) == 0:
+        return mp.mpmathify(values)
+    return _MPMATHIFY(np.array(values, dtype=object))
+
+
 def _space_factor(delta, x0, x1, e0, e1):
     """int_{x0}^{x1} e^{i delta x} dx from e0 = e^{i delta x0}, e1 = e^{i delta x1}.
 
-    Like every closed form here it broadcasts over numpy arrays, of complex
-    doubles or of mpmath values (dtype object).
+    Like every closed form here it broadcasts over numpy arrays of complex
+    doubles, ``dd.DD`` values or mpmath values (dtype object).  The
+    smallness guard reads the leading double only.
     """
-    small = np.abs(delta) < 1e-14
+    small = np.abs(dd.leading(delta)) < 1e-14
     return np.where(small, x1 - x0, (e1 - e0) / (1j * np.where(small, 1, delta)))
 
 
 def _time_factor(w, T, e):
     """int_0^T e^{-w t} dt from e = e^{-w T}."""
-    small = np.abs(w) < 1e-14
+    small = np.abs(dd.leading(w)) < 1e-14
     return np.where(small, T, (1 - e) / np.where(small, 1, w))
 
 
-def _mode_exponentials(lam, kap, x0, x1, T, exp=np.exp):
+def _mode_exponentials(lam, kap, x0, x1, T):
     """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m).
 
-    ``exp`` is np.exp, or ``_MP_EXP`` for object arrays of mpmath values.
     Every pairwise factor of the Gram is a product of two entries, since
     kap, x0, x1 and T are real:
     e^{i (kap_c - kap_r) x} = e^{i kap_c x} conj(e^{i kap_r x}) and
     e^{-(lam_c + conj(lam_r)) T} = e^{-lam_c T} conj(e^{-lam_r T}).
     """
-    return np.array([exp(1j * kap * x0), exp(1j * kap * x1), exp(-lam * T)])
+    return np.stack([_exp(1j * kap * x0), _exp(1j * kap * x1), _exp(-lam * T)])
 
 
 def _gram_entry(lam_r, kap_r, tab_r, lam_c, kap_c, tab_c, x0, x1, T):
@@ -185,30 +205,30 @@ def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
                        cond_raw=cond_raw, cond_scaled=cond_scaled)
 
 
-def _assemble_gram_mp(spec: MpSpectrum, modes, omega0, T):
-    """The Gram at the working precision: 3m exponentials, the upper
-    triangle from their products and the lower triangle by conjugation,
-    so the matrix is Hermitian by construction."""
-    x0, x1 = mp.mpf(omega0[0]), mp.mpf(omega0[1])
-    T_mp = mp.mpf(T)
-    lam = np.array([spec.lam(n, j) for n, j in modes], dtype=object)
-    kap = np.array([spec.kappa(n) for n, _ in modes], dtype=object)
-    tab = _mode_exponentials(lam, kap, x0, x1, T_mp, _MP_EXP)
+def _assemble_gram_mp(spec: MpSpectrum, modes, omega0, T, arithmetic: str = "mp"):
+    """The Gram in an extended arithmetic ("dd" or "mp", see ``_lift``) on
+    the spectrum ``spec``: 3m exponentials, the upper triangle from their
+    products and the lower triangle by conjugation, so the matrix is
+    Hermitian by construction."""
+    x0, x1, T = (_lift(mp.mpf(v), arithmetic) for v in (omega0[0], omega0[1], T))
+    lam = _lift([spec.lam(n, j) for n, j in modes], arithmetic)
+    kap = _lift([spec.kappa(n) for n, _ in modes], arithmetic)
+    tab = _mode_exponentials(lam, kap, x0, x1, T)
     r, c = np.triu_indices(len(modes))
-    G = np.empty((len(modes), len(modes)), dtype=object)
-    upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T_mp)
+    G = _lift(np.zeros((len(modes), len(modes))), arithmetic)
+    upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T)
     G[c, r] = np.conj(upper)
     G[r, c] = upper
-    return mp.matrix(G.tolist())
+    return G
 
 
-def _moments_mp(spec: MpSpectrum, modes, data: InitialData):
-    b = mp.matrix(len(modes), 1)
-    for i, (n, j) in enumerate(modes):
+def _moments_mp(spec: MpSpectrum, modes, data: InitialData, arithmetic: str = "mp"):
+    """b_nj = -2 (conj(mu) y0_n + y1_n), formed in mpmath and then lifted."""
+    b = []
+    for n, j in modes:
         y0n, y1n = data.coeff(n)
-        mu = spec.mu[abs(n) - 1][j - 1]
-        b[i] = -2 * (mp.conj(mu) * mp.mpc(y0n) + mp.mpc(y1n))
-    return b
+        b.append(-2 * (mp.conj(spec.mu[abs(n) - 1][j - 1]) * mp.mpc(y0n) + mp.mpc(y1n)))
+    return _lift(b, arithmetic)
 
 
 @dataclass
@@ -225,8 +245,13 @@ class ControlField:
     method: str
     gram_condition: dict
     ms: MovingSpectrum = field(repr=False)
-    a_mp: list | None = field(default=None, repr=False)
+    a_hp: object = field(default=None, repr=False)  # ``a`` in the solve's arithmetic
     spec_mp: MpSpectrum | None = field(default=None, repr=False)
+
+    @property
+    def arithmetic(self) -> str:
+        """The arithmetic of ``a_hp``: "dd" for ``dd.DD`` values, else "mp"."""
+        return "dd" if isinstance(self.a_hp, dd.DD) else "mp"
 
     def evaluate(self, t, x) -> np.ndarray:
         """Pointwise values, zero outside (0,T) x omega0 by construction."""
@@ -269,21 +294,31 @@ class ControlField:
                     writer.writerow([repr(float(tv)), repr(float(xv)), repr(vals[i, k].real), repr(vals[i, k].imag)])
 
 
-def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
-    """Solve G a = b at extended precision by a two-rung precision ladder.
+def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: float = 1.0e-6) -> ControlField:
+    """Solve G a = b in extended precision by a precision ladder.
 
-    The Gram and the right-hand sides are rebuilt in mpmath on the gram's own
-    moving spectrum and prescaled by the rho weights.  The working precision
-    grows with the scaled condition number: dps = max(40, log10(cond_scaled)
-    + 30).  ``hermitian_solve`` first refines a single float64 LU factor
-    against residuals taken at that precision, and factors in mpmath once
-    only when that stalls above the working-precision floor or the Gram
-    does not fit in double precision.  ``gram_condition`` records the rung
-    that produced the coefficients (``rung``: "float64" or "mp") and the
-    max residual of the scaled system after every step of every rung tried
-    (``refinement``).  The reported residual is max |G a - b| of the
-    unscaled system; callers judge it (the runner's ``residual_ok`` verdict
-    requires <= 1e-10 |b|).
+    The Gram and the right-hand sides are rebuilt on the gram's own moving
+    spectrum, taken at dps = max(40, log10(cond_scaled) + 30) digits
+    (``hp.MpSpectrum``), and prescaled by the rho weights.  The arithmetic
+    of the rebuild, the solve's residuals, the scaling and the reported
+    residual is chosen a priori by ``hp.choose_arithmetic`` from
+    cond_scaled, m, |M| T and ``terminal_tol``, the tolerance of the
+    terminal check the control must pass: double-double (``dd.DD``) where
+    it keeps both the solve and that check six digits clear, mpmath at dps
+    otherwise.  ``hermitian_solve`` then refines a single float64 LU factor
+    against residuals taken in that arithmetic; in mpmath it factors once
+    more only when that stalls above the floor or the Gram does not fit in
+    double precision.  If double-double refinement stalls above its floor,
+    the system is rebuilt and solved in mpmath, and ``gram_condition``
+    records that ``fallback``.
+
+    ``gram_condition`` also records ``arithmetic`` ("dd" or "mp"), the
+    ``estimate`` behind it (inputs and the digits each requirement needs),
+    the rung that produced the coefficients (``rung``: "float64" or "mp")
+    and the max residual of the scaled system after every step of every
+    rung tried (``refinement``).  The reported residual is max |G a - b| of
+    the unscaled system; callers judge it (the runner's ``residual_ok``
+    verdict requires <= 1e-10 |b|).
     """
     ms = gram.ms
     modes = gram.modes
@@ -296,31 +331,40 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram) -> ControlField:
         )
 
     dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
+    arithmetic, estimate = choose_arithmetic(gram.cond_scaled, len(modes), abs(ms.M) * gram.T, terminal_tol)
     spec = MpSpectrum(ms, dps=dps)
+    fallback = None
     with mp.workdps(dps):
-        G_mp = _assemble_gram_mp(spec, modes, gram.omega0, gram.T)
-        b_mp = _moments_mp(spec, modes, msys.data)
-        rho = [spec.rho(n) for n, _ in modes]
-        m = len(modes)
-        Gs = mp.matrix(m, m)
-        for r in range(m):
-            for ccol in range(m):
-                Gs[r, ccol] = rho[r] * G_mp[r, ccol] * rho[ccol]
-        bs = mp.matrix([rho[r] * b_mp[r] for r in range(m)])
-        solve = hermitian_solve(Gs, bs)
-        a_mp = [rho[r] * solve.x[r] for r in range(m)]
-        Ga = G_mp * mp.matrix(a_mp)
-        residual = float(max(abs(Ga[i] - b_mp[i]) for i in range(m)))
-        norm_sq = sum(mp.re(mp.conj(a_mp[r]) * Ga[r]) for r in range(m))
-        norm = float(mp.sqrt(abs(norm_sq)))
+        if arithmetic == "dd":
+            try:
+                a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "dd")
+            except RefinementStalled as stall:
+                arithmetic, fallback = "mp", {"from": "dd", "refinement": stall.history}
+        if arithmetic == "mp":
+            a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "mp")
 
     return ControlField(
-        modes=modes, a=np.array([complex(v) for v in a_mp]), omega0=gram.omega0, T=gram.T,
+        modes=modes, a=dd.leading(a_hp), omega0=gram.omega0, T=gram.T,
         residual=residual, rhs_norm=rhs_norm, norm=norm, method="direct",
         gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps,
+                        "arithmetic": arithmetic, "estimate": estimate, "fallback": fallback,
                         "rung": solve.rung, "refinement": solve.history},
-        ms=ms, a_mp=a_mp, spec_mp=spec,
+        ms=ms, a_hp=a_hp, spec_mp=spec,
     )
+
+
+def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arithmetic: str):
+    """The rho-scaled moment solve in one arithmetic: the coefficients,
+    max |G a - b|, the control norm sqrt(a^H G a) and the ladder's record."""
+    G = _assemble_gram_mp(spec, gram.modes, gram.omega0, gram.T, arithmetic)
+    b = _moments_mp(spec, gram.modes, data, arithmetic)
+    rho = _lift([spec.rho(n) for n, _ in gram.modes], arithmetic)
+    solve = hermitian_solve(rho[:, None] * G * rho, rho * b)
+    a = rho * solve.x
+    Ga = matvec(G, a)
+    residual = float(np.max(np.abs(dd.leading(Ga - b))))
+    norm = math.sqrt(abs(dd.leading((np.conj(a) * Ga).sum()).real))
+    return a, residual, norm, solve
 
 
 def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:

@@ -297,12 +297,6 @@ class ProductFunction:
         log_rest = self._log_factors(np.array([z0]), skip=idx)[0]
         return complex(z0**3 / self.zeta_factor[idx] * np.exp(log_rest))
 
-    def log_derivative(self, z) -> np.ndarray:
-        """P'(z)/P(z) away from the zero set: 3/z + sum w / (z + a)."""
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        a, w = self._factor_zeros(self._direct_cutoff(float(np.max(np.abs(z)))))
-        return 3.0 / z + (1.0 / (z[:, None] + a[None, :])) @ w
-
 
 def build_product(ms: MovingSpectrum) -> ProductFunction:
     return ProductFunction(ms)

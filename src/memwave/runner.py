@@ -285,7 +285,7 @@ class _Run:
         gram = ctl.assemble_gram(ms, cfg.omega0(), T)
         data = ctl.random_initial_data(ms, seed=cfg.seed)
         msys = ctl.assemble_moments(data, ms)
-        cf = ctl.synthesize_control(msys, gram)
+        cf = ctl.synthesize_control(msys, gram, terminal_tol=cfg.terminal_tol)
         path = self.outdir / ("control_belowT.json" if below else "control.json")
         cf.to_json(path)
         cf.sample_csv(self.outdir / "control_samples.csv", nt=48, nx=24)

@@ -6,8 +6,9 @@ transport phase, nu_j = mu_j - i c kappa_n, so propagation is exact modal
 exponentials and control forcing enters through closed-form Duhamel terms
 (the forcing is itself a finite sum of space-time exponentials).  There is no
 time-stepping error: what remains is truncation plus synthesis residual.
-One routine does the propagation, on doubles or on mpmath values: the
-float64 steps and the extended-precision terminal check run the same code.
+One routine does the propagation, on doubles, double-double values or
+mpmath values: the float64 steps and the extended-precision terminal check
+run the same code.
 
 The control forcing is projected on the modes with the factor-1/2 plane-wave
 convention, which is exactly the pairing under which the moment right-hand
@@ -26,8 +27,9 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from . import dd
 from .control import (
-    _MP_EXP, ControlField, InitialData, _space_factor, _time_factor, _time_nodes,
+    ControlField, InitialData, _exp, _lift, _space_factor, _time_factor, _time_nodes,
 )
 from .fractional import gauss_legendre
 from .hp import MpSpectrum
@@ -107,10 +109,9 @@ class Forcing(NamedTuple):
 
     @classmethod
     def bind(cls, a, lam_c, kap_c, kappa, omega0, shift) -> "Forcing":
-        exp = _MP_EXP if a.dtype == object else np.exp
         x0, x1 = omega0
-        e0 = exp(1j * kap_c * x0)[None, :] * exp(-1j * kappa * x0)[:, None]
-        e1 = exp(1j * kap_c * x1)[None, :] * exp(-1j * kappa * x1)[:, None]
+        e0 = _exp(1j * kap_c * x0)[None, :] * _exp(-1j * kappa * x0)[:, None]
+        e1 = _exp(1j * kap_c * x1)[None, :] * _exp(-1j * kappa * x1)[:, None]
         return cls(a, _space_factor(kap_c[None, :] - kappa[:, None], x0, x1, e0, e1), lam_c, shift)
 
 
@@ -121,25 +122,29 @@ def _advance(modal: ModalTable, X, t, dt, forcing: Forcing):
     expos = shift - lam and w = nu - shift + lam,
     int_0^dt e^{nu (dt - s)} e^{expos (t + s)} ds
         = e^{shift t} e^{-lam t} e^{nu dt} _time_factor(w, dt, e^{-lam dt} e^{-(nu - shift) dt}),
-    so every exponential comes from a per-mode table.  Doubles in, doubles
-    out; mpmath values (dtype object) in, mpmath values out.
+    so every exponential comes from a per-mode table.  Doubles, ``dd.DD``
+    values or mpmath values (dtype object) in, the same out.
     """
-    exp = _MP_EXP if modal.nu.dtype == object else np.exp
-    e_nu, e_lam = exp(modal.nu * dt), exp(-forcing.lam * dt)
-    rel, e_rel = modal.nu - forcing.shift[:, None], exp(forcing.shift * dt)[:, None] / e_nu
-    at_t = forcing.S * (forcing.a * exp(-forcing.lam * t) / 2)
+    e_nu, e_lam = _exp(modal.nu * dt), _exp(-forcing.lam * dt)
+    rel, e_rel = modal.nu - forcing.shift[:, None], _exp(forcing.shift * dt)[:, None] / e_nu
+    at_t = forcing.S * (forcing.a * _exp(-forcing.lam * t) / 2)
     # one mode at a time: holding the mpmath temporaries of every (mode, branch,
     # control mode) triple at once costs the garbage collector more than the arithmetic
-    duhamel = np.array([
+    duhamel = np.stack([
         (at_t[i] * _time_factor(rel[i][:, None] + forcing.lam, dt, e_rel[i][:, None] * e_lam)).sum(axis=1)
         for i in range(len(rel))
-    ]) * exp(forcing.shift * t)[:, None]
+    ]) * _exp(forcing.shift * t)[:, None]
     coords = ((modal.W * X[:, None, :]).sum(axis=2) + duhamel) * e_nu / modal.wv
     return (modal.V * coords[:, None, :]).sum(axis=2)
 
 
 def _weighted_norms(rho, X, sigma_weights) -> dict:
-    """sqrt(sum_n rho_n^(2 sigma) |X_n|^2) per column (xi, xi_dot, zeta) of X, at the values' precision."""
+    """sqrt(sum_n rho_n^(2 sigma) |X_n|^2) per column (xi, xi_dot, zeta) of X.
+
+    It reads the leading double of each value: whatever cancels has
+    cancelled in computing X, and a sum of positive terms needs no more.
+    """
+    rho, X = dd.leading(rho).real, dd.leading(X)
     sq = (rho[:, None] ** (2 * np.asarray(sigma_weights)) * np.abs(X) ** 2).sum(axis=0)
     return {name: float(v ** 0.5) for name, v in zip(("xi", "xi_dot", "zeta"), sq)}
 
@@ -150,9 +155,7 @@ class PlaneWaveGram:
 
     Off-diagonal entries 2 sin(kappa_m - kappa_n)/(kappa_m - kappa_n) do not
     vanish, so the family is only asymptotically orthogonal; the deviation
-    report carries the measured off-diagonal mass.  On the moving interval
-    the entries pick up the conjugation phase exp(i (kappa_m - kappa_n) c t)
-    around the same core matrix.
+    report carries the measured off-diagonal mass.
     """
 
     ns: np.ndarray
@@ -167,10 +170,6 @@ class PlaneWaveGram:
             core = np.where(np.abs(d) < 1e-14, 2.0, 2.0 * np.sin(d) / np.where(np.abs(d) < 1e-14, 1.0, d))
         off = core - np.diag(np.diag(core))
         return cls(ns=np.asarray(ns), kappa=kappa, entries=core, deviation=float(np.max(np.abs(off))))
-
-    def entries_at(self, t: float, c: float) -> np.ndarray:
-        phase = np.exp(1j * self.kappa * c * t)
-        return np.conj(phase)[:, None] * self.entries * phase[None, :]
 
 
 class GalerkinSimulator:
@@ -260,51 +259,58 @@ class GalerkinSimulator:
                 trajectory.append((state.t, self.weighted_norms(state)))
         else:
             state = self.step_exact(state, forcing, T)
-        norms = self.weighted_norms(state)
+        norms, arithmetic = self.weighted_norms(state), None
         if precision == "mp":
             norms = self._terminal_norms_mp(data, control, T)
+            arithmetic = control.arithmetic if control is not None else "mp"
         data_norm = data.weighted_norm()
         ratios = {k: (v / data_norm if data_norm > 0 else v) for k, v in norms.items()}
         report = TerminalReport(
             T=T, norms=norms, data_norm=data_norm, ratios=ratios,
             tol_rel=tol_rel, passed=bool(all(r <= tol_rel for r in ratios.values())),
-            precision=precision, gram_deviation=self.gram.deviation,
+            precision=precision, arithmetic=arithmetic, gram_deviation=self.gram.deviation,
             trajectory=trajectory,
         )
         return state, report
 
     def _terminal_norms_mp(self, data: InitialData, control: ControlField | None, T: float) -> dict:
-        """Terminal weighted norms with the cancellation done at high precision.
+        """Terminal weighted norms with the cancellation done in extended precision.
 
-        The same propagation as ``step_exact``, from 0 to T, on mpmath values:
-        the modal table from the spectral table the synthesis used, the
-        forcing from the solved coefficients at full precision.  The terminal
+        The same propagation as ``step_exact``, from 0 to T, in the
+        arithmetic the control was solved in (``ControlField.arithmetic``:
+        double-double or mpmath; mpmath at 50 digits without a control): the
+        modal table from the spectral table the synthesis used, the forcing
+        from the solved coefficients at full precision.  The terminal
         coordinates are where fourteen-plus digits cancel.
         """
         if self.frame != "moving":
             raise ValueError("the extended-precision path covers the moving frame")
         spec = control.spec_mp if (control is not None and control.spec_mp is not None) else None
         dps = spec.dps if spec is not None else 50
+        arithmetic = control.arithmetic if control is not None else "mp"
         with mp.workdps(dps):
             if spec is None:
                 spec = MpSpectrum(self.ms, dps=dps)
             ns = [int(n) for n in self.ns]
-            modes, a = [], []
+            modes, a = [], _lift([], arithmetic)
             if control is not None:
                 modes = control.modes
-                a = control.a_mp if control.a_mp is not None else [mp.mpc(v) for v in control.a]
-            kappa = np.array([spec.kappa(n) for n in ns], dtype=object)
-            rho = np.array([spec.rho(n) for n in ns], dtype=object)
-            ick = 1j * spec.c * kappa
-            modal = ModalTable.build(np.array([spec.mu[abs(n) - 1] for n in ns], dtype=object), rho, spec.M, ick)
+                a = control.a_hp if control.a_hp is not None else _lift(control.a, arithmetic)
+            kappa = _lift([spec.kappa(n) for n in ns], arithmetic)
+            rho = _lift([spec.rho(n) for n in ns], arithmetic)
+            ick = 1j * _lift(spec.c, arithmetic) * kappa
+            mu = _lift([spec.mu[abs(n) - 1] for n in ns], arithmetic)
+            modal = ModalTable.build(mu, rho, _lift(spec.M, arithmetic), ick)
+            zeros = _lift(np.zeros(len(ns)), arithmetic)
             forcing = Forcing.bind(
-                np.array(a, dtype=object), np.array([spec.lam(n, j) for n, j in modes], dtype=object),
-                np.array([spec.kappa(n) for n, _ in modes], dtype=object), kappa,
-                (mp.mpf(self.omega0[0]), mp.mpf(self.omega0[1])), np.zeros(len(ns), dtype=object),
+                a, _lift([spec.lam(n, j) for n, j in modes], arithmetic),
+                _lift([spec.kappa(n) for n, _ in modes], arithmetic), kappa,
+                tuple(_lift(mp.mpf(v), arithmetic) for v in self.omega0), zeros,
             )
-            y0, y1 = (np.array([mp.mpc(data.coeff(n)[k]) for n in ns], dtype=object) for k in (0, 1))
-            X0 = np.stack([y0, y1 - ick * y0, np.zeros(len(ns), dtype=object)], axis=1)
-            return _weighted_norms(rho, _advance(modal, X0, 0, mp.mpf(T), forcing), self.sigma_weights)
+            y0, y1 = (_lift([data.coeff(n)[k] for n in ns], arithmetic) for k in (0, 1))
+            X0 = np.stack([y0, y1 - ick * y0, zeros], axis=1)
+            return _weighted_norms(rho, _advance(modal, X0, 0, _lift(mp.mpf(T), arithmetic), forcing),
+                                   self.sigma_weights)
 
 
 def _eigen_rows(mu, rho, M, ick):
@@ -327,6 +333,7 @@ class TerminalReport:
     tol_rel: float
     passed: bool
     precision: str
+    arithmetic: str | None  # of the extended-precision check: "dd", "mp", or None at float64
     gram_deviation: float
     trajectory: list = field(default_factory=list)
 

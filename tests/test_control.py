@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave import control as ctl
-from memwave import hp
+from memwave import dd, hp
 from memwave.hp import MpSpectrum
 from memwave.biorthogonal import horizon_threshold
 from memwave.fractional import build_eigenvalue_table
@@ -195,25 +195,60 @@ def _gram_entry_reference(lam_r, kap_r, lam_c, kap_c, x0, x1, T):
 @pytest.mark.parametrize("dps", [40, 60])
 def test_separable_mp_gram_matches_entrywise_closed_form(M, dps):
     # the reference runs 20 digits above the Gram on the same mp spectrum;
-    # what remains is the Gram's own rounding of the exponents lam T
+    # what remains is the Gram's own rounding of the exponents lam T, at
+    # 10^-dps in mpmath and at dd.EPS in double-double
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 4), M, 1.0, 4)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
     modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
     spec = MpSpectrum(ms, dps=dps)
-    with mp.workdps(dps):
-        G = ctl._assemble_gram_mp(spec, modes, OMEGA0, T)
-        lam = [spec.lam(n, j) for n, j in modes]
-        kap = [spec.kappa(n) for n, _ in modes]
-        m = len(modes)
-        assert all(G[r, c] == mp.conj(G[c, r]) for r in range(m) for c in range(m))
-    with mp.workdps(dps + 20):
-        x0, x1, T_mp = mp.mpf(OMEGA0[0]), mp.mpf(OMEGA0[1]), mp.mpf(T)
-        worst = max(
-            abs(G[r, c] - ref) / abs(ref)
-            for r in range(m) for c in range(m)
-            for ref in [_gram_entry_reference(lam[r], kap[r], lam[c], kap[c], x0, x1, T_mp)]
-        )
-    assert worst <= 100 * mp.mpf(10) ** (-dps)
+    for arithmetic, unit in (("mp", mp.mpf(10) ** (-dps)), ("dd", dd.EPS)):
+        with mp.workdps(dps):
+            G = ctl._assemble_gram_mp(spec, modes, OMEGA0, T, arithmetic)
+            G = dd.to_mp(G) if arithmetic == "dd" else G
+            lam = [spec.lam(n, j) for n, j in modes]
+            kap = [spec.kappa(n) for n, _ in modes]
+            m = len(modes)
+            assert all(G[r, c] == mp.conj(G[c, r]) for r in range(m) for c in range(m))
+        with mp.workdps(dps + 20):
+            x0, x1, T_mp = mp.mpf(OMEGA0[0]), mp.mpf(OMEGA0[1]), mp.mpf(T)
+            worst = max(
+                abs(G[r, c] - ref) / abs(ref)
+                for r in range(m) for c in range(m)
+                for ref in [_gram_entry_reference(lam[r], kap[r], lam[c], kap[c], x0, x1, T_mp)]
+            )
+        assert worst <= 100 * unit, arithmetic
+
+
+@pytest.mark.parametrize("M, N, want", [(0.5, 8, "dd"), (0.5, 16, "dd"), (2.0, 8, "mp"), (3.0, 16, "mp"),
+                                        (5.0, 8, "mp")])
+def test_arithmetic_choice(M, N, want):
+    # double-double where the solve and the terminal check both keep six
+    # digits to spare; at M >= 2 the scaled condition is beyond what a
+    # float64 estimate can state, so the choice does not read it
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, 1.0, N)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    got, estimate = hp.choose_arithmetic(gram.cond_scaled, len(gram.modes), abs(M) * T, 1e-6)
+    assert got == want
+    assert (estimate["solve_digits"] is None) == (gram.cond_scaled > hp.COND_TRUSTED)
+    # a tighter terminal tolerance, or a condition past the trusted range, moves it to mpmath
+    assert hp.choose_arithmetic(gram.cond_scaled, len(gram.modes), abs(M) * T, 1e-25)[0] == "mp"
+    assert hp.choose_arithmetic(2 * hp.COND_TRUSTED, 2, 0.0, 1.0)[0] == "mp"
+
+
+def test_stalled_double_double_solve_falls_back_to_mpmath(monkeypatch):
+    # forced onto double-double at M = 5 (scaled condition ~1e38), the
+    # refinement stalls above its floor and the solve is rebuilt in mpmath
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    monkeypatch.setattr(ctl, "choose_arithmetic", lambda *args: ("dd", {}))
+    cf = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=11), ms), gram)
+    cond = cf.gram_condition
+    assert cond["arithmetic"] == "mp" and cf.arithmetic == "mp"
+    assert cond["fallback"]["from"] == "dd" and list(cond["fallback"]["refinement"]) == ["float64"]
+    assert cond["rung"] == "mp"
+    assert cf.residual <= 1e-10 * cf.rhs_norm
 
 
 def test_linearity_scaling(setup):

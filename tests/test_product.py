@@ -163,14 +163,6 @@ def test_derivative_at_mode_matches_finite_difference(pf):
         assert dp == pytest.approx(fd, rel=1e-5)
 
 
-def test_log_derivative_matches_fd(pf):
-    z = 7.3 + 2.1j
-    ld = pf.log_derivative(z)[0]
-    h = 1e-6
-    fd = (pf.log_eval(z + h)[0] - pf.log_eval(z - h)[0]) / (2 * h)
-    assert ld == pytest.approx(fd, rel=1e-5)
-
-
 def test_product_report(pf):
     rep = pr.verify_product_properties(pf, family_N=12, scan_radius=200.0)
     assert rep.passed, rep
