@@ -58,6 +58,7 @@ from .simulate import (
     GalerkinSimulator,
     GalerkinState,
     PlaneWaveGram,
+    duality_residuals,
     map_frames,
     verify_duality,
 )

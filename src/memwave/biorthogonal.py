@@ -20,12 +20,11 @@ Every time grid is uniform blocks: the Gauss panels of both time quadratures
 partition [-T/2, T/2] evenly, and the export grid is equally spaced, so each
 node is a block center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.
 The inverse transform therefore takes exponentials per center and per offset
-instead of per node.
+instead of per node, and samples a whole grid with one matrix product.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -44,9 +43,6 @@ __all__ = [
     "verify_lower_summation",
     "time_gram",
 ]
-
-_SAMPLE_COLUMNS = 256  # time nodes per block of the inverse transform
-
 
 def horizon_threshold(c: float, gamma: float) -> float:
     """2 pi (1/|c| + 1/|c+gamma| + 1/|c-gamma|), the working horizon floor."""
@@ -89,20 +85,33 @@ def _grid(centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (centers[:, None] + offsets[None, :]).ravel()
 
 
+def _cis_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """e^{i a_j b_k} as a len(a) x len(b) matrix, the same values as
+    np.exp(1j * np.outer(a, b)): the phases are formed in the real part, the
+    sine is taken from them into the imaginary part and the cosine in place,
+    so no real or complex temporary of that size is made."""
+    out = np.empty((len(a), len(b)), dtype=complex)
+    np.multiply.outer(a, b, out=out.real)
+    np.sin(out.real, out=out.imag)
+    np.cos(out.real, out=out.real)
+    return out
+
+
 def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, centers: np.ndarray,
                        offsets: np.ndarray) -> np.ndarray:
     """sum_x weighted[:, x] e^{ixt} / (2 pi) at t = centers[:, None] + offsets[None, :]
-    (raveled), with e^{ixt} = e^{ix t_c} e^{ix delta}: exponentials are taken
-    per center and per offset, not per node, and each block of centers is
-    one matmul."""
-    out = np.empty((len(weighted), len(centers), len(offsets)), dtype=complex)
-    e_offsets = np.exp(1j * np.outer(x_nodes, offsets))
-    step = max(1, _SAMPLE_COLUMNS // len(offsets))
-    for start in range(0, len(centers), step):
-        cs = slice(start, start + step)
-        W = np.exp(1j * np.outer(x_nodes, centers[cs]))[:, :, None] * e_offsets[:, None, :]
-        out[:, cs] = (weighted @ W.reshape(len(x_nodes), -1)).reshape(len(weighted), -1, len(offsets))
-    return out.reshape(len(weighted), -1) / (2.0 * math.pi)
+    (raveled).
+
+    With e^{ixt} = e^{ix delta} e^{ix t_c} the offsets fold into the left
+    factor, L[(k, o), x] = weighted[k, x] e^{ix delta_o} / (2 pi), and the
+    whole grid is one product L @ e^{ix t_c}, (rows * offsets) x nx times
+    nx x centers: exponentials are taken per offset and per center, never
+    per node, and no nx x nodes matrix is formed.
+    """
+    left = (weighted[:, None, :] / (2.0 * math.pi)) * _cis_outer(offsets, x_nodes)[None, :, :]
+    out = left.reshape(-1, len(x_nodes)) @ _cis_outer(x_nodes, centers)
+    out = out.reshape(len(weighted), len(offsets), len(centers)).transpose(0, 2, 1)
+    return out.reshape(len(weighted), -1)
 
 
 @dataclass
@@ -134,12 +143,11 @@ class BiorthogonalFamily:
 
         d = pathlib.Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        for i, (n, j) in enumerate(self.modes):
+        t_grid = self.t_grid.tolist()
+        for (n, j), theta in zip(self.modes, self.theta):
+            rows = zip(t_grid, theta.real.tolist(), theta.imag.tolist())
             with open(d / f"theta_{n}_{j}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", "re_theta", "im_theta"])
-                for t, v in zip(self.t_grid, self.theta[i]):
-                    writer.writerow([repr(float(t)), repr(v.real), repr(v.imag)])
+                fh.write("t,re_theta,im_theta\r\n" + "".join(f"{t!r},{re!r},{im!r}\r\n" for t, re, im in rows))
 
     def export_manifest(self, path) -> None:
         payload = {

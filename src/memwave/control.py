@@ -284,14 +284,10 @@ class ControlField:
         t = np.linspace(0, self.T, nt)
         x = np.linspace(self.omega0[0], self.omega0[1], nx)
         vals = self.evaluate(t, x)
-        import csv as _csv
-
+        tt, xx = np.meshgrid(t, x, indexing="ij")
+        rows = zip(tt.ravel().tolist(), xx.ravel().tolist(), vals.real.ravel().tolist(), vals.imag.ravel().tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t", "x", "re_u", "im_u"])
-            for i, tv in enumerate(t):
-                for k, xv in enumerate(x):
-                    writer.writerow([repr(float(tv)), repr(float(xv)), repr(vals[i, k].real), repr(vals[i, k].imag)])
+            fh.write("t,x,re_u,im_u\r\n" + "".join(f"{tv!r},{xv!r},{re!r},{im!r}\r\n" for tv, xv, re, im in rows))
 
 
 def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: float = 1.0e-6) -> ControlField:

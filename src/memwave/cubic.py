@@ -185,4 +185,4 @@ def triples_to_csv(triples: list[SpectralTriple], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "rho", "mu1", "re_mu2", "im_mu2", "residual"])
         for t in triples:
-            writer.writerow([t.n, repr(t.rho), repr(t.mu1), repr(t.mu2.real), repr(t.mu2.imag), repr(t.residual)])
+            writer.writerow([t.n, *(repr(float(v)) for v in (t.rho, t.mu1, t.mu2.real, t.mu2.imag, t.residual))])

@@ -12,7 +12,11 @@ Two complementary views of the operator (-d^2)^s, 0 < s < 1:
 
 The collocation matrix on the midpoint grid is symmetric and commutes with
 the index reversal J, so its eigenvalues come from two half-size blocks, one
-on even and one on odd grid vectors (see ``_collocation_eigenvalues_raw``).
+on even and one on odd grid vectors.  Each block is a Toeplitz plus or minus
+a Hankel matrix in the per-offset kernel weights, plus a diagonal, and is
+assembled directly from those weights (``_collocation_half_blocks``); the
+full matrix is built only as the tests' reference (``collocation_matrix``).
+The two-grid table is cached per process.
 
 The tables carry the root-gap diagnostics used downstream: the quantity that
 matters for control horizons is the spacing of ``rho_n^(1/(2s))``, which
@@ -21,7 +25,6 @@ settles at ``pi/2``.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -120,67 +123,99 @@ def _cell_kernel_weights(s: float, a: np.ndarray, h: float):
     return W, np.sign(a) * m1_pos, m2
 
 
-def collocation_matrix(s: float, grid_points: int) -> np.ndarray:
-    """Dense symmetric collocation of (-d^2)^s on (-1, 1), zero exterior values.
+def _collocation_weights(s: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-offset weights t and diagonal d of the collocation matrix on m cells:
+    A[i, j] = -t[|i - j|] for i != j and A[i, i] = d[i], C_s included.
 
     Midpoint grid; exact per-cell kernel integrals; singular cell handled by a
-    second-difference Taylor correction; exterior tails added analytically on
-    the diagonal.
+    second-difference Taylor correction, which adds beta/h^2 to the offset-1
+    weight and 2 beta/h^2 to the diagonal (exterior samples are zero, so
+    boundary rows just drop the outside neighbour and stay symmetric);
+    exterior tails added analytically on the diagonal.
     """
-    s = _check_order(s)
-    m = int(grid_points)
     h = 2.0 / m
     x = -1.0 + h / 2.0 + h * np.arange(m)
     cs = normalization_constant(s)
 
     offsets = h * np.arange(1, m)
     W = (np.abs(offsets - h / 2.0) ** (-2 * s) - (offsets + h / 2.0) ** (-2 * s)) / (2 * s)
-
-    A = -toeplitz(np.concatenate([[0.0], W]))
     idx = np.arange(m)
     # row i couples to offsets 1..i on the left and 1..m-1-i on the right
     cum = np.concatenate([[0.0], np.cumsum(W)])
     row_sums = cum[idx] + cum[m - 1 - idx]
     tail = ((1.0 + x) ** (-2 * s) + (1.0 - x) ** (-2 * s)) / (2 * s)
-    A[idx, idx] = row_sums + tail
 
-    # singular cell: -u''(x_i) * (h/2)^(2-2s) / (2-2s), with the standard
-    # second difference; exterior samples are zero so boundary rows just drop
-    # the outside neighbor, keeping symmetry.
+    # singular cell: -u''(x_i) * (h/2)^(2-2s) / (2-2s), standard second difference
     beta = (h / 2.0) ** (2 - 2 * s) / (2 - 2 * s)
-    A[idx, idx] += 2.0 * beta / h**2
-    A[idx[:-1], idx[1:]] -= beta / h**2
-    A[idx[1:], idx[:-1]] -= beta / h**2
-    return cs * A
+    t = np.concatenate([[0.0], W])
+    t[1] += beta / h**2
+    return cs * t, cs * (row_sums + tail + 2.0 * beta / h**2)
+
+
+def collocation_matrix(s: float, grid_points: int) -> np.ndarray:
+    """Dense symmetric collocation of (-d^2)^s on (-1, 1), zero exterior values.
+
+    The full m x m matrix; the eigen-solve never forms it (see
+    ``_collocation_half_blocks``), it is the reference for the blocks.
+    """
+    s = _check_order(s)
+    t, d = _collocation_weights(s, int(grid_points))
+    A = -toeplitz(t)
+    A[np.diag_indices_from(A)] = d
+    return A
+
+
+def _collocation_half_blocks(s: float, m: int):
+    """The even block, then the odd block, of the m-point collocation matrix.
+
+    The midpoint grid is symmetric about 0, so A = J A J with J the index
+    reversal.  In the basis of even vectors (u, J u)/sqrt(2) and odd vectors
+    (u, -J u)/sqrt(2) A is block diagonal, with blocks A11 + A12 J and
+    A11 - A12 J on p = m // 2 points.  A11 is the Toeplitz matrix -t[|i-j|]
+    and A12 J the Hankel matrix -t[m-1-i-j], so each block is one pass over
+    two strided views of -t plus the diagonal; the m x m matrix is never
+    formed.  An odd grid's centre point joins the even block, coupled through
+    sqrt(2) times its column.  Both blocks are written, in turn, into one
+    buffer that the caller may overwrite; each is yielded transposed, which
+    for a symmetric block is the same matrix in Fortran order, so LAPACK
+    takes it without a copy.
+    """
+    t, d = _collocation_weights(s, m)
+    p = m // 2
+    neg = -t
+    windows = np.lib.stride_tricks.sliding_window_view
+    toep = windows(np.concatenate([neg[p - 1:0:-1], neg[:p]]), p)[::-1]  # -t[|i-j|]
+    hank = windows(neg[::-1][:2 * p - 1], p)                              # -t[m-1-i-j]
+    diag = np.diag_indices(p)
+    q = p + m % 2
+    buf = np.empty(q * q)
+    even = buf.reshape(q, q)
+    np.add(toep, hank, out=even[:p, :p])
+    even[diag] += d[:p]
+    if q > p:
+        even[:p, p] = even[p, :p] = math.sqrt(2.0) * neg[p:0:-1]
+        even[p, p] = d[p]
+    yield even.T
+    odd = buf[:p * p].reshape(p, p)
+    np.subtract(toep, hank, out=odd)
+    odd[diag] += d[:p]
+    yield odd.T
 
 
 def _collocation_eigenvalues_raw(s: float, n_max: int, grid_points: int) -> np.ndarray:
     """Lowest n_max collocation eigenvalues from the even and odd half-blocks.
 
-    The midpoint grid is symmetric about 0, so A = J A J with J the index
-    reversal.  In the basis of even vectors (u, J u)/sqrt(2) and odd vectors
-    (u, -J u)/sqrt(2) A is block diagonal, with blocks A11 + A12 J and
-    A11 - A12 J; an odd grid's centre point joins the even block, coupled
-    through sqrt(2) times its column.  The spectrum of A is the union of the
-    two blocks' spectra, and two half-size eigen-solves cost about a quarter
-    of one full-size solve.
+    The spectrum of A is the union of the two blocks' spectra, and two
+    half-size eigen-solves cost about a quarter of one full-size solve.
     """
     if n_max > grid_points // 4:
         raise ValueError(
             f"n_max={n_max} too large for grid_points={grid_points}; "
             "need at least 4 collocation cells per requested mode"
         )
-    A = collocation_matrix(s, grid_points)
-    m = A.shape[0]
-    p = m // 2
-    A11, A12J = A[:p, :p], A[:p, m - p:][:, ::-1]
-    even, odd = A11 + A12J, A11 - A12J
-    if m % 2:
-        col = math.sqrt(2.0) * A[:p, p:p + 1]
-        even = np.block([[even, col], [col.T, A[p:p + 1, p:p + 1]]])
     try:
         halves = [eigh(B, eigvals_only=True, subset_by_index=(0, min(n_max, len(B)) - 1), overwrite_a=True)
-                  for B in (even, odd)]
+                  for B in _collocation_half_blocks(_check_order(s), int(grid_points))]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise RuntimeError(f"collocation eigen-solve did not converge: {exc}") from exc
     vals = np.sort(np.concatenate(halves))[:n_max]
@@ -198,14 +233,21 @@ def discretized_eigenvalues(s: float, n_max: int, grid_points: int = 2400) -> np
     The scheme's leading eigenvalue error is a clean h^(2-2s) term; the
     two-grid Richardson extrapolation at that rate removes it, which is what
     brings every desk-scale mode into the closed-form approximation's own
-    O(1/n) band.
+    O(1/n) band.  Computed once per (s, n_max, grid_points) and process; the
+    array is shared between callers and therefore read-only.
     """
+    return _discretized_eigenvalues(_check_order(s), int(n_max), int(grid_points))
+
+
+@functools.lru_cache(maxsize=None)
+def _discretized_eigenvalues(s: float, n_max: int, grid_points: int) -> np.ndarray:
     vals_fine = _collocation_eigenvalues_raw(s, n_max, grid_points)
     vals_coarse = _collocation_eigenvalues_raw(s, n_max, grid_points // 2)
     r = 2.0 ** (-(2.0 - 2.0 * s))
     vals = vals_fine + (vals_fine - vals_coarse) * r / (1.0 - r)
     if not np.all(np.diff(vals) > 0) or vals[0] <= 0:
         raise RuntimeError("extrapolated eigenvalues lost monotonicity; refine the grid")
+    vals.flags.writeable = False
     return vals
 
 
@@ -261,13 +303,11 @@ class EigenvalueTable:
         return float(self.rho[n - 1])
 
     def to_csv(self, path) -> None:
-        gaps = self.gaps()
+        """One row per mode; floats as shortest round-trip decimals, the last gap nan."""
+        rows = zip(self.rho.tolist(), self.rho_root.tolist(), np.append(self.gaps(), np.nan).tolist())
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "rho", "rho_root", "gap", "backend"])
-            for i in range(self.n_max):
-                gap = gaps[i] if i < len(gaps) else float("nan")
-                writer.writerow([i + 1, repr(self.rho[i]), repr(self.rho_root[i]), repr(float(gap)), self.backend])
+            fh.write("n,rho,rho_root,gap,backend\r\n" + "".join(
+                f"{n},{r!r},{q!r},{g!r},{self.backend}\r\n" for n, (r, q, g) in enumerate(rows, 1)))
 
 
 def build_eigenvalue_table(

@@ -317,10 +317,9 @@ class _Run:
         report.trajectory_csv(self.outdir / "trajectory.csv")
         rng = np.random.default_rng(cfg.seed + 1)
         modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
-        residuals = []
-        for _ in range(8):
-            coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
-            residuals.append(sim.verify_duality(data, cf, coeffs, T, ms))
+        coeff_sets = [{mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
+                      for _ in range(8)]
+        residuals = sim.duality_residuals(data, cf, coeff_sets, T, ms)
         verdicts = {
             "terminal_pass": report.passed,
             "terminal_ratios": report.ratios,

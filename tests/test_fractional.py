@@ -187,6 +187,52 @@ def test_even_odd_split_matches_full_eigen_solve(s, half, odd):
     assert np.max(np.abs(got - ref) / ref) <= 1e-10
 
 
+@settings(max_examples=30)
+@given(s=st.floats(0.55, 0.95), m=st.integers(8, 400))
+def test_half_blocks_match_slices_of_the_full_matrix(s, m):
+    # the direct Toeplitz +/- Hankel assembly against A11 +/- A12 J sliced out
+    # of the m x m matrix, on even and odd grids
+    A = fr.collocation_matrix(s, m)
+    p = m // 2
+    A12J = A[:p, m - p:][:, ::-1]
+    even, odd = A[:p, :p] + A12J, A[:p, :p] - A12J
+    if m % 2:
+        col = math.sqrt(2.0) * A[:p, p:p + 1]
+        even = np.block([[even, col], [col.T, A[p:p + 1, p:p + 1]]])
+    # the blocks share one buffer, so each is copied before the next is built
+    got = [B.copy() for B in fr._collocation_half_blocks(s, m)]
+    scale = np.max(np.abs(A))
+    for block, ref in zip(got, (even, odd)):
+        assert block.shape == ref.shape
+        assert np.max(np.abs(block - ref)) <= 1e-13 * scale
+
+
+def test_eigen_solve_never_forms_the_full_matrix():
+    # at the default 2400 points the full matrix is 46 MB; the solve holds one
+    # 1200 x 1200 half-block at a time and must stay under three of them
+    import tracemalloc
+
+    fr._discretized_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        fr.discretized_eigenvalues(0.75, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr._discretized_eigenvalues.cache_info().misses == 1
+    assert peak < 3 * 1200**2 * 8, peak
+
+
+def test_discretized_eigenvalues_are_cached_and_read_only():
+    vals = fr.discretized_eigenvalues(0.75, 8, 240)
+    assert fr.discretized_eigenvalues(np.float64(0.75), np.int64(8), grid_points=240) is vals
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    table = fr.build_eigenvalue_table(0.75, 8, backend="discretized", grid_points=240)
+    assert table.rho is vals
+
+
 def test_gauss_legendre_nodes_are_cached_and_read_only():
     x, w = fr.gauss_legendre(33)
     ref_x, ref_w = np.polynomial.legendre.leggauss(33)

@@ -1,6 +1,7 @@
 """Configuration parsing, pipeline manifests, determinism, CLI exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import pathlib
@@ -103,6 +104,28 @@ def test_full_pipeline_manifest_completeness(tmp_path):
     assert read <= set(payload)
     assert {"dps", "scaled"} <= set(payload["gram_condition"])
     assert all({"n", "j", "re", "im"} <= set(c) for c in payload["coefficients"])
+
+
+def test_every_csv_artifact_holds_plain_numbers(tmp_path):
+    # every cell but the headers and the eigenvalue table's backend label
+    # parses as a float: no numpy reprs such as np.float64(...)
+    cfg = load_config(small_config(tmp_path, N=4, family_N=2, trials=20))
+    _, passed = run_pipeline(cfg, "full", outdir=tmp_path / "full")
+    assert passed
+    paths = sorted((tmp_path / "full").rglob("*.csv"))
+    names = {p.name for p in paths}
+    assert {"eigenvalues.csv", "lambda_table.csv", "control_samples.csv", "trajectory.csv"} <= names
+    assert any(name.startswith("theta_") for name in names)
+    for path in paths:
+        header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), path.name
+            for key, cell in zip(header, row):
+                if key == "backend":
+                    assert cell in ("asymptotic", "discretized")
+                else:
+                    float(cell)
 
 
 def test_benchmark_workloads_are_valid_configurations():

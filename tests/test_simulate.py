@@ -273,6 +273,20 @@ def test_duality_identity(world):
         assert res <= 1e-5, res
 
 
+def test_batched_duality_matches_single_calls(world):
+    # one routine for every coefficient set; the residuals are already
+    # relative to the pairing's size, so 1e-13 is 1e-13 of it
+    ms, T, data, cf, simulator = world
+    rng = np.random.default_rng(78)
+    modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
+    sets = [{mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes} for _ in range(5)]
+    sets.append({(2, 3): 1.0})
+    batched = sim.duality_residuals(data, cf, sets, T, ms)
+    single = np.array([sim.verify_duality(data, cf, coeffs, T, ms) for coeffs in sets])
+    assert batched.shape == (len(sets),)
+    assert np.max(np.abs(batched - single)) <= 1e-13, (batched, single)
+
+
 def test_duality_single_mode_matches_moment(world):
     # adjoint data on a single eigenvector reduces the identity to one moment
     ms, T, data, cf, simulator = world
