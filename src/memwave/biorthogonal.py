@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import gauss_legendre
+from .fractional import gauss_legendre, write_csv
 from .moving import BRANCHES, j_conj
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
@@ -145,9 +145,8 @@ class BiorthogonalFamily:
         d.mkdir(parents=True, exist_ok=True)
         t_grid = self.t_grid.tolist()
         for (n, j), theta in zip(self.modes, self.theta):
-            rows = zip(t_grid, theta.real.tolist(), theta.imag.tolist())
-            with open(d / f"theta_{n}_{j}.csv", "w", newline="", encoding="utf-8") as fh:
-                fh.write("t,re_theta,im_theta\r\n" + "".join(f"{t!r},{re!r},{im!r}\r\n" for t, re, im in rows))
+            write_csv(d / f"theta_{n}_{j}.csv", "t,re_theta,im_theta", "%r,%r,%r",
+                      zip(t_grid, theta.real.tolist(), theta.imag.tolist()))
 
     def export_manifest(self, path) -> None:
         payload = {

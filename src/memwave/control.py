@@ -9,15 +9,17 @@ moment constraints on the control: for each mode pair (n, j),
 The minimum-L2-norm control solving them lives in the span of the conjugated
 constraint kernels, and its coefficients solve the Hermitian positive
 semidefinite Gram system G a = b whose entries factor into closed-form space
-and time integrals.  Those closed forms take exponential values and
-broadcast over numpy arrays of doubles, of double-double values or of
-mpmath values, so one implementation serves every Gram and the propagator;
-the pairwise exponentials are products of one per-mode table, so a Gram
-costs 3m exponentials instead of 3m^2.  Branch-2/3 kernels grow like
-e^{|M| T/2} in time, so the Gram's scale spread is extreme; the solve runs
-in extended precision (double-double or mpmath, see ``hp``) on the
-configured spectrum (``hp.MpSpectrum``) with the rho-weighted prescaling,
-and the solved coefficients are kept both as doubles (exports,
+and time integrals.  The Gram (``_assemble_gram_mp``) and the moments
+(``_moments``) are each one routine taking a spectrum (``MovingSpectrum``
+or ``hp.MpSpectrum``) and an arithmetic ("float64", "dd" or "mp", see
+``dd.lift``); their closed forms broadcast over arrays of any of the three
+and also serve the propagator.  A Gram costs 3m exponentials from one
+per-mode table, and only its upper triangle is computed: the lower one is
+its conjugate.  Branch-2/3 kernels grow like e^{|M| T/2} in time, so the
+Gram's scale spread is extreme; the float64 Gram gives the condition
+numbers, and the solve rebuilds it in extended precision (double-double or
+mpmath, see ``hp``) on the configured spectrum with the rho-weighted
+prescaling.  The solved coefficients are kept both as doubles (exports,
 diagnostics) and at full precision (terminal-state evaluation).
 """
 
@@ -31,9 +33,9 @@ import mpmath as mp
 import numpy as np
 
 from . import dd
-from .fractional import gauss_legendre
-from .hp import MpSpectrum, RefinementStalled, choose_arithmetic, hermitian_solve, matvec
-from .moving import BRANCHES, MovingSpectrum
+from .fractional import gauss_interval, write_csv
+from .hp import MpSpectrum, RefinementStalled, choose_arithmetic, hermitian_solve, matvec, mode_arrays
+from .moving import MovingSpectrum
 
 __all__ = [
     "InitialData",
@@ -80,7 +82,7 @@ def random_initial_data(ms: MovingSpectrum, seed: int = 0, sigma0: float = 3.0, 
     """Coefficients y0_n = rho^-sigma0 * unit, y1_n = rho^-sigma1 * unit."""
     rng = np.random.default_rng(seed)
     ns = np.array(ms.mode_indices())
-    rho = np.array([ms.rho(n) for n in ns])
+    rho = mode_arrays(ms, [(n, 1) for n in ns])[2]
     u0 = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
     u1 = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
     return InitialData(ns=ns, y0=rho ** (-sigma0) * u0, y1=rho ** (-sigma1) * u1, rho=rho)
@@ -98,14 +100,18 @@ class MomentSystem:
 
 def assemble_moments(data: InitialData, ms: MovingSpectrum) -> MomentSystem:
     """Right-hand sides b_nj = -2 (conj(mu) y0_n + y1_n), literally."""
-    modes = [(n, j) for n in ms.mode_indices() for j in BRANCHES]
     if set(data.ns.tolist()) != set(ms.mode_indices()):
         raise ValueError("initial data index set does not match the spectrum truncation")
-    b = np.empty(len(modes), dtype=complex)
-    for i, (n, j) in enumerate(modes):
-        y0n, y1n = data.coeff(n)
-        b[i] = -2.0 * (np.conj(ms.mu_of(n, j)) * y0n + y1n)
-    return MomentSystem(modes=modes, b=b, data=data)
+    modes = list(ms.modes())
+    return MomentSystem(modes=modes, b=_moments(ms, modes, data, "float64"), data=data)
+
+
+def _moments(spec, modes, data: InitialData, arithmetic: str):
+    """b_nj = -2 (conj(mu_|n|^j) y0_n + y1_n) over the modes, on a spectrum
+    and in an arithmetic (see ``hp.mode_arrays``)."""
+    mu = dd.lift([spec.mu_of(n, j) for n, j in modes], arithmetic)
+    y0, y1 = (dd.lift([data.coeff(n)[k] for n, _ in modes], arithmetic) for k in (0, 1))
+    return -2 * (np.conj(mu) * y0 + y1)
 
 
 _MP_EXP = np.frompyfunc(mp.exp, 1, 1)  # elementwise mpmath exp for object arrays
@@ -115,19 +121,6 @@ def _exp(x):
     """e^x entrywise on doubles, on ``dd.DD`` values (one ``mp.exp`` per
     entry, rounded) or on mpmath values (dtype object)."""
     return _MP_EXP(x) if getattr(x, "dtype", None) == object else np.exp(x)
-
-
-_MPMATHIFY = np.frompyfunc(mp.mpmathify, 1, 1)
-
-
-def _lift(values, arithmetic: str):
-    """mpmath or Python numbers (a scalar or any nesting) in an arithmetic:
-    ``dd.DD`` values for "dd", mpmath values for "mp" (scalars stay scalars)."""
-    if arithmetic == "dd":
-        return dd.array(values)
-    if np.ndim(values) == 0:
-        return mp.mpmathify(values)
-    return _MPMATHIFY(np.array(values, dtype=object))
 
 
 def _space_factor(delta, x0, x1, e0, e1):
@@ -181,54 +174,37 @@ class ControlGram:
     cond_scaled: float
 
     def rho_weights(self) -> np.ndarray:
-        return np.array([self.ms.rho(n) for n, _ in self.modes])
+        return mode_arrays(self.ms, self.modes)[2]
 
 
 def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
+    """The float64 Gram on ``ms`` and its raw and rho-scaled condition numbers."""
     x0, x1 = float(omega0[0]), float(omega0[1])
     if not x1 > x0:
         raise ValueError("omega0 must be a nonempty interval")
-    modes = [(n, j) for n in ms.mode_indices() for j in BRANCHES]
-    lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
-    kap = np.array([ms.kappa(n) for n, _ in modes])
-    tab = _mode_exponentials(lam, kap, x0, x1, T)
-    G = _gram_entry(lam[:, None], kap[:, None], tab[:, :, None], lam, kap, tab[:, None, :], x0, x1, T)
-    herm = np.max(np.abs(G - G.conj().T))
-    if herm > 1e-12 * np.max(np.abs(G)):
-        raise RuntimeError(f"assembly lost Hermitian symmetry: deviation {herm:.2e}")
-    G = 0.5 * (G + G.conj().T)
-    rho = np.array([ms.rho(n) for n, _ in modes])
-    D = np.diag(rho)
+    modes = list(ms.modes())
+    G = _assemble_gram_mp(ms, modes, (x0, x1), T, "float64")
+    D = np.diag(mode_arrays(ms, modes)[2])
     cond_raw = float(np.linalg.cond(G))
     cond_scaled = float(np.linalg.cond(D @ G @ D))
     return ControlGram(ms=ms, omega0=(x0, x1), T=float(T), modes=modes, G=G,
                        cond_raw=cond_raw, cond_scaled=cond_scaled)
 
 
-def _assemble_gram_mp(spec: MpSpectrum, modes, omega0, T, arithmetic: str = "mp"):
-    """The Gram in an extended arithmetic ("dd" or "mp", see ``_lift``) on
-    the spectrum ``spec``: 3m exponentials, the upper triangle from their
-    products and the lower triangle by conjugation, so the matrix is
-    Hermitian by construction."""
-    x0, x1, T = (_lift(mp.mpf(v), arithmetic) for v in (omega0[0], omega0[1], T))
-    lam = _lift([spec.lam(n, j) for n, j in modes], arithmetic)
-    kap = _lift([spec.kappa(n) for n, _ in modes], arithmetic)
+def _assemble_gram_mp(spec, modes, omega0, T, arithmetic: str = "mp"):
+    """The Gram of the modes on a spectrum, in an arithmetic ("float64", "dd"
+    or "mp", see ``hp.mode_arrays``): 3m exponentials, the upper triangle
+    from their products and the lower triangle by conjugation, so the
+    matrix is Hermitian by construction."""
+    x0, x1, T = (dd.lift(v, arithmetic) for v in (omega0[0], omega0[1], T))
+    lam, kap, _ = mode_arrays(spec, modes, arithmetic)
     tab = _mode_exponentials(lam, kap, x0, x1, T)
     r, c = np.triu_indices(len(modes))
-    G = _lift(np.zeros((len(modes), len(modes))), arithmetic)
+    G = dd.lift(np.zeros((len(modes), len(modes)), dtype=complex), arithmetic)
     upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T)
     G[c, r] = np.conj(upper)
     G[r, c] = upper
     return G
-
-
-def _moments_mp(spec: MpSpectrum, modes, data: InitialData, arithmetic: str = "mp"):
-    """b_nj = -2 (conj(mu) y0_n + y1_n), formed in mpmath and then lifted."""
-    b = []
-    for n, j in modes:
-        y0n, y1n = data.coeff(n)
-        b.append(-2 * (mp.conj(spec.mu[abs(n) - 1][j - 1]) * mp.mpc(y0n) + mp.mpc(y1n)))
-    return _lift(b, arithmetic)
 
 
 @dataclass
@@ -257,11 +233,9 @@ class ControlField:
         """Pointwise values, zero outside (0,T) x omega0 by construction."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        lam = np.array([self.ms.eigenvalue(n, j) for n, j in self.modes])
-        kap = np.array([self.ms.kappa(n) for n, _ in self.modes])
-        vals = np.exp(-lam[:, None] * t[None, :]).T @ (self.a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
+        lam, kap, _ = mode_arrays(self.ms, self.modes)
         mask = ((t >= 0) & (t <= self.T))[:, None] & ((x >= self.omega0[0]) & (x <= self.omega0[1]))[None, :]
-        return np.where(mask, vals, 0.0)
+        return np.where(mask, _field(lam, kap, self.a, t, x), 0.0)
 
     def to_json(self, path) -> None:
         payload = {
@@ -285,9 +259,8 @@ class ControlField:
         x = np.linspace(self.omega0[0], self.omega0[1], nx)
         vals = self.evaluate(t, x)
         tt, xx = np.meshgrid(t, x, indexing="ij")
-        rows = zip(tt.ravel().tolist(), xx.ravel().tolist(), vals.real.ravel().tolist(), vals.imag.ravel().tolist())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("t,x,re_u,im_u\r\n" + "".join(f"{tv!r},{xv!r},{re!r},{im!r}\r\n" for tv, xv, re, im in rows))
+        write_csv(path, "t,x,re_u,im_u", "%r,%r,%r,%r",
+                  zip(*(v.ravel().tolist() for v in (tt, xx, vals.real, vals.imag))))
 
 
 def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: float = 1.0e-6) -> ControlField:
@@ -353,14 +326,19 @@ def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arith
     """The rho-scaled moment solve in one arithmetic: the coefficients,
     max |G a - b|, the control norm sqrt(a^H G a) and the ladder's record."""
     G = _assemble_gram_mp(spec, gram.modes, gram.omega0, gram.T, arithmetic)
-    b = _moments_mp(spec, gram.modes, data, arithmetic)
-    rho = _lift([spec.rho(n) for n, _ in gram.modes], arithmetic)
+    b = _moments(spec, gram.modes, data, arithmetic)
+    rho = mode_arrays(spec, gram.modes, arithmetic)[2]
     solve = hermitian_solve(rho[:, None] * G * rho, rho * b)
     a = rho * solve.x
     Ga = matvec(G, a)
     residual = float(np.max(np.abs(dd.leading(Ga - b))))
     norm = math.sqrt(abs(dd.leading((np.conj(a) * Ga).sum()).real))
     return a, residual, norm, solve
+
+
+def _field(lam, kap, a, t, x) -> np.ndarray:
+    """sum_k a_k e^{-lam_k t} e^{i kap_k x} on the grid t x x, unmasked."""
+    return np.exp(-lam[:, None] * t[None, :]).T @ (a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
 
 
 def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:
@@ -378,16 +356,10 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None
     default ``nt`` puts three time nodes on each such period, never fewer
     than 360.
     """
-    lam = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
-    kap = np.array([ms.kappa(n) for n, _ in control.modes])
-    tg, tw = gauss_legendre(nt if nt is not None else _time_nodes(control.T, lam, 360))
-    xg, xw = gauss_legendre(nx)
-    t = 0.5 * control.T * (tg + 1.0)
-    tw = 0.5 * control.T * tw
-    x0, x1 = control.omega0
-    x = 0.5 * (x1 - x0) * (xg + 1.0) + x0
-    xw = 0.5 * (x1 - x0) * xw
-    u = np.exp(-lam[:, None] * t[None, :]).T @ (control.a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
+    lam, kap, _ = mode_arrays(ms, control.modes)
+    t, tw = gauss_interval(0.0, control.T, nt if nt is not None else _time_nodes(control.T, lam, 360))
+    x, xw = gauss_interval(*control.omega0, nx)
+    u = _field(lam, kap, control.a, t, x)
     E_t = np.exp(-np.conj(lam)[:, None] * t[None, :]) * tw[None, :]
     E_x = np.exp(-1j * kap[:, None] * x[None, :]) * xw[None, :]
     return np.sum((E_t @ u) * E_x, axis=1)
@@ -437,7 +409,7 @@ def certify_observability(
         if lhs > c_exact * rhs * (1 + 1e-9):
             failures += 1
     # adversarial: the closest spectral pair, phased to minimize the energy
-    lam = np.array([ms.eigenvalue(n, j) for n, j in gram.modes])
+    lam = mode_arrays(ms, gram.modes)[0]
     D = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
     i, j = np.unravel_index(np.argmin(D), D.shape)
     sub = G[np.ix_([i, j], [i, j])]

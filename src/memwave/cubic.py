@@ -10,12 +10,11 @@ inside, which is the structural reason a fixed-support control cannot work.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import EigenvalueTable
+from .fractional import EigenvalueTable, write_csv
 
 __all__ = [
     "SpectralTriple",
@@ -181,8 +180,6 @@ def verify_mu1_monotone(table: EigenvalueTable, M: float) -> Mu1MonotoneReport:
 
 
 def triples_to_csv(triples: list[SpectralTriple], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "rho", "mu1", "re_mu2", "im_mu2", "residual"])
-        for t in triples:
-            writer.writerow([t.n, *(repr(float(v)) for v in (t.rho, t.mu1, t.mu2.real, t.mu2.imag, t.residual))])
+    write_csv(path, "n,rho,mu1,re_mu2,im_mu2,residual", "%s,%r,%r,%r,%r,%r", (
+        ("" if t.n is None else t.n, *(float(v) for v in (t.rho, t.mu1, t.mu2.real, t.mu2.imag, t.residual)))
+        for t in triples))

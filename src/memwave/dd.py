@@ -14,7 +14,8 @@ should assume for one operation.
 The type broadcasts, indexes and reduces like an ndarray and answers the
 numpy calls the closed forms of ``control`` and ``simulate`` make
 (``np.conj``, ``np.where``, ``np.stack``, ``np.broadcast_arrays``), so
-the same code runs on doubles, on ``DD`` values and on mpmath values.
+the same code runs on doubles, on ``DD`` values and on mpmath values;
+``lift`` puts numbers into whichever of the three a caller names.
 ``np.exp`` is not vectorised: each entry is exponentiated once by
 ``mp.exp`` and rounded back, which is why every caller takes its
 exponentials from per-mode tables.
@@ -28,7 +29,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-__all__ = ["EPS", "DD", "array", "from_mp", "to_mp", "leading"]
+__all__ = ["EPS", "DD", "array", "lift", "from_mp", "to_mp", "leading"]
 
 EPS = 2.0**-104
 DIGITS = -math.log10(EPS)  # about 31.3
@@ -125,7 +126,7 @@ class DD:
         return DD(self.hi[key], self.lo[key])
 
     def __setitem__(self, key, value):
-        value = _lift(value)
+        value = _coerce(value)
         self.hi[key] = value.hi
         self.lo[key] = value.lo
 
@@ -140,28 +141,28 @@ class DD:
         return DD(self.hi * _SIGN[::-1], self.lo * _SIGN[::-1])
 
     def __add__(self, other):
-        other = _lift(other)
+        other = _coerce(other)
         return DD(*_add(self.hi, self.lo, other.hi, other.lo))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -_lift(other)
+        return self + -_coerce(other)
 
     def __rsub__(self, other):
-        return _lift(other) + -self
+        return _coerce(other) + -self
 
     def __mul__(self, other):
-        other = _lift(other)
+        other = _coerce(other)
         return DD(*_mul(self.hi, self.lo, other.hi, other.lo))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _divide(self, _lift(other))
+        return _divide(self, _coerce(other))
 
     def __rtruediv__(self, other):
-        return _divide(_lift(other), self)
+        return _divide(_coerce(other), self)
 
     def __pow__(self, k: int):
         if not (isinstance(k, int) and k >= 1):
@@ -190,7 +191,7 @@ class DD:
 
     def __matmul__(self, x):
         """Matrix-vector product of a 2-d DD with a 1-d DD."""
-        return (self * _lift(x)[None, :]).sum(axis=1)
+        return (self * _coerce(x)[None, :]).sum(axis=1)
 
     # -- numpy protocols ------------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -208,21 +209,21 @@ class DD:
                   np.true_divide: DD.__truediv__}
         if ufunc in binary:
             a, b = inputs
-            return binary[ufunc](_lift(a), b)
+            return binary[ufunc](_coerce(a), b)
         return NotImplemented
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.where:
             cond, x, y = args
-            cond, x, y = np.asarray(cond)[..., None], _lift(x), _lift(y)
+            cond, x, y = np.asarray(cond)[..., None], _coerce(x), _coerce(y)
             return DD(np.where(cond, x.hi, y.hi), np.where(cond, x.lo, y.lo))
         if func is np.stack:
-            arrays = [_lift(a) for a in args[0]]
+            arrays = [_coerce(a) for a in args[0]]
             axis = kwargs.get("axis", args[1] if len(args) > 1 else 0)
             axis = axis if axis >= 0 else axis - 1
             return DD(np.stack([a.hi for a in arrays], axis), np.stack([a.lo for a in arrays], axis))
         if func is np.broadcast_arrays:
-            arrays = [_lift(a) for a in args]
+            arrays = [_coerce(a) for a in args]
             his = np.broadcast_arrays(*(a.hi for a in arrays))
             los = np.broadcast_arrays(*(a.lo for a in arrays))
             return [DD(h, l) for h, l in zip(his, los)]
@@ -249,8 +250,24 @@ def array(z) -> DD:
     return DD(hi, np.zeros_like(hi))
 
 
-def _lift(x) -> DD:
+def _coerce(x) -> DD:
     return x if isinstance(x, DD) else array(x)
+
+
+_MPMATHIFY = np.frompyfunc(mp.mpmathify, 1, 1)
+
+
+def lift(values, arithmetic: str):
+    """Numbers (a scalar or any nesting) as numpy doubles for "float64", ``DD``
+    values for "dd" or mpmath values for "mp"; only "dd" and "mp" take mpmath
+    input.  Scalars stay scalars except as ``DD``."""
+    if arithmetic == "dd":
+        return _coerce(values)
+    if np.ndim(values) == 0:
+        return mp.mpmathify(values) if arithmetic == "mp" else values
+    if arithmetic == "mp":
+        return _MPMATHIFY(np.array(values, dtype=object))
+    return np.asarray(values)
 
 
 def _split_mpf(x):

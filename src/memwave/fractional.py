@@ -26,6 +26,7 @@ settles at ``pi/2``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,8 @@ __all__ = [
     "GAP_TARGET",
     "GAP_SLACK",
     "gauss_legendre",
+    "gauss_interval",
+    "write_csv",
 ]
 
 # Root-gap floor pi/2, checked with a desk-scale slack.
@@ -67,6 +70,23 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def gauss_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on (a, b)."""
+    x, w = gauss_legendre(n)
+    half = 0.5 * (b - a)
+    return half * (x + 1.0) + a, half * w
+
+
+def write_csv(path, header: str, row_format: str, rows) -> None:
+    """Rows as CSV, byte for byte what ``csv.writer`` writes with floats as
+    ``repr`` (``%r`` for Python floats, ``%d`` ints, ``%s`` text); one ``%``
+    operation formats all rows, which keeps many float reprs cheap."""
+    rows = list(rows)
+    body = ((row_format + "\r\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n" + body)
 
 
 def _check_order(s: float) -> float:
@@ -304,10 +324,9 @@ class EigenvalueTable:
 
     def to_csv(self, path) -> None:
         """One row per mode; floats as shortest round-trip decimals, the last gap nan."""
-        rows = zip(self.rho.tolist(), self.rho_root.tolist(), np.append(self.gaps(), np.nan).tolist())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("n,rho,rho_root,gap,backend\r\n" + "".join(
-                f"{n},{r!r},{q!r},{g!r},{self.backend}\r\n" for n, (r, q, g) in enumerate(rows, 1)))
+        write_csv(path, "n,rho,rho_root,gap,backend", "%d,%r,%r,%r,%s",
+                  zip(range(1, self.n_max + 1), self.rho.tolist(), self.rho_root.tolist(),
+                      np.append(self.gaps(), np.nan).tolist(), [self.backend] * self.n_max))
 
 
 def build_eigenvalue_table(

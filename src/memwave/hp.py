@@ -8,7 +8,9 @@ That table is the configured moving spectrum itself, whichever eigenvalue
 backend built it: its double-precision kappa and rho are taken as exact
 mpmath values and only the real cubic root is polished at the working
 precision, so the moments the control satisfies are exactly the moments the
-propagator integrates.
+propagator integrates.  It answers the accessors of ``MovingSpectrum``
+(``eigenvalue``, ``kappa``, ``rho``, ``mu_of``, ``M``, ``c``), and
+``mode_arrays`` reads either spectrum in any arithmetic (``dd.lift``).
 
 Above the table, the moment solve and the terminal check run in one of
 two extended arithmetics, picked per run by ``choose_arithmetic`` from an a
@@ -34,7 +36,8 @@ from . import dd
 from .cubic import complex_root, real_root
 from .moving import MovingSpectrum
 
-__all__ = ["MpSpectrum", "LadderSolve", "RefinementStalled", "choose_arithmetic", "matvec", "hermitian_solve"]
+__all__ = ["MpSpectrum", "mode_arrays", "LadderSolve", "RefinementStalled", "choose_arithmetic", "matvec",
+           "hermitian_solve"]
 
 
 class MpSpectrum:
@@ -60,9 +63,21 @@ class MpSpectrum:
     def rho(self, n: int):
         return self.rho_pos[abs(n) - 1]
 
-    def lam(self, n: int, j: int):
+    def mu_of(self, n: int, j: int):
+        return self.mu[abs(n) - 1][j - 1]
+
+    def eigenvalue(self, n: int, j: int):
         """True eigenvalue mu_{|n|}^j + i c kappa_n (no relabeling)."""
-        return self.mu[abs(n) - 1][j - 1] + 1j * self.c * self.kappa(n)
+        return self.mu_of(n, j) + 1j * self.c * self.kappa(n)
+
+
+def mode_arrays(spec, modes, arithmetic: str = "float64"):
+    """(lam, kap, rho): the eigenvalues, signed frequencies and rho of the
+    modes (n, j) on a ``MovingSpectrum`` or an ``MpSpectrum``, as arrays in
+    an arithmetic (see ``dd.lift``)."""
+    return (dd.lift([spec.eigenvalue(n, j) for n, j in modes], arithmetic),
+            dd.lift([spec.kappa(n) for n, _ in modes], arithmetic),
+            dd.lift([spec.rho(n) for n, _ in modes], arithmetic))
 
 
 class LadderSolve(NamedTuple):
@@ -167,7 +182,7 @@ def hermitian_solve(A, b) -> LadderSolve:
             d = scipy.linalg.lu_solve(factor, _normalized(r, res), check_finite=False)
             if not np.all(np.isfinite(d)):
                 break
-            x_new = x + _lift_like(A, d) * res
+            x_new = x + dd.lift(d, "dd" if isinstance(A, dd.DD) else "mp") * res
             r_new = b - matvec(A, x_new)
             res_new = _max_abs(r_new)
             if not res_new < res:
@@ -213,11 +228,6 @@ def _normalized(r, res) -> np.ndarray:
     if isinstance(r, dd.DD):
         return dd.leading(r) / res
     return np.array([complex(v / res) for v in r])
-
-
-def _lift_like(A, d: np.ndarray):
-    """Doubles d in the arithmetic of A."""
-    return dd.array(d) if isinstance(A, dd.DD) else np.array(d.tolist(), dtype=object)
 
 
 def _unit_roundoff(A) -> float:

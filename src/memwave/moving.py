@@ -19,7 +19,6 @@ constants quoted alongside each clause are recorded for comparison.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -27,7 +26,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .cubic import check_memory_coefficient, solve_cubic
-from .fractional import EigenvalueTable
+from .fractional import EigenvalueTable, write_csv
 
 __all__ = [
     "VELOCITY_TOL",
@@ -587,10 +586,7 @@ def frame_bounds(ms: MovingSpectrum, sigma: float = 0.0, trials: int = 200, seed
 def lambda_table_to_csv(ms: MovingSpectrum, path) -> None:
     """Columns n, j, Re, Im, and the distance to the nearest other mode."""
     modes = list(ms.modes())
-    vals = {mk: ms.lam(*mk) for mk in modes}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "j", "re", "im", "nearest_distance"])
-        for mk in modes:
-            others = (abs(vals[mk] - vals[other]) for other in modes if other != mk)
-            writer.writerow([mk[0], mk[1], repr(vals[mk].real), repr(vals[mk].imag), repr(min(others))])
+    vals = [ms.lam(*mk) for mk in modes]
+    nearest = [min(abs(v - w) for k, w in enumerate(vals) if k != i) for i, v in enumerate(vals)]
+    write_csv(path, "n,j,re,im,nearest_distance", "%d,%d,%r,%r,%r",
+              ((n, j, v.real, v.imag, d) for (n, j), v, d in zip(modes, vals, nearest)))

@@ -6,9 +6,12 @@ transport phase, nu_j = mu_j - i c kappa_n, so propagation is exact modal
 exponentials and control forcing enters through closed-form Duhamel terms
 (the forcing is itself a finite sum of space-time exponentials).  There is no
 time-stepping error: what remains is truncation plus synthesis residual.
-One routine does the propagation, on doubles, double-double values or
-mpmath values: the float64 steps and the extended-precision terminal check
-run the same code.
+Precision is a parameter: one set-up (``_ModalSetup``) builds the modal
+table, the control forcing and the initial state from a spectrum in an
+arithmetic, and one routine (``_advance``) propagates them, on doubles,
+double-double values or mpmath values.  The float64 steps run it on the
+configured ``MovingSpectrum``; the extended-precision terminal check runs
+it on the control's ``hp.MpSpectrum`` in the control's arithmetic.
 
 The control forcing is projected on the modes with the factor-1/2 plane-wave
 convention, which is exactly the pairing under which the moment right-hand
@@ -29,10 +32,10 @@ import numpy as np
 
 from . import dd
 from .control import (
-    ControlField, InitialData, _exp, _lift, _space_factor, _time_factor, _time_nodes,
+    ControlField, InitialData, _exp, _field, _space_factor, _time_factor, _time_nodes,
 )
-from .fractional import gauss_legendre
-from .hp import MpSpectrum
+from .fractional import gauss_interval, write_csv
+from .hp import MpSpectrum, mode_arrays
 from .moving import BRANCHES, MovingSpectrum
 
 __all__ = [
@@ -108,13 +111,6 @@ class Forcing(NamedTuple):
     def expos(self) -> np.ndarray:
         return self.shift[:, None] - self.lam[None, :]
 
-    @classmethod
-    def bind(cls, a, lam_c, kap_c, kappa, omega0, shift) -> "Forcing":
-        x0, x1 = omega0
-        e0 = _exp(1j * kap_c * x0)[None, :] * _exp(-1j * kappa * x0)[:, None]
-        e1 = _exp(1j * kap_c * x1)[None, :] * _exp(-1j * kappa * x1)[:, None]
-        return cls(a, _space_factor(kap_c[None, :] - kappa[:, None], x0, x1, e0, e1), lam_c, shift)
-
 
 def _advance(modal: ModalTable, X, t, dt, forcing: Forcing):
     """States X (modes x (xi, xi_dot, zeta)) advanced from t to t + dt.
@@ -148,6 +144,38 @@ def _weighted_norms(rho, X, sigma_weights) -> dict:
     rho, X = dd.leading(rho).real, dd.leading(X)
     sq = (rho[:, None] ** (2 * np.asarray(sigma_weights)) * np.abs(X) ** 2).sum(axis=0)
     return {name: float(v ** 0.5) for name, v in zip(("xi", "xi_dot", "zeta"), sq)}
+
+
+class _ModalSetup:
+    """The modal table of the modes ``ns`` of a spectrum (``MovingSpectrum``
+    or ``hp.MpSpectrum``) in an arithmetic (see ``dd.lift``), with the
+    transport shift ick = i c kappa of the frame; binds forcing and data."""
+
+    def __init__(self, spec, arithmetic: str, ns, frame: str):
+        self.spec, self.arithmetic, self.ns = spec, arithmetic, ns
+        _, self.kappa, self.rho = mode_arrays(spec, [(n, 1) for n in ns], arithmetic)
+        self.zeros = dd.lift(np.zeros(len(ns)), arithmetic)
+        self.ick = 1j * dd.lift(spec.c if frame == "moving" else 0.0, arithmetic) * self.kappa
+        mu = dd.lift([[spec.mu_of(n, j) for j in BRANCHES] for n in ns], arithmetic)
+        self.modal = ModalTable.build(mu, self.rho, dd.lift(spec.M, arithmetic), self.ick)
+
+    def forcing(self, modes, a, omega0, transported: bool = False) -> Forcing:
+        """The forcing of the control sum_k a_k e^{-lam_k t} e^{i kap_k x} on
+        omega0, whose support moves with the frame if ``transported``."""
+        arithmetic, kappa = self.arithmetic, self.kappa
+        lam, kap, _ = mode_arrays(self.spec, modes, arithmetic)
+        x0, x1 = (dd.lift(v, arithmetic) for v in omega0)
+        e0 = _exp(1j * kap * x0)[None, :] * _exp(-1j * kappa * x0)[:, None]
+        e1 = _exp(1j * kap * x1)[None, :] * _exp(-1j * kappa * x1)[:, None]
+        S = _space_factor(kap[None, :] - kappa[:, None], x0, x1, e0, e1)
+        shift = 1j * dd.lift(self.spec.c, arithmetic) * kappa if transported else self.zeros
+        return Forcing(dd.lift(a, arithmetic), S, lam, shift)
+
+    def initial_state(self, data: InitialData):
+        """Moving-frame data as states (modes x (xi, xi_dot, zeta)):
+        xi = y0, xi_dot = y1 - i c kappa y0, zeta = 0."""
+        y0, y1 = (dd.lift([data.coeff(n)[k] for n in self.ns], self.arithmetic) for k in (0, 1))
+        return np.stack([y0, y1 - self.ick * y0, self.zeros], axis=1)
 
 
 @dataclass
@@ -184,13 +212,10 @@ class GalerkinSimulator:
         self.omega0 = (float(omega0[0]), float(omega0[1]))
         self.frame = frame
         self.ns = np.array(ms.mode_indices())
-        self.kappa = np.array([ms.kappa(n) for n in self.ns])
-        self.rho = np.array([ms.rho(n) for n in self.ns])
+        self._setup = setup = _ModalSetup(ms, "float64", ms.mode_indices(), frame)
+        self.kappa, self.rho, self.modal = setup.kappa, setup.rho, setup.modal
         self.gram = PlaneWaveGram.build(self.ns, self.kappa)
-        mu = np.array([[ms.mu_of(int(n), j) for j in BRANCHES] for n in self.ns])
-        ick = 1j * (ms.c if frame == "moving" else 0.0) * self.kappa
-        self.modal = ModalTable.build(mu, self.rho, ms.M, ick)
-        root, rho = self.modal.nu + ick[:, None], self.rho[:, None]
+        root, rho = self.modal.nu + setup.ick[:, None], self.rho[:, None]
         res = np.abs(root**3 + rho * root - ms.M * rho) / (abs(ms.M) * rho + abs(ms.M) ** 3)
         if np.max(res) > 1e-10:
             n = self.ns[np.argmax(res) // 3]
@@ -200,12 +225,7 @@ class GalerkinSimulator:
     def initial_state(self, data: InitialData) -> GalerkinState:
         if self.frame != "moving":
             raise ValueError("initial data is given in the moving frame")
-        y0 = np.array([data.coeff(int(n))[0] for n in self.ns])
-        y1 = np.array([data.coeff(int(n))[1] for n in self.ns])
-        xi = y0
-        xi_dot = y1 - 1j * self.ms.c * self.kappa * y0
-        zeta = np.zeros_like(xi)
-        return GalerkinState(t=0.0, ns=self.ns.copy(), xi=xi, xi_dot=xi_dot, zeta=zeta, frame="moving")
+        return GalerkinState(0.0, self.ns.copy(), *self._setup.initial_state(data).T, frame="moving")
 
     def weighted_norms(self, state: GalerkinState) -> dict:
         return _weighted_norms(self.rho, np.stack([state.xi, state.xi_dot, state.zeta], axis=1), self.sigma_weights)
@@ -228,11 +248,7 @@ class GalerkinSimulator:
             raise ValueError("the frozen-support diagnostic runs in the fixed frame")
         modes = control.modes if control is not None else []
         a = control.a if control is not None else np.zeros(0, dtype=complex)
-        lam = np.array([self.ms.eigenvalue(n, j) for n, j in modes], dtype=complex)
-        kap_c = np.array([self.ms.kappa(n) for n, _ in modes])
-        transported = self.frame == "fixed" and support_frame == "moving"
-        shift = 1j * self.ms.c * self.kappa if transported else np.zeros(len(self.ns), dtype=complex)
-        return Forcing.bind(a, lam, kap_c, self.kappa, self.omega0, shift)
+        return self._setup.forcing(modes, a, self.omega0, self.frame == "fixed" and support_frame == "moving")
 
     # -- propagation -----------------------------------------------------------
     def step_exact(self, state: GalerkinState, forcing: Forcing, dt: float) -> GalerkinState:
@@ -264,7 +280,7 @@ class GalerkinSimulator:
         if precision == "mp":
             norms = self._terminal_norms_mp(data, control, T)
             arithmetic = control.arithmetic if control is not None else "mp"
-        data_norm = data.weighted_norm()
+        data_norm = data.weighted_norm(*self.sigma_weights[:2])
         ratios = {k: (v / data_norm if data_norm > 0 else v) for k, v in norms.items()}
         report = TerminalReport(
             T=T, norms=norms, data_norm=data_norm, ratios=ratios,
@@ -277,8 +293,8 @@ class GalerkinSimulator:
     def _terminal_norms_mp(self, data: InitialData, control: ControlField | None, T: float) -> dict:
         """Terminal weighted norms with the cancellation done in extended precision.
 
-        The same propagation as ``step_exact``, from 0 to T, in the
-        arithmetic the control was solved in (``ControlField.arithmetic``:
+        The same set-up and propagation as ``step_exact``, from 0 to T, in
+        the arithmetic the control was solved in (``ControlField.arithmetic``:
         double-double or mpmath; mpmath at 50 digits without a control): the
         modal table from the spectral table the synthesis used, the forcing
         from the solved coefficients at full precision.  The terminal
@@ -286,32 +302,17 @@ class GalerkinSimulator:
         """
         if self.frame != "moving":
             raise ValueError("the extended-precision path covers the moving frame")
-        spec = control.spec_mp if (control is not None and control.spec_mp is not None) else None
+        spec = control.spec_mp if control is not None else None
         dps = spec.dps if spec is not None else 50
-        arithmetic = control.arithmetic if control is not None else "mp"
+        modes, a, arithmetic = [], np.zeros(0, dtype=complex), "mp"
+        if control is not None:
+            modes, arithmetic = control.modes, control.arithmetic
+            a = control.a_hp if control.a_hp is not None else control.a
         with mp.workdps(dps):
-            if spec is None:
-                spec = MpSpectrum(self.ms, dps=dps)
-            ns = [int(n) for n in self.ns]
-            modes, a = [], _lift([], arithmetic)
-            if control is not None:
-                modes = control.modes
-                a = control.a_hp if control.a_hp is not None else _lift(control.a, arithmetic)
-            kappa = _lift([spec.kappa(n) for n in ns], arithmetic)
-            rho = _lift([spec.rho(n) for n in ns], arithmetic)
-            ick = 1j * _lift(spec.c, arithmetic) * kappa
-            mu = _lift([spec.mu[abs(n) - 1] for n in ns], arithmetic)
-            modal = ModalTable.build(mu, rho, _lift(spec.M, arithmetic), ick)
-            zeros = _lift(np.zeros(len(ns)), arithmetic)
-            forcing = Forcing.bind(
-                a, _lift([spec.lam(n, j) for n, j in modes], arithmetic),
-                _lift([spec.kappa(n) for n, _ in modes], arithmetic), kappa,
-                tuple(_lift(mp.mpf(v), arithmetic) for v in self.omega0), zeros,
-            )
-            y0, y1 = (_lift([data.coeff(n)[k] for n in ns], arithmetic) for k in (0, 1))
-            X0 = np.stack([y0, y1 - ick * y0, zeros], axis=1)
-            return _weighted_norms(rho, _advance(modal, X0, 0, _lift(mp.mpf(T), arithmetic), forcing),
-                                   self.sigma_weights)
+            setup = _ModalSetup(spec or MpSpectrum(self.ms, dps=dps), arithmetic, self._setup.ns, "moving")
+            X = _advance(setup.modal, setup.initial_state(data), 0, dd.lift(T, arithmetic),
+                         setup.forcing(modes, a, self.omega0))
+            return _weighted_norms(setup.rho, X, self.sigma_weights)
 
 
 def _eigen_rows(mu, rho, M, ick):
@@ -344,13 +345,8 @@ class TerminalReport:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
     def trajectory_csv(self, path) -> None:
-        import csv as _csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t", "norm_xi", "norm_xi_dot", "norm_zeta"])
-            for t, norms in self.trajectory:
-                writer.writerow([repr(t), repr(norms["xi"]), repr(norms["xi_dot"]), repr(norms["zeta"])])
+        write_csv(path, "t,norm_xi,norm_xi_dot,norm_zeta", "%r,%r,%r,%r",
+                  ((t, norms["xi"], norms["xi_dot"], norms["zeta"]) for t, norms in self.trajectory))
 
 
 def map_frames(state: GalerkinState, ms: MovingSpectrum, direction: str) -> GalerkinState:
@@ -359,7 +355,7 @@ def map_frames(state: GalerkinState, ms: MovingSpectrum, direction: str) -> Gale
     moving->fixed:  y_n = xi_n e^{i kappa_n c t},
                     (y_t)_n = (xi_dot_n + i c kappa_n xi_n) e^{i kappa_n c t}.
     """
-    kappa = np.array([ms.kappa(int(n)) for n in state.ns])
+    kappa = mode_arrays(ms, [(int(n), 1) for n in state.ns])[1]
     phase = np.exp(1j * kappa * ms.c * state.t)
     out = state.copy()
     if direction == "moving_to_fixed":
@@ -416,22 +412,12 @@ def duality_residuals(
     The nodes and the control field are computed once, and every set's phi
     comes out of one matrix product.
     """
-    modes = [(n, j) for n in ms.mode_indices() for j in BRANCHES]
+    modes = list(ms.modes())
     bcoef = np.array([[coeffs.get(mk, 0.0) for mk in modes] for coeffs in coeff_sets], dtype=complex)
-    lam = np.array([ms.eigenvalue(n, j) for n, j in modes])
-    kap = np.array([ms.kappa(n) for n, _ in modes])
-
-    tg, tw = gauss_legendre(nt if nt is not None else _time_nodes(T, lam, 480))
-    t = 0.5 * T * (tg + 1.0)
-    tw = 0.5 * T * tw
-    x0, x1 = control.omega0
-    xg, xw = gauss_legendre(nx)
-    x = 0.5 * (x1 - x0) * (xg + 1.0) + x0
-    xw = 0.5 * (x1 - x0) * xw
-
-    lam_u = np.array([ms.eigenvalue(n, j) for n, j in control.modes])
-    kap_u = np.array([ms.kappa(n) for n, _ in control.modes])
-    u = np.exp(-lam_u[:, None] * t[None, :]).T @ (control.a[:, None] * np.exp(1j * kap_u[:, None] * x[None, :]))
+    lam, kap, _ = mode_arrays(ms, modes)
+    t, tw = gauss_interval(0.0, T, nt if nt is not None else _time_nodes(T, lam, 480))
+    x, xw = gauss_interval(*control.omega0, nx)
+    u = _field(*mode_arrays(ms, control.modes)[:2], control.a, t, x)
     # phi[t, set, x] = sum_k e^{lam_k (T - t)} b_set,k e^{i kappa_k x}
     space = bcoef.T[:, :, None] * np.exp(1j * kap[:, None] * x[None, :])[:, None, :]
     phi = np.exp(lam[:, None] * (T - t[None, :])).T @ space.reshape(len(modes), -1)
@@ -441,9 +427,8 @@ def duality_residuals(
     grow = bcoef * np.exp(lam * T)
     phi_0 = grow.reshape(len(coeff_sets), -1, len(BRANCHES)).sum(axis=2)
     phi_t0 = (grow * -lam).reshape(len(coeff_sets), -1, len(BRANCHES)).sum(axis=2)
-    ns = ms.mode_indices()
-    y0, y1 = np.array([data.coeff(int(n)) for n in ns]).T
-    drift = 1j * ms.c * np.array([ms.kappa(int(n)) for n in ns]) * y0
+    y0, y1 = np.array([data.coeff(n) for n in ms.mode_indices()]).T
+    drift = 1j * ms.c * kap[::len(BRANCHES)] * y0
     rhs = 2.0 * (np.conj(phi_t0) @ y0 - np.conj(phi_0) @ (y1 + drift))
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
     return np.abs(lhs - rhs) / scale

@@ -205,7 +205,7 @@ def test_separable_mp_gram_matches_entrywise_closed_form(M, dps):
         with mp.workdps(dps):
             G = ctl._assemble_gram_mp(spec, modes, OMEGA0, T, arithmetic)
             G = dd.to_mp(G) if arithmetic == "dd" else G
-            lam = [spec.lam(n, j) for n, j in modes]
+            lam = [spec.eigenvalue(n, j) for n, j in modes]
             kap = [spec.kappa(n) for n, _ in modes]
             m = len(modes)
             assert all(G[r, c] == mp.conj(G[c, r]) for r in range(m) for c in range(m))

@@ -1,6 +1,10 @@
 """Operator and eigenvalue-table checks for the fractional Laplacian module."""
 
+import csv
+import io
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -138,6 +142,27 @@ def test_table_csv_roundtrip(tmp_path):
     assert rows[0] == "n,rho,rho_root,gap,backend"
     assert len(rows) == 7
     assert rows[1].endswith("asymptotic")
+
+
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308])
+
+
+@settings(max_examples=60)
+@given(rows=st.lists(st.tuples(
+    st.integers(-10**6, 10**6), st.one_of(_SPECIAL_FLOATS, st.floats()),
+    st.one_of(_SPECIAL_FLOATS, st.floats(allow_subnormal=True)), st.sampled_from(["asymptotic", "x", ""]),
+), max_size=12))
+def test_write_csv_matches_csv_writer(rows):
+    # the bytes csv.writer writes with floats as repr, for nan, +-inf, -0.0
+    # and subnormals alike
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["n", "a", "b", "tag"])
+    writer.writerows([n, repr(a), repr(b), tag] for n, a, b, tag in rows)
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d) / "rows.csv"
+        fr.write_csv(path, "n,a,b,tag", "%d,%r,%r,%s", rows)
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_n_max_validation():

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib
 import io
 import json
 import pathlib
@@ -137,6 +138,25 @@ def test_benchmark_workloads_are_valid_configurations():
         assert workload["pipeline"] in PIPELINES, name
         cfg = load_config(overrides={**workload["config"], "seed": 1})
         assert all(getattr(cfg, key) == value for key, value in workload["config"].items()), name
+
+
+def test_benchmark_layer_bindings_resolve():
+    # the benchmark traces each layer by patching these bindings from outside;
+    # a layer none of whose bindings resolves would be reported as missing
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    layers = runpy.run_path(str(path))["LAYERS"]
+    assert layers
+
+    def resolves(module_name, attribute_path):
+        owner = importlib.import_module(module_name)
+        for part in attribute_path.split("."):
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    missing = [name for name, (bindings, _) in layers.items() if not any(resolves(*b) for b in bindings)]
+    assert not missing
 
 
 def test_sweep_aggregation(tmp_path):

@@ -162,6 +162,18 @@ def test_null_control_terminal(world):
     assert all(r <= 1e-6 for r in repf.ratios.values())
 
 
+@settings(max_examples=12)
+@given(sigma0=st.floats(0.0, 6.0), sigma1=st.floats(0.0, 6.0))
+def test_terminal_ratios_use_the_configured_sigma(world, sigma0, sigma1):
+    # uncontrolled and with T ~ 0 the terminal xi is y0, so its norm is at
+    # most the data norm taken at the simulator's own weights
+    ms, _, data, _, _ = world
+    simulator = sim.GalerkinSimulator(ms, OMEGA0, sigma_weights=(sigma0, sigma1, 1.0))
+    _, report = simulator.run_to_T(data, None, 1e-9)
+    assert report.data_norm == data.weighted_norm(sigma0, sigma1)
+    assert report.ratios["xi"] <= 1.0, report.ratios
+
+
 def test_double_double_terminal_check(world):
     # at M = 0.5 the synthesis and the terminal check run in double-double,
     # and the terminal state sits twenty digits below the data, far under
@@ -416,8 +428,8 @@ def test_duality_nodes_follow_the_fastest_period(monkeypatch, N):
     data = ctl.random_initial_data(ms, seed=N)
     coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
     counts = []
-    gauss = sim.gauss_legendre
-    monkeypatch.setattr(sim, "gauss_legendre", lambda n: counts.append(n) or gauss(n))
+    gauss = sim.gauss_interval
+    monkeypatch.setattr(sim, "gauss_interval", lambda a, b, n: counts.append(n) or gauss(a, b, n))
     res = sim.verify_duality(data, control, coeffs, T, ms)
     nt = counts[0]
     fastest = max(abs(ms.eigenvalue(n, j).imag) for n, j in modes)
