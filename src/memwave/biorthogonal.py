@@ -21,18 +21,24 @@ partition [-T/2, T/2] evenly, and the export grid is equally spaced, so each
 node is a block center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.
 The inverse transform therefore takes exponentials per center and per offset
 instead of per node, and samples a whole grid with one matrix product.
+
+The closed forms are shared, not re-derived: the frequency panels come from
+``fractional.gauss_interval`` broadcast over the panel ends, ``time_gram`` is
+``control._time_factor`` shifted to [-T/2, T/2], ``horizon_threshold`` lives
+in ``moving`` (re-exported here), and the lower summation runs the same
+``moving.weighted_inequality`` audit as the observability certificate.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import gauss_legendre, write_csv
-from .moving import BRANCHES, j_conj
+from .control import _time_factor
+from .fractional import gauss_interval, gauss_legendre, write_csv, write_json
+from .moving import BRANCHES, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
 __all__ = [
@@ -43,20 +49,6 @@ __all__ = [
     "verify_lower_summation",
     "time_gram",
 ]
-
-def horizon_threshold(c: float, gamma: float) -> float:
-    """2 pi (1/|c| + 1/|c+gamma| + 1/|c-gamma|), the working horizon floor."""
-    return 2.0 * math.pi * (1.0 / abs(c) + 1.0 / abs(c + gamma) + 1.0 / abs(c - gamma))
-
-
-def _gauss_panels(breaks: np.ndarray, per_panel: int):
-    x0, w0 = gauss_legendre(per_panel)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    weights = (half[:, None] * w0[None, :]).ravel()
-    return nodes, weights
-
 
 def _time_quadrature(T: float, x_window: float, per_panel: int = 12, density: float = 1.0):
     """Gauss panels on a uniform partition of [-T/2, T/2].
@@ -161,8 +153,7 @@ class BiorthogonalFamily:
             "window_attempts": self.window_attempts,
             "polished": True,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, payload)
 
 
 def build_biorthogonal(
@@ -209,7 +200,7 @@ def build_biorthogonal(
             [-xr[::-1], [0.0], xr, comp.t[comp.t <= X], -comp.t[comp.t <= X], [-X, X]]
         ))
         breaks = breaks[(breaks >= -X) & (breaks <= X)]
-        x_nodes, x_weights = _gauss_panels(breaks, per_panel)
+        x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], per_panel))
 
         logP = pf.log_eval(x_nodes.astype(complex)) + comp.log_eval(x_nodes.astype(complex))
         Pvals = np.exp(logP)
@@ -277,12 +268,11 @@ def build_biorthogonal(
 
 
 def time_gram(lam: np.ndarray, T: float) -> np.ndarray:
-    """Closed-form Gram of the exponentials e^{-lam t} on [-T/2, T/2]."""
+    """Closed-form Gram of the exponentials e^{-lam t} on [-T/2, T/2]:
+    with w = lam_r + conj(lam_c), the integral of e^{-w t} over [-T/2, T/2]
+    is e^{w T/2} times the control's integral over [0, T]."""
     w = lam[:, None] + np.conj(lam)[None, :]
-    small = np.abs(w) < 1e-12
-    w_safe = np.where(small, 1.0, w)
-    G = 2.0 * np.sinh(w_safe * T / 2.0) / w_safe
-    return np.where(small, T + 0j, G)
+    return np.exp(w * T / 2.0) * _time_factor(w, T, np.exp(-w * T))
 
 
 @dataclass
@@ -316,32 +306,19 @@ def verify_lower_summation(bf: BiorthogonalFamily, trials: int = 200, seed: int 
         num = float(np.sum(np.abs(comb) ** 2) * dt)
         c46 = max(c46, num / float(np.sum(rho**2 * np.abs(beta) ** 2)))
 
-    G = time_gram(lam, bf.T)
-    failures, min_margin = 0, np.inf
-    for _ in range(trials):
-        a = np.zeros(m, dtype=complex)
+    vectors = np.zeros((trials, m), dtype=complex)
+    for a in vectors:
         support = rng.choice(m, size=min(50, m), replace=False)
         a[support] = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
-        lhs = float(np.sum(np.abs(a) ** 2 / rho**2))
-        rhs = float(np.real(np.conj(a) @ G @ a))
-        margin = c46 * rhs - lhs
-        min_margin = min(min_margin, margin / max(lhs, 1e-300))
-        if margin < -1e-9 * lhs:
-            failures += 1
-
-    # adversarial: the closest pair in the spectrum, phased to minimize the norm
-    D = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
-    i, j = np.unravel_index(np.argmin(D), D.shape)
-    G2 = G[np.ix_([i, j], [i, j])]
-    wvec = np.linalg.eigh(G2)[1][:, 0]
-    a = np.zeros(m, dtype=complex)
-    a[[i, j]] = wvec
-    lhs = float(np.sum(np.abs(a) ** 2 / rho**2))
-    rhs = float(np.real(np.conj(a) @ G @ a))
-    adv_margin = (c46 * rhs - lhs) / max(lhs, 1e-300)
+    # random trials, then the closest pair in the spectrum phased to minimize the norm
+    lhs, rhs, (i, j) = weighted_inequality(time_gram(lam, bf.T), rho, lam, vectors)
+    margin = c46 * rhs - lhs
+    failures = int(np.count_nonzero(margin[:-1] < -1e-9 * lhs[:-1]))
+    relative = margin / np.maximum(lhs, 1e-300)
+    min_margin, adv_margin = float(np.min(relative[:-1], initial=np.inf)), float(relative[-1])
     passed = failures == 0 and adv_margin >= -1e-9
     return LowerSummationReport(
         c46_hat=c46, trials=trials, failures=failures,
-        min_margin=float(min_margin), adversarial_margin=float(adv_margin),
+        min_margin=min_margin, adversarial_margin=adv_margin,
         adversarial_pair=(bf.modes[i], bf.modes[j]), passed=bool(passed),
     )

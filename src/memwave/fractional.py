@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +54,7 @@ __all__ = [
     "gauss_legendre",
     "gauss_interval",
     "write_csv",
+    "write_json",
 ]
 
 # Root-gap floor pi/2, checked with a desk-scale slack.
@@ -72,8 +74,12 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_interval(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on (a, b)."""
+def gauss_interval(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on (a, b).
+
+    The ends broadcast: for arrays a and b of shape (k, 1) the result is one
+    row of n nodes and weights per interval (a[i], b[i]).
+    """
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
@@ -87,6 +93,23 @@ def write_csv(path, header: str, row_format: str, rows) -> None:
     body = ((row_format + "\r\n") * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\r\n" + body)
+
+
+def _json_default(obj):
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys; complex numbers become
+    {"re", "im"} objects and numpy scalars and arrays plain numbers and lists."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
 
 
 def _check_order(s: float) -> float:

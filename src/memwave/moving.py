@@ -6,7 +6,11 @@ the index set S = {(n, j) : n nonzero integer, j in 1..3}, with
 ``kappa_n = rho_n^(1/(2s))``.  This module builds the truncated spectrum,
 locates the critical velocities at which two branches collide, runs the
 pairwise gap diagnostics the moment method rests on, and estimates the frame
-bounds of the weighted eigenvector family through the per-mode 3x3 matrices.
+bounds of the weighted eigenvector family through the per-mode 3x3 matrices,
+stacked into one (modes, 3, 3) array.  It also holds the horizon threshold
+and ``weighted_inequality``, the one audit of sum |a|^2/rho^2 <= C a^H G a
+on random and closest-pair vectors behind both ``control``'s observability
+certificate and ``biorthogonal``'s lower summation.
 
 Desk-scale caveat baked into the diagnostics: for 1/2 < s < 1 the transport
 rate ``c*kappa_n ~ n`` outruns the dispersive rate ``sqrt(rho_n) ~ n^s``, so
@@ -19,14 +23,13 @@ constants quoted alongside each clause are recorded for comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .cubic import check_memory_coefficient, solve_cubic
-from .fractional import EigenvalueTable, write_csv
+from .fractional import EigenvalueTable, write_csv, write_json
 
 __all__ = [
     "VELOCITY_TOL",
@@ -34,11 +37,13 @@ __all__ = [
     "MovingSpectrum",
     "build_moving_spectrum",
     "critical_velocities",
+    "horizon_threshold",
     "ClauseCheck",
     "GapReport",
     "gap_diagnostics",
     "FrameReport",
     "frame_bounds",
+    "weighted_inequality",
     "lambda_table_to_csv",
 ]
 
@@ -89,8 +94,9 @@ class MovingSpectrum:
         self.beta = self.mu[2].imag.copy()           # sqrt(3 (mu1/2)^2 + rho)
 
         self.critical: CriticalMode | None = None
-        vels = critical_velocities(table, M, range(1, N + 1))
-        hits = [(n, v) for n, v in vels if abs(abs(self.c) - v) < VELOCITY_TOL]
+        # v_n = beta_n / kappa_n, as ``critical_velocities`` computes them
+        hits = [(n, float(v)) for n, v in enumerate(self.beta / self.kappa_pos, 1)
+                if abs(abs(self.c) - v) < VELOCITY_TOL]
         if hits:
             if len(hits) > 1:
                 raise RuntimeError(f"velocity {c} matches several critical values: {hits}")
@@ -153,13 +159,13 @@ def build_moving_spectrum(table: EigenvalueTable, M: float, c: float, N: int) ->
 
 def critical_velocities(table: EigenvalueTable, M: float, n_range) -> list[tuple[int, float]]:
     """Velocities v_n = beta_n / kappa_n at which lam(-n, 2) collides with lam(n, 3)."""
-    out = []
-    for n in n_range:
-        rho = table.rho_of(n)
-        t = solve_cubic(rho, M, n=n)
-        kappa = rho ** (1.0 / (2.0 * table.s))
-        out.append((n, float(t.mu2.imag / kappa)))
-    return out
+    kappa = table.rho_root
+    return [(n, float(solve_cubic(table.rho_of(n), M, n=n).mu2.imag / kappa[n - 1])) for n in n_range]
+
+
+def horizon_threshold(c: float, gamma: float) -> float:
+    """2 pi (1/|c| + 1/|c+gamma| + 1/|c-gamma|), the working horizon floor."""
+    return 2.0 * math.pi * (1.0 / abs(c) + 1.0 / abs(c + gamma) + 1.0 / abs(c - gamma))
 
 
 # --------------------------------------------------------------------------
@@ -196,19 +202,7 @@ class GapReport:
         raise KeyError(name)
 
     def to_json(self, path) -> None:
-        payload = asdict(self)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+        write_json(path, asdict(self))
 
 
 def default_epsilon(c: float, gamma: float) -> float:
@@ -535,7 +529,7 @@ def b_tilde_reference(M: float, c: float) -> np.ndarray:
     ], dtype=complex)
 
 
-def frame_bounds(ms: MovingSpectrum, sigma: float = 0.0, trials: int = 200, seed: int = 0) -> FrameReport:
+def frame_bounds(ms: MovingSpectrum, trials: int = 200, seed: int = 0) -> FrameReport:
     """Frame constants of the weighted eigenvector family.
 
     The weighted norm is realized on coefficients: for each mode block,
@@ -543,44 +537,55 @@ def frame_bounds(ms: MovingSpectrum, sigma: float = 0.0, trials: int = 200, seed
     factor contributing the 2; sigma cancels between the weight and the dual
     norm, so the sandwich constants do not depend on it.  Randomized
     coefficient trials verify the two-sided bound realized by the extreme
-    eigenvalues of B_n^* B_n.
+    eigenvalues of B_n^* B_n.  The blocks are stacked (modes, 3, 3), so the
+    eigenvalues, the determinants and every trial's norm are one array
+    operation each.
     """
     if trials < 100:
         raise ValueError("need at least 100 randomized trials")
     rng = np.random.default_rng(seed)
-    ns = ms.mode_indices()
-    eig_lo, eig_hi, dets = [], [], []
-    mats = {}
-    for n in ns:
-        B = frame_matrix(ms, n)
-        mats[n] = B
-        H = B.conj().T @ B
-        w = np.linalg.eigvalsh(H)
-        eig_lo.append(w[0])
-        eig_hi.append(w[-1])
-        dets.append(abs(np.linalg.det(B)))
-    a1, a2 = float(min(eig_lo)), float(max(eig_hi))
+    B = np.stack([frame_matrix(ms, n) for n in ms.mode_indices()])
+    H = B.conj().transpose(0, 2, 1) @ B
+    w = np.linalg.eigvalsh(H)
+    a1, a2 = float(w[:, 0].min()), float(w[:, -1].max())
+    det_min = float(np.abs(np.linalg.det(B)).min())
 
-    failures = 0
-    for _ in range(trials):
-        a = rng.standard_normal((len(ns), 3)) + 1j * rng.standard_normal((len(ns), 3))
-        norm2 = 2.0 * sum(np.linalg.norm(mats[n] @ a[i]) ** 2 for i, n in enumerate(ns))
-        total = 2.0 * np.sum(np.abs(a) ** 2)
-        if not (a1 * total - 1e-9 <= norm2 <= a2 * total + 1e-9):
-            failures += 1
+    # trial t draws its real then its imaginary parts, as one draw per trial would
+    x = rng.standard_normal((trials, 2) + B.shape[:2])
+    a = x[:, 0] + 1j * x[:, 1]
+    norm2 = 2.0 * np.sum(np.abs(np.einsum("nij,tnj->tni", B, a)) ** 2, axis=(1, 2))
+    total = 2.0 * np.sum(np.abs(a) ** 2, axis=(1, 2))
+    failures = int(np.count_nonzero(~((a1 * total - 1e-9 <= norm2) & (norm2 <= a2 * total + 1e-9))))
 
-    B_last = mats[ns[-1]]
-    H_last = B_last.conj().T @ B_last
-    dist_paper = float(np.linalg.norm(H_last - b_tilde_reference(ms.M, ms.c)))
-    B_prev = mats[ns[-2]] if len(ns) > 1 else B_last
-    dist_emp = float(np.linalg.norm(H_last - B_prev.conj().T @ B_prev))
+    dist_paper = float(np.linalg.norm(H[-1] - b_tilde_reference(ms.M, ms.c)))
+    dist_emp = float(np.linalg.norm(H[-1] - H[-2 if len(H) > 1 else -1]))
     degenerate = a1 < 1e-8
     return FrameReport(
-        a1_hat=a1, a2_hat=a2, det_min=float(min(dets)), trials=trials,
+        a1_hat=a1, a2_hat=a2, det_min=det_min, trials=trials,
         sandwich_failures=failures, b_tilde_distance=dist_paper,
         b_limit_distance=dist_emp, degenerate=degenerate,
-        passed=bool(failures == 0 and min(dets) > 0 and not degenerate),
+        passed=bool(failures == 0 and det_min > 0 and not degenerate),
     )
+
+
+def weighted_inequality(G: np.ndarray, rho: np.ndarray, lam: np.ndarray, vectors: np.ndarray):
+    """Both sides of sum |a|^2 / rho^2 <= C Re(a^H G a) on a stack of vectors.
+
+    Returns (lhs, rhs, pair): lhs and rhs hold one entry per row of
+    ``vectors`` and a last one for the closest-pair vector, which sits on
+    the modes pair = (i, j) minimizing |lam_i - lam_j| and is phased by the
+    lowest eigenvector of the 2x2 sub-Gram, the two-mode combination of least
+    energy.  The constant C and the comparison are the caller's.
+    """
+    m = len(lam)
+    D = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
+    i, j = np.unravel_index(np.argmin(D), D.shape)
+    closest = np.zeros((1, m), dtype=complex)
+    closest[0, [i, j]] = np.linalg.eigh(G[np.ix_([i, j], [i, j])])[1][:, 0]
+    a = np.concatenate([np.asarray(vectors, dtype=complex).reshape(-1, m), closest])
+    lhs = np.sum(np.abs(a) ** 2 / rho**2, axis=1)
+    rhs = np.real(np.sum(np.conj(a) * (a @ G.T), axis=1))
+    return lhs, rhs, (int(i), int(j))
 
 
 def lambda_table_to_csv(ms: MovingSpectrum, path) -> None:

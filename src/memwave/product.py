@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from .cubic import complex_root, real_root
-from .fractional import asymptotic_kappa, asymptotic_level, gauss_legendre
-from .moving import MovingSpectrum, BRANCHES
+from .fractional import asymptotic_kappa, asymptotic_level, gauss_interval
+from .moving import MovingSpectrum, BRANCHES, horizon_threshold
 
 __all__ = [
     "ProductFunction",
@@ -232,13 +232,7 @@ class ProductFunction:
         tail, w_tail = self._remainder_zeros(k_cut)
         return np.concatenate([exact, levels, tail]), np.concatenate([np.ones(len(exact) + len(levels)), w_tail])
 
-    # nodes/weights for the compactified tail integral
-    _GAUSS_N = 48
-
-    @classmethod
-    def _gauss(cls):
-        x, w = gauss_legendre(cls._GAUSS_N)
-        return 0.5 * (x + 1.0), 0.5 * w  # on (0,1)
+    _GAUSS_N = 48  # Gauss nodes on (0, 1) of the compactified remainder integral
 
     def _remainder_levels(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
         """Levels and weights whose weighted level log sums are the
@@ -252,7 +246,7 @@ class ProductFunction:
         level times a weight, and f is a sum over the level's six zeros.
         """
         K1 = float(k_cut + 1)
-        t, w = self._gauss()
+        t, w = gauss_interval(0.0, 1.0, self._GAUSS_N)
         h = 1e-3 * K1
         levels = np.concatenate([K1 / t, [K1, K1 + h, K1 - h]])
         weights = np.concatenate([K1 * w / t**2, [0.5, -1.0 / (24.0 * h), 1.0 / (24.0 * h)]])
@@ -433,7 +427,7 @@ def verify_product_properties(
     """Numerical audit of type, growth/boundedness, and zero derivatives."""
     ms = pf.ms
     c, gamma = abs(ms.c), ms.gamma
-    tau = math.pi * (1.0 / c + 1.0 / abs(c + gamma) + 1.0 / abs(c - gamma))
+    tau = horizon_threshold(c, gamma) / 2.0
     N_fam = family_N if family_N is not None else max(1, ms.N // 4)
     x_hi = scan_radius if scan_radius is not None else 2.0 * c * float(ms.kappa_pos[-1])
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import pathlib
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ import numpy as np
 from . import __version__
 from . import biorthogonal as bio
 from . import control as ctl
-from . import cubic
 from . import fractional as fr
 from . import moving
 from . import product as pr
@@ -177,7 +175,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def _resolve_horizon(config: RunConfig, gamma: float) -> tuple[float, bool]:
-    threshold = bio.horizon_threshold(config.c, gamma)
+    threshold = moving.horizon_threshold(config.c, gamma)
     T = config.values["T"] if config.values["T"] is not None else config.T_factor * threshold
     below = T <= threshold
     if below and not config.allow_short_horizon:
@@ -366,17 +364,8 @@ def run_pipeline(config: RunConfig, pipeline: str, outdir=None):
         "failures": failures,
         "passed": not failures,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_json_default)
+    fr.write_json(out / "manifest.json", manifest)
     return manifest, not failures
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 SWEEPABLE = ("c", "T", "N", "M", "s", "T_factor")
@@ -386,6 +375,8 @@ def sweep(config: RunConfig, parameter: str, values, pipeline: str = "simulate",
     """Run the pipeline per parameter value and aggregate key scalars."""
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}")
+    if pipeline not in PIPELINES:
+        raise ConfigError(f"unknown pipeline {pipeline!r}; choose from {PIPELINES}")
     out = pathlib.Path(outdir if outdir is not None else config.outdir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

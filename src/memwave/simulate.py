@@ -18,12 +18,13 @@ convention, which is exactly the pairing under which the moment right-hand
 sides -2(conj(mu) y0 + y1) null the state.  The exact non-orthogonal Gram of
 the plane waves on the length-2 interval is computed and reported only: its
 off-diagonal mass quantifies the convention's deviation from the exact
-L2-projection.
+L2-projection.  Every closed-form integral here is the control's: the Duhamel
+terms use ``control._time_factor`` and the plane-wave Gram
+``control._space_factor``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ from . import dd
 from .control import (
     ControlField, InitialData, _exp, _field, _space_factor, _time_factor, _time_nodes,
 )
-from .fractional import gauss_interval, write_csv
+from .fractional import gauss_interval, write_csv, write_json
 from .hp import MpSpectrum, mode_arrays
 from .moving import BRANCHES, MovingSpectrum
 
@@ -182,9 +183,10 @@ class _ModalSetup:
 class PlaneWaveGram:
     """Exact Gram of {e^{i kappa_n x}} on the unit-length-2 interval.
 
-    Off-diagonal entries 2 sin(kappa_m - kappa_n)/(kappa_m - kappa_n) do not
-    vanish, so the family is only asymptotically orthogonal; the deviation
-    report carries the measured off-diagonal mass.
+    Off-diagonal entries int_{-1}^{1} e^{i (kappa_m - kappa_n) x} dx (the
+    control's ``_space_factor``, real here) do not vanish, so the family is
+    only asymptotically orthogonal; the deviation report carries the
+    measured off-diagonal mass.
     """
 
     ns: np.ndarray
@@ -195,8 +197,8 @@ class PlaneWaveGram:
     @classmethod
     def build(cls, ns, kappa) -> "PlaneWaveGram":
         d = kappa[None, :] - kappa[:, None]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            core = np.where(np.abs(d) < 1e-14, 2.0, 2.0 * np.sin(d) / np.where(np.abs(d) < 1e-14, 1.0, d))
+        e = np.exp(1j * d)
+        core = _space_factor(d, -1.0, 1.0, np.conj(e), e).real
         off = core - np.diag(np.diag(core))
         return cls(ns=np.asarray(ns), kappa=kappa, entries=core, deviation=float(np.max(np.abs(off))))
 
@@ -340,9 +342,7 @@ class TerminalReport:
     trajectory: list = field(default_factory=list)
 
     def to_json(self, path) -> None:
-        payload = {k: v for k, v in self.__dict__.items() if k != "trajectory"}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        write_json(path, {k: v for k, v in self.__dict__.items() if k != "trajectory"})
 
     def trajectory_csv(self, path) -> None:
         write_csv(path, "t,norm_xi,norm_xi_dot,norm_zeta", "%r,%r,%r,%r",

@@ -1,5 +1,7 @@
 """Biorthogonal family construction and the lower summation inequality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,13 @@ def test_lower_summation(family):
     lhs = 1.0 / rho**2
     rhs = float(G[0, 0].real)
     assert lhs <= rep.c46_hat * rhs
+
+
+def test_lower_summation_can_fail(family):
+    # a family scaled down fits a constant too small for the exponential sums
+    shrunk = dataclasses.replace(family, theta=1e-6 * family.theta, norms=1e-6 * family.norms)
+    rep = bio.verify_lower_summation(shrunk, trials=120, seed=7)
+    assert not rep.passed and rep.failures > 0
 
 
 def test_time_gram_closed_form(family):

@@ -380,3 +380,15 @@ def test_mp_table_is_the_moving_spectrum(M, negative, c, N):
         G_mp = ctl._assemble_gram_mp(spec, gram.modes, OMEGA0, T)
         G = np.array(G_mp.tolist(), dtype=complex)
     assert np.max(np.abs(G - gram.G)) <= 1e-12 * np.max(np.abs(gram.G))
+
+
+def test_observability_certificate_can_fail(setup, monkeypatch):
+    # below the exact constant the inequality must break on the trial vectors
+    import scipy.linalg
+
+    ms, T, gram = setup
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: 1e-6 * eigh(*a, **k))
+    rep = ctl.certify_observability(ms, OMEGA0, T, trials=150, seed=4, gram=gram)
+    assert rep.c_obs_hat > 0 and rep.min_rhs > 0
+    assert not rep.passed and rep.failures > 0

@@ -268,3 +268,27 @@ def test_gauss_legendre_nodes_are_cached_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    breaks=st.lists(st.integers(-400, 400), min_size=2, max_size=8, unique=True),
+    n=st.integers(1, 8),
+    data=st.data(),
+)
+def test_gauss_interval_broadcasts_over_panels(breaks, n, data):
+    # one call over a column of panel ends integrates every polynomial of
+    # degree <= 2n - 1 exactly on every panel
+    b = np.sort(np.array(breaks)) / 100.0  # panels at least 0.01 wide in [-4, 4]
+    coef = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+    x, w = fr.gauss_interval(b[:-1, None], b[1:, None], n)
+    assert x.shape == w.shape == (len(b) - 1, n)
+    quad = np.sum(w * np.polynomial.polynomial.polyval(x, coef), axis=1)
+    anti = np.polynomial.polynomial.polyint(coef)
+    exact = np.polynomial.polynomial.polyval(b[1:], anti) - np.polynomial.polynomial.polyval(b[:-1], anti)
+    scale = np.sum(np.abs(coef) * 4.0 ** np.arange(1, 2 * n + 1))
+    assert np.all(np.abs(quad - exact) <= 1e-13 * scale)
+    # each row is the scalar call on its own panel
+    for i in range(len(b) - 1):
+        xi, wi = fr.gauss_interval(b[i], b[i + 1], n)
+        assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)

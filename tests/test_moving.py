@@ -140,7 +140,7 @@ def test_gap_report_json(tmp_path, table):
 
 def test_frame_bounds_sandwich(table):
     ms = moving.build_moving_spectrum(table, 1.0, 1.0, 8)
-    rep = moving.frame_bounds(ms, sigma=0.0, trials=150, seed=3)
+    rep = moving.frame_bounds(ms, trials=150, seed=3)
     assert rep.passed
     assert rep.sandwich_failures == 0
     assert rep.det_min > 0
@@ -148,6 +148,50 @@ def test_frame_bounds_sandwich(table):
     assert not rep.degenerate
     # the reference limit matrix is reported, not asserted
     assert rep.b_tilde_distance >= 0 and np.isfinite(rep.b_tilde_distance)
+
+
+@pytest.mark.parametrize("M, N", [(0.5, 8), (0.5, 16), (2.0, 8)])
+def test_frame_bounds_match_the_per_mode_loop(table, M, N):
+    # the stacked blocks give the per-mode loop's constants bit for bit
+    ms = moving.build_moving_spectrum(table, M, 1.0, N)
+    mats = [moving.frame_matrix(ms, n) for n in ms.mode_indices()]
+    eig = [np.linalg.eigvalsh(B.conj().T @ B) for B in mats]
+    rep = moving.frame_bounds(ms, trials=120, seed=5)
+    assert rep.a1_hat == min(w[0] for w in eig) and rep.a2_hat == max(w[-1] for w in eig)
+    assert rep.det_min == min(abs(np.linalg.det(B)) for B in mats)
+    H_last, H_prev = (B.conj().T @ B for B in mats[:-3:-1])
+    assert rep.b_limit_distance == np.linalg.norm(H_last - H_prev)
+    assert rep.sandwich_failures == 0
+
+
+def test_weighted_inequality_matches_per_vector_forms():
+    rng = np.random.default_rng(2)
+    m = 7
+    X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    G = X.conj().T @ X + np.eye(m)
+    rho = rng.uniform(1.0, 5.0, m)
+    lam = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    vectors = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    lhs, rhs, (i, j) = moving.weighted_inequality(G, rho, lam, vectors)
+    assert lhs.shape == rhs.shape == (6,)
+    for k, a in enumerate(vectors):
+        assert lhs[k] == pytest.approx(np.sum(np.abs(a) ** 2 / rho**2), rel=1e-14)
+        assert rhs[k] == pytest.approx(np.real(np.conj(a) @ G @ a), rel=1e-12)
+    # the last entry is the closest pair's least-energy unit vector
+    dist = {(p, q): abs(lam[p] - lam[q]) for p in range(m) for q in range(m) if p < q}
+    assert (i, j) == min(dist, key=dist.get)
+    sub = G[np.ix_([i, j], [i, j])]
+    assert rhs[-1] == pytest.approx(np.linalg.eigvalsh(sub)[0], rel=1e-12)
+
+
+def test_frame_bounds_can_fail(table, monkeypatch):
+    # with both frame constants shrunk tenfold the random trials leave the sandwich
+    ms = moving.build_moving_spectrum(table, 1.0, 1.0, 8)
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: 0.1 * eigvalsh(H))
+    rep = moving.frame_bounds(ms, trials=150, seed=3)
+    assert rep.det_min > 0 and not rep.degenerate
+    assert not rep.passed and rep.sandwich_failures > 0
 
 
 def test_frame_bounds_requires_trials(table):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from memwave import product as pr
 from memwave.cubic import complex_root, real_root
-from memwave.fractional import asymptotic_kappa, build_eigenvalue_table
+from memwave.fractional import asymptotic_kappa, build_eigenvalue_table, gauss_interval
 from memwave.moving import build_moving_spectrum
 
 
@@ -123,7 +123,7 @@ def _per_level_euler_maclaurin(pf, z, k_cut):
                               for i in range(a.shape[1])] for x in z])
 
     K1 = float(k_cut + 1)
-    t, w = pf._gauss()
+    t, w = gauss_interval(0.0, 1.0, pf._GAUSS_N)
     integral = K1 * f(K1 / t) @ (w / t**2)
     h = 1e-3 * K1
     f0, f_up, f_down = f([K1, K1 + h, K1 - h]).T

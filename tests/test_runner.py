@@ -266,3 +266,11 @@ def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
 def test_cli_boolean_override_still_parses():
     cfg = load_config(overrides={"allow_short_horizon": True, "N": "8", "c": 2})
     assert cfg.allow_short_horizon is True and cfg.N == 8 and cfg.c == 2.0
+
+
+def test_cli_sweep_rejects_an_unknown_pipeline(tmp_path):
+    # a bad pipeline is bad input (exit 2, one line), not a failed sweep value
+    rc, err = _cli_exit(["sweep", "--param", "c", "--values", "1.0", "--pipeline", "bogus",
+                         "--out", str(tmp_path / "sw")])
+    assert rc == 2 and len(err.splitlines()) == 1 and "bogus" in err
+    assert not (tmp_path / "sw").exists()
