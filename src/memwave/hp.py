@@ -150,8 +150,8 @@ def matvec(A, x):
 def hermitian_solve(A, b) -> LadderSolve:
     """Solve A x = b at the values' precision by a two-rung precision ladder.
 
-    A and b are ``dd.DD`` arrays, or mpmath values as object arrays (an
-    ``mp.matrix`` is taken too); x comes back in the same arithmetic.
+    A and b are ``dd.DD`` arrays, or mpmath values as object arrays; x comes
+    back in the same arithmetic.
 
     Rung "float64": A is rounded to complex128 and LU-factored once; each
     correction is solved with that factor, added to x in the values'
@@ -169,8 +169,6 @@ def hermitian_solve(A, b) -> LadderSolve:
     the floor: one mpmath LU factorization at 10 extra bits, as
     ``mp.lu_solve`` uses, serves the solve and three refinement steps.
     """
-    if isinstance(A, mp.matrix):
-        A, b = np.array(A.tolist(), dtype=object), np.array(b.tolist(), dtype=object).reshape(-1)
     history = {}
     A64 = dd.leading(A)
     if np.all(np.isfinite(A64)):

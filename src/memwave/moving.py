@@ -12,6 +12,11 @@ and ``weighted_inequality``, the one audit of sum |a|^2/rho^2 <= C a^H G a
 on random and closest-pair vectors behind both ``control``'s observability
 certificate and ``biorthogonal``'s lower summation.
 
+Every distance between two modes is an entry of one matrix,
+``pair_distances``: each pairwise gap clause is a masked reduction of it,
+and the lambda table's nearest distances, the closest pair of
+``weighted_inequality`` and the product's simple-zero check read it too.
+
 Desk-scale caveat baked into the diagnostics: for 1/2 < s < 1 the transport
 rate ``c*kappa_n ~ n`` outruns the dispersive rate ``sqrt(rho_n) ~ n^s``, so
 the two branch-2/3 sequences whose imaginary parts combine both rates are
@@ -44,6 +49,7 @@ __all__ = [
     "FrameReport",
     "frame_bounds",
     "weighted_inequality",
+    "pair_distances",
     "lambda_table_to_csv",
 ]
 
@@ -205,6 +211,19 @@ class GapReport:
         write_json(path, asdict(self))
 
 
+def pair_distances(lam) -> np.ndarray:
+    """|lam_a - lam_b| for every pair of modes, +inf on the diagonal.
+
+    Taken as hypot(Re, Im) of the differences, bit for bit what scalar
+    ``abs()`` of a complex returns; numpy's vectorised complex ``abs`` can
+    differ from it in the last bit.
+    """
+    d = np.subtract.outer(lam, lam)
+    D = np.hypot(d.real, d.imag)
+    np.fill_diagonal(D, np.inf)
+    return D
+
+
 def default_epsilon(c: float, gamma: float) -> float:
     """Keeps every clause's lower bound strictly positive at desk scale."""
     return min(abs(c) * gamma, abs(1.0 - abs(c) / gamma) * gamma) / 10.0
@@ -216,27 +235,34 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     Asserted clauses are the ones provable for 1/2 < s < 1 at finite
     truncation; constants stated for the dispersion-dominated case are
     recorded next to their measured counterparts without being asserted.
+    Every pairwise clause is a masked reduction of one distance matrix.
     """
     c = abs(ms.c)  # the spectrum for -c is the mirror image
     gamma = ms.gamma
     eps = default_epsilon(c, gamma) if epsilon is None else float(epsilon)
     N = ms.N
-    ns = ms.mode_indices()
     clauses: list[ClauseCheck] = []
 
     # a sign flip of c conjugates the spectrum branch-wise
-    # (eigenvalue_{-c}(n, j) = conj(eigenvalue_c(n, j_conj))), so the
-    # diagnostics work with the |c| spectrum throughout
-    lam = {(n, j): ms.eigenvalue(n, j) if ms.c >= 0 else np.conj(ms.eigenvalue(n, j_conj(j)))
-           for n in ns for j in BRANCHES}
-    kappa = {n: abs(ms.kappa(n)) * math.copysign(1.0, n) for n in ns}
-    mu1_abs = np.abs(ms.mu[1].real)
+    # (eigenvalue_{-c}(n, j) = conj(eigenvalue_c(n, j_conj(j)))), so the
+    # diagnostics work with the |c| spectrum throughout, in ``ms.modes()`` order
+    modes = list(ms.modes())
+    lam = np.array([ms.eigenvalue(n, j) if ms.c >= 0 else np.conj(ms.eigenvalue(n, j_conj(j)))
+                    for n, j in modes])
+    kappa = np.array([ms.kappa(n) for n, _ in modes])
+    one = np.array([j == 1 for _, j in modes])
+    D = pair_distances(lam)
+    margin11 = D - c * np.abs(kappa[:, None] - kappa[None, :])
+    upper = np.triu(np.ones(D.shape, dtype=bool), 1)
+    both1, mixed = one[:, None] & one[None, :], one[:, None] ^ one[None, :]
+    pairs11, pairs23 = upper & both1, upper & ~(both1 | mixed)
+    crit = np.zeros(D.shape, dtype=bool)
+    if ms.critical is not None:
+        crit[modes.index((-ms.critical.n_c, 2)), modes.index((ms.critical.n_c, 3))] = True
 
     # ---- branch 1 against branches 2, 3 ----------------------------------
-    d_min = min(
-        abs(lam[(n, 1)] - lam[(m, k)]) for n in ns for m in ns for k in (2, 3)
-    )
-    bound_1 = 3.0 * abs(ms.M) / (2.0 * ms.M**2 / mu1_abs[0] + 2.0)
+    d_min = float(D[np.ix_(one, ~one)].min())
+    bound_1 = 3.0 * abs(ms.M) / (2.0 * ms.M**2 / abs(ms.mu[1][0].real) + 2.0)
     clauses.append(ClauseCheck(
         name="branch1_separation", passed=bool(d_min >= bound_1 - 1e-9),
         measured={"min_distance": d_min}, bound=bound_1,
@@ -244,39 +270,22 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     ))
 
     # ---- branch 1 internal ------------------------------------------------
-    worst_margin = np.inf
-    min_d11 = np.inf
-    for i, n in enumerate(ns):
-        for m in ns[i + 1 :]:
-            d = abs(lam[(n, 1)] - lam[(m, 1)])
-            b = c * abs(kappa[n] - kappa[m])
-            worst_margin = min(worst_margin, d - b)
-            min_d11 = min(min_d11, d)
+    worst_margin = float(margin11[pairs11].min())
     clauses.append(ClauseCheck(
         name="branch1_internal_gap", passed=bool(worst_margin >= -1e-12),
-        measured={"min_distance": float(min_d11), "worst_margin": float(worst_margin)},
+        measured={"min_distance": float(D[pairs11].min()), "worst_margin": worst_margin},
         bound=0.0, note="distance dominated by c*|kappa_n - kappa_m|",
     ))
 
     # ---- branches 2,3: finite-truncation minimum --------------------------
-    modes23 = [(n, j) for n in ns for j in (2, 3)]
-    upsilon = np.inf
-    upsilon_pair = None
-    crit_pair = None
-    if ms.critical is not None:
-        crit_pair = frozenset({(-ms.critical.n_c, 2), (ms.critical.n_c, 3)})
-    for i, a in enumerate(modes23):
-        for b in modes23[i + 1 :]:
-            if crit_pair is not None and frozenset({a, b}) == crit_pair:
-                continue
-            d = abs(lam[a] - lam[b])
-            if d < upsilon:
-                upsilon, upsilon_pair = d, (a, b)
+    # argmin takes the first minimum in row-major order, i.e. the first pair
+    # (a, b), a before b in mode order, at the smallest distance
+    a, b = np.unravel_index(np.argmin(np.where(pairs23 & ~crit, D, np.inf)), D.shape)
     clauses.append(ClauseCheck(
-        name="branch23_finite_minimum", passed=bool(upsilon > 0),
-        measured={"upsilon": float(upsilon), "pair": list(map(list, upsilon_pair))},
+        name="branch23_finite_minimum", passed=bool(D[a, b] > 0),
+        measured={"upsilon": float(D[a, b]), "pair": [list(modes[a]), list(modes[b])]},
         bound=0.0,
-        note="critical collision excluded" if crit_pair else "",
+        note="critical collision excluded" if crit.any() else "",
     ))
 
     # ---- critical velocity double eigenvalue ------------------------------
@@ -298,8 +307,9 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
         ))
 
     # ---- monotone branches with transport and dispersion aligned ----------
-    im_2_pos = np.array([lam[(n, 2)].imag for n in range(1, N + 1)])
-    im_3_neg = np.array([lam[(-n, 3)].imag for n in range(1, N + 1)])
+    rows = lam.reshape(-1, 3)
+    pos, neg = rows[N:], rows[N - 1 :: -1]   # n = 1..N and n = -1..-N
+    im_2_pos, im_3_neg = pos[:, 1].imag, neg[:, 2].imag
     lower = (1.0 + c) * math.sqrt(ms.rho_pos[0])
     clauses.append(ClauseCheck(
         name="aligned_branches_monotone",
@@ -316,28 +326,34 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     ))
 
     # ---- drifting branches: empirical monotonicity threshold --------------
-    im_2_neg = np.array([lam[(-n, 2)].imag for n in range(1, N + 1)])   # beta - c kappa
+    im_2_neg = neg[:, 1].imag   # beta - c kappa
     inc = np.diff(im_2_neg)
-    tail_dir = math.copysign(1.0, inc[-1])
-    wrong = np.nonzero(np.sign(inc) != tail_dir)[0]
-    n_star = int(wrong[-1]) + 2 if wrong.size else 1
-    tail_monotone = bool(n_star < N)
-    direction = "decreasing" if tail_dir < 0 else "increasing"
-    clauses.append(ClauseCheck(
-        name="drifting_branches_eventually_monotone",
-        passed=tail_monotone,
-        measured={
-            "direction": direction,
-            "threshold": n_star,
-            "expected_direction_fractional": "decreasing",
-            "sup": float(im_2_neg.max()),
-            "fixed_velocity_interval_bound": (1.0 - c / gamma) * math.sqrt(ms.rho_pos[0]),
-            "fixed_velocity_claim_matches": bool(
-                direction == ("increasing" if c < gamma else "decreasing")
-            ),
-        },
-        note="Im lam(-n,2) = beta_n - c kappa_n; Im lam(n,3) is its negative",
-    ))
+    n_star = 1
+    if inc.size:
+        tail_dir = math.copysign(1.0, inc[-1])
+        wrong = np.nonzero(np.sign(inc) != tail_dir)[0]
+        n_star = int(wrong[-1]) + 2 if wrong.size else 1
+        direction = "decreasing" if tail_dir < 0 else "increasing"
+        clauses.append(ClauseCheck(
+            name="drifting_branches_eventually_monotone",
+            passed=bool(n_star < N),
+            measured={
+                "direction": direction,
+                "threshold": n_star,
+                "expected_direction_fractional": "decreasing",
+                "sup": float(im_2_neg.max()),
+                "fixed_velocity_interval_bound": (1.0 - c / gamma) * math.sqrt(ms.rho_pos[0]),
+                "fixed_velocity_claim_matches": bool(
+                    direction == ("increasing" if c < gamma else "decreasing")
+                ),
+            },
+            note="Im lam(-n,2) = beta_n - c kappa_n; Im lam(n,3) is its negative",
+        ))
+    else:
+        clauses.append(ClauseCheck(
+            name="drifting_branches_eventually_monotone", passed=None, measured={},
+            note="a single level has no increments to inspect; enlarge N",
+        ))
 
     # ---- tail spacing -----------------------------------------------------
     slack = 0.75 * ms.mu[1].real**2 / (ms.beta + np.sqrt(ms.rho_pos))
@@ -374,50 +390,36 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     # lives several buckets higher; keep only the m whose imaginary-part
     # matching argmin over the branch-3 comb is interior to the truncation,
     # then fit over the top half of those.
-    pair_map = {}
-    kappa_arr = ms.kappa_pos
-    qualifying = []
-    for m in range((N_eps or 1), N + 1):
-        im_mismatch = np.abs(c * (kappa_arr - kappa_arr[m - 1]) - (ms.beta + ms.beta[m - 1]))
-        if int(np.argmin(im_mismatch)) + 1 <= N - 2:
-            qualifying.append(m)
+    kap, beta = ms.kappa_pos, ms.beta
+    cand = np.arange(N_eps or 1, N + 1)
+    im_mismatch = np.abs(c * (kap[None, :] - kap[cand - 1, None]) - (beta[None, :] + beta[cand - 1, None]))
+    qualifying = cand[np.argmin(im_mismatch, axis=1) + 1 <= N - 2]
     top = qualifying[len(qualifying) // 2 :]
-    prim_rows = []
-    for m in top:
-        target = lam[(m, 2)]
-        best, best_mode = np.inf, None
-        for cand in modes23:
-            if cand == (m, 2):
-                continue
-            d = abs(target - lam[cand])
-            if d < best:
-                best, best_mode = d, cand
+    pair_map = {}
+    if top.size:
+        targets = [modes.index((m, 2)) for m in top.tolist()]
+        near = np.where(~one, D[targets], np.inf)   # (m, 2) to every branch-2/3 mode but itself
+        at = np.arange(top.size)
+        partner = np.argmin(near, axis=1)
+        dist = near[at, partner]
+        near[at, partner] = np.inf
+        delta_hat = float(near.min())
         # the fixed-velocity matching objective, minimized directly
-        obj = np.abs(abs(1.0 - c / gamma) * np.sqrt(ms.rho_pos) - (1.0 + c) * math.sqrt(ms.rho_pos[m - 1]))
-        n_m_obj = int(np.argmin(obj)) + 1
-        pair_map[m] = {"partner": best_mode, "distance": best, "objective_partner": n_m_obj}
-        prim_rows.append((m, best_mode, best))
-    if prim_rows:
-        dist = np.array([r[2] for r in prim_rows])
-        rho_m = np.array([ms.rho_pos[r[0] - 1] for r in prim_rows])
+        obj = np.abs(abs(1.0 - c / gamma) * np.sqrt(ms.rho_pos)[None, :]
+                     - (1.0 + c) * np.sqrt(ms.rho_pos[top - 1])[:, None])
+        for m, k, d, n_m in zip(top.tolist(), partner.tolist(), dist.tolist(), np.argmin(obj, axis=1).tolist()):
+            pair_map[m] = {"partner": modes[k], "distance": d, "objective_partner": n_m + 1}
+        rho_m = ms.rho_pos[top - 1]
         delta_prime = float(np.min(rho_m * dist))
         # nearest-mode distance cannot exceed the largest hole of the merged
         # branch-2/3 imaginary comb around the targets, plus the real spread
-        im_all = np.sort([lam[mk].imag for mk in modes23])
-        targets = np.array([lam[(m, 2)].imag for m in top])
-        lo = np.searchsorted(im_all, targets.min() - 1e-9) - 2
-        hi = np.searchsorted(im_all, targets.max() + 1e-9) + 2
+        im_all = np.sort(lam[~one].imag)
+        im_targets = lam[targets].imag
+        lo = np.searchsorted(im_all, im_targets.min() - 1e-9) - 2
+        hi = np.searchsorted(im_all, im_targets.max() + 1e-9) + 2
         window = im_all[max(lo, 0) : min(hi, len(im_all))]
         upper_desk = float(np.diff(window).max()) + abs(ms.M)
         paper_const = (abs(1.0 - c) / 2.0 if c < gamma else (c - 1.0) / 2.0) + 3.0 * eps
-        second = []
-        for m, best_mode, best in prim_rows:
-            ds = sorted(
-                abs(lam[(m, 2)] - lam[cand])
-                for cand in modes23 if cand not in ((m, 2), best_mode)
-            )
-            second.append(ds[0])
-        delta_hat = float(min(second))
         paper_delta = min(2.0 - eps, abs(gamma - c) / 2.0 - 2.0 * eps)
         clauses.append(ClauseCheck(
             name="near_resonant_lower",
@@ -457,26 +459,12 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     # ---- coverage audit ----------------------------------------------------
     # every pair is counted only when its distance meets the bound of the
     # clause that claims it; the near-resonant pairs are branch-2/3 pairs
-    total_pairs = 0
-    covered = 0
-    all_modes = [(n, j) for n in ns for j in BRANCHES]
+    covered = np.select([both1, mixed, crit], [margin11 >= -1e-12, D >= bound_1 - 1e-9, D <= 1e-9], D > 0)
     paired = {frozenset({(m, 2), rec["partner"]}) for m, rec in pair_map.items()}
-    for i, a in enumerate(all_modes):
-        for b in all_modes[i + 1 :]:
-            total_pairs += 1
-            d = abs(lam[a] - lam[b])
-            if a[1] == 1 and b[1] == 1:
-                ok = d - c * abs(kappa[a[0]] - kappa[b[0]]) >= -1e-12
-            elif a[1] == 1 or b[1] == 1:
-                ok = d >= bound_1 - 1e-9
-            elif crit_pair is not None and frozenset({a, b}) == crit_pair:
-                ok = d <= 1e-9
-            else:
-                ok = d > 0
-            covered += bool(ok)
     clauses.append(ClauseCheck(
-        name="pair_coverage", passed=bool(covered == total_pairs),
-        measured={"total_pairs": total_pairs, "covered": covered, "near_resonant_pairs": len(paired)},
+        name="pair_coverage", passed=bool(np.all(covered[upper])),
+        measured={"total_pairs": int(upper.sum()), "covered": int(np.count_nonzero(covered[upper])),
+                  "near_resonant_pairs": len(paired)},
     ))
 
     asserted = [cl for cl in clauses if cl.passed is not None]
@@ -578,7 +566,7 @@ def weighted_inequality(G: np.ndarray, rho: np.ndarray, lam: np.ndarray, vectors
     energy.  The constant C and the comparison are the caller's.
     """
     m = len(lam)
-    D = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
+    D = pair_distances(lam)
     i, j = np.unravel_index(np.argmin(D), D.shape)
     closest = np.zeros((1, m), dtype=complex)
     closest[0, [i, j]] = np.linalg.eigh(G[np.ix_([i, j], [i, j])])[1][:, 0]
@@ -591,7 +579,7 @@ def weighted_inequality(G: np.ndarray, rho: np.ndarray, lam: np.ndarray, vectors
 def lambda_table_to_csv(ms: MovingSpectrum, path) -> None:
     """Columns n, j, Re, Im, and the distance to the nearest other mode."""
     modes = list(ms.modes())
-    vals = [ms.lam(*mk) for mk in modes]
-    nearest = [min(abs(v - w) for k, w in enumerate(vals) if k != i) for i, v in enumerate(vals)]
+    vals = np.array([ms.lam(*mk) for mk in modes])
+    nearest = pair_distances(vals).min(axis=1)
     write_csv(path, "n,j,re,im,nearest_distance", "%d,%d,%r,%r,%r",
-              ((n, j, v.real, v.imag, d) for (n, j), v, d in zip(modes, vals, nearest)))
+              ((n, j, v.real, v.imag, d) for (n, j), v, d in zip(modes, vals.tolist(), nearest.tolist())))

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from .cubic import complex_root, real_root
 from .fractional import asymptotic_kappa, asymptotic_level, gauss_interval
-from .moving import MovingSpectrum, BRANCHES, horizon_threshold
+from .moving import MovingSpectrum, BRANCHES, horizon_threshold, pair_distances
 
 __all__ = [
     "ProductFunction",
@@ -171,9 +171,7 @@ class ProductFunction:
         self.modes = list(ms.modes())
         self.zeta_factor = np.array([1j * np.conj(ms.lam(n, j)) for n, j in self.modes])
         self.zeros = -self.zeta_factor
-        dists = np.abs(self.zeros[:, None] - self.zeros[None, :])
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() <= 0.0:
+        if pair_distances(self.zeros).min() <= 0.0:
             raise ValueError("zero set is not simple; apply the critical-velocity relabeling first")
 
     # -- extension ----------------------------------------------------------

@@ -370,6 +370,18 @@ def run_pipeline(config: RunConfig, pipeline: str, outdir=None):
 
 SWEEPABLE = ("c", "T", "N", "M", "s", "T_factor")
 
+# sweep CSV column -> (stage, verdict, key within that verdict); the cell is
+# empty where the pipeline runs no such stage
+_SWEEP_COLUMNS = {
+    "observability_constant": ("control", "observability_constant"),
+    "control_norm": ("control", "control_norm"),
+    "moment_residual": ("control", "moment_residual"),
+    "gram_cond_scaled": ("control", "gram_cond_scaled"),
+    "terminal_xi": ("simulate", "terminal_ratios", "xi"),
+    "terminal_xi_dot": ("simulate", "terminal_ratios", "xi_dot"),
+    "terminal_zeta": ("simulate", "terminal_ratios", "zeta"),
+}
+
 
 def sweep(config: RunConfig, parameter: str, values, pipeline: str = "simulate", outdir=None):
     """Run the pipeline per parameter value and aggregate key scalars."""
@@ -385,25 +397,16 @@ def sweep(config: RunConfig, parameter: str, values, pipeline: str = "simulate",
         try:
             cfgv = config.with_overrides(**{parameter: value})
             manifest, ok = run_pipeline(cfgv, pipeline, outdir=sub)
-            stages = manifest["stages"]
-            row = {
-                "parameter": parameter,
-                "value": value,
-                "passed": ok,
-                "error": "",
-                "observability_constant": stages.get("control", {}).get("verdicts", {}).get("observability_constant"),
-                "control_norm": stages.get("control", {}).get("verdicts", {}).get("control_norm"),
-                "moment_residual": stages.get("control", {}).get("verdicts", {}).get("moment_residual"),
-                "gram_cond_scaled": stages.get("control", {}).get("verdicts", {}).get("gram_cond_scaled"),
-                "terminal_xi": stages.get("simulate", {}).get("verdicts", {}).get("terminal_ratios", {}).get("xi"),
-                "terminal_xi_dot": stages.get("simulate", {}).get("verdicts", {}).get("terminal_ratios", {}).get("xi_dot"),
-                "terminal_zeta": stages.get("simulate", {}).get("verdicts", {}).get("terminal_ratios", {}).get("zeta"),
-            }
+            row = {"parameter": parameter, "value": value, "passed": ok, "error": ""}
+            for column, (stage, *lookup) in _SWEEP_COLUMNS.items():
+                verdict = manifest["stages"].get(stage, {}).get("verdicts")
+                for key in lookup:
+                    verdict = (verdict or {}).get(key)
+                row[column] = verdict
         except Exception as exc:  # per-value failures recorded, sweep continues
             row = {"parameter": parameter, "value": value, "passed": False, "error": str(exc)}
         rows.append(row)
-    keys = ["parameter", "value", "passed", "error", "observability_constant", "control_norm",
-            "moment_residual", "gram_cond_scaled", "terminal_xi", "terminal_xi_dot", "terminal_zeta"]
+    keys = ["parameter", "value", "passed", "error", *_SWEEP_COLUMNS]
     path = out / f"sweep_{parameter}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)

@@ -158,8 +158,8 @@ def test_ladder_overflowing_matrix_goes_to_mp():
     # entries beyond the float64 range skip rung 1 altogether
     with mp.workdps(30):
         scale = mp.mpf("1e400")
-        A = mp.matrix([[2 * scale, scale], [scale, 2 * scale]])
-        b = mp.matrix([3 * scale, 3 * scale])
+        A = np.array([[2 * scale, scale], [scale, 2 * scale]], dtype=object)
+        b = np.array([3 * scale, 3 * scale], dtype=object)
         solve = hp.hermitian_solve(A, b)
         assert solve.rung == "mp" and list(solve.history) == ["mp"]
         assert solve.residual <= 1e-25 * 3 * scale

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module imports is used or re-exported."""
+"""Source hygiene: every name a module imports is used or re-exported, and
+every memwave name a demo refers to exists."""
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "memwave"
+DEMOS = SRC.parents[1] / "demos"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +45,51 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _resolve(dotted: str):
+    """The object at a dotted memwave path (submodules are imported), or None."""
+    try:
+        return importlib.import_module(dotted)
+    except ModuleNotFoundError:
+        parent, _, name = dotted.rpartition(".")
+        return getattr(_resolve(parent), name, None) if parent else None
+
+
+def unresolved_memwave_names(source: str) -> list[str]:
+    """Dotted paths of the memwave names ``source`` imports, and of the
+    attributes it reads off an imported memwave module, that do not exist.
+    The source is parsed, not executed."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> dotted memwave path
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "memwave":
+                    bound[alias.asname or "memwave"] = alias.name if alias.asname else "memwave"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "memwave":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    paths = set(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound and inspect.ismodule(_resolve(bound[node.id])):
+            paths.add(".".join([bound[node.id], *chain]))
+    return sorted(p for p in paths if _resolve(p) is None)
+
+
+def test_guard_sees_an_unresolved_demo_name():
+    assert unresolved_memwave_names(
+        "from memwave import moving as mv\nfrom memwave.moving import gap_diagnostics, gone\n"
+        "import memwave.nowhere as nw\nmv.gap_diagnostics(mv.build_moving_spectrum).pair_map\n"
+        "mv.missing.attr\nreport.missing\n"
+    ) == ["memwave.moving.gone", "memwave.moving.missing", "memwave.moving.missing.attr", "memwave.nowhere"]
+    assert unresolved_memwave_names("import memwave.moving\nmemwave.moving.frame_bounds\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
+def test_demo_memwave_names_resolve(path):
+    assert unresolved_memwave_names(path.read_text(encoding="utf-8")) == []

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import moving
 from memwave.fractional import build_eigenvalue_table
@@ -105,6 +107,88 @@ def test_pair_coverage_fails_on_coinciding_branch23_pair(table, monkeypatch):
     assert cl.passed is False
     assert cl.measured["covered"] == cl.measured["total_pairs"] - 1
     assert not rep.passed
+
+
+# each case reads one or two eigenvalues off another mode, which breaks one clause's claim
+@pytest.mark.parametrize("clause, moved, pairwise", [
+    ("branch1_separation", {(2, 1): (3, 2)}, True),             # a branch-1 value on a branch-2 one
+    ("branch1_internal_gap", {(2, 1): (3, 1)}, True),           # two branch-1 values coincide
+    ("branch23_finite_minimum", {(2, 3): (3, 2)}, True),        # the coinciding branch-2/3 pair
+    ("aligned_branches_monotone", {(1, 2): (2, 2), (2, 2): (1, 2)}, False),  # two levels swapped
+])
+def test_every_gap_clause_can_fail(table, monkeypatch, clause, moved, pairwise):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 8)
+    assert moving.gap_diagnostics(ms).passed
+    true = ms.eigenvalue
+    monkeypatch.setattr(ms, "eigenvalue", lambda n, j: true(*moved.get((n, j), (n, j))))
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause(clause).passed is False and not rep.passed
+    # a swap keeps every distance, so only the pairwise cases leave a pair uncovered
+    assert rep.clause("pair_coverage").passed is not pairwise
+
+
+def _brute_force_gaps(ms):
+    """The gap audit's pairwise figures by a loop over pairs with scalar abs()."""
+    sign = ms.c >= 0
+    lam = {(n, j): ms.eigenvalue(n, j) if sign else np.conj(ms.eigenvalue(n, moving.j_conj(j)))
+           for n, j in ms.modes()}
+    modes, c = list(lam), abs(ms.c)
+    crit = None if ms.critical is None else {(-ms.critical.n_c, 2), (ms.critical.n_c, 3)}
+    bound_1 = 3.0 * abs(ms.M) / (2.0 * ms.M**2 / abs(ms.mu_of(1, 1).real) + 2.0)
+    d1 = min(abs(lam[a] - lam[b]) for a in modes for b in modes if a[1] == 1 and b[1] != 1)
+    upsilon, pair, covered, d11, margin = np.inf, None, 0, np.inf, np.inf
+    for i, a in enumerate(modes):
+        for b in modes[i + 1 :]:
+            d = abs(lam[a] - lam[b])
+            if a[1] == 1 and b[1] == 1:
+                gap = d - c * abs(ms.kappa(a[0]) - ms.kappa(b[0]))
+                d11, margin = min(d11, d), min(margin, gap)
+                covered += gap >= -1e-12
+            elif a[1] == 1 or b[1] == 1:
+                covered += d >= bound_1 - 1e-9
+            elif crit is not None and {a, b} == crit:
+                covered += d <= 1e-9
+            else:
+                covered += d > 0
+                if d < upsilon:
+                    upsilon, pair = d, [list(a), list(b)]
+    return lam, d1, {"min_distance": d11, "worst_margin": margin}, upsilon, pair, covered
+
+
+@settings(max_examples=40)
+@given(s=st.floats(0.55, 0.95), M=st.floats(0.3, 2.5), c=st.floats(0.2, 1.5),
+       signs=st.tuples(st.booleans(), st.booleans()), N=st.integers(1, 12))
+def test_gap_audit_matches_a_loop_over_pairs(s, M, c, signs, N):
+    ms = moving.build_moving_spectrum(build_eigenvalue_table(s, N), M * (-1) ** signs[0], c * (-1) ** signs[1], N)
+    rep = moving.gap_diagnostics(ms)
+    lam, d1, internal, upsilon, pair, covered = _brute_force_gaps(ms)
+    assert rep.clause("branch1_separation").measured["min_distance"] == d1
+    assert rep.clause("branch1_internal_gap").measured == internal
+    assert rep.clause("branch23_finite_minimum").measured == {"upsilon": upsilon, "pair": pair}
+    m = len(lam)
+    assert rep.clause("pair_coverage").measured["total_pairs"] == m * (m - 1) // 2
+    assert rep.clause("pair_coverage").measured["covered"] == covered
+    modes23 = [mk for mk in lam if mk[1] != 1]
+    seconds = []
+    for n, rec in rep.pair_map.items():
+        others = {mk: abs(lam[(n, 2)] - lam[mk]) for mk in modes23 if mk != (n, 2)}
+        partner = min(others, key=others.get)   # the first nearest in mode order
+        assert (rec["partner"], rec["distance"]) == (partner, others.pop(partner))
+        seconds.append(min(others.values()))
+    if seconds:
+        assert rep.clause("non_paired_separation").measured["delta_hat"] == min(seconds)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pair_distances_equal_scalar_abs(seed):
+    # bit for bit, at magnitudes from 1e-3 to 1e3; numpy's vectorised complex
+    # abs differs from scalar abs() in the last bit on a good share of these
+    rng = np.random.default_rng(seed)
+    lam = (rng.standard_normal(120) + 1j * rng.standard_normal(120)) * 10.0 ** rng.uniform(-3, 3, 120)
+    D = moving.pair_distances(lam)
+    want = np.array([[abs(a - b) for b in lam.tolist()] for a in lam.tolist()])
+    np.fill_diagonal(want, np.inf)
+    assert np.array_equal(D, want)
 
 
 def test_gap_report_negative_velocity_matches_positive(table):

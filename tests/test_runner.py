@@ -274,3 +274,15 @@ def test_cli_sweep_rejects_an_unknown_pipeline(tmp_path):
                          "--out", str(tmp_path / "sw")])
     assert rc == 2 and len(err.splitlines()) == 1 and "bogus" in err
     assert not (tmp_path / "sw").exists()
+
+
+def test_cli_simulate_at_a_single_level(tmp_path):
+    # N = 1 gives the drifting branch no increments: that clause is recorded, not asserted
+    cfg_path = small_config(tmp_path, N=1, precision="float64")
+    rc, err = _cli_exit(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "n1")])
+    assert rc == 0, err
+    manifest = json.loads((tmp_path / "n1" / "manifest.json").read_text())
+    assert manifest["passed"] and manifest["config"]["N"] == 1
+    gaps = json.loads((tmp_path / "n1" / "gap_report.json").read_text())
+    drift = [cl for cl in gaps["clauses"] if cl["name"] == "drifting_branches_eventually_monotone"]
+    assert [cl["passed"] for cl in drift] == [None]
