@@ -1,8 +1,9 @@
 """Eigenvalue tables of the fractional Dirichlet Laplacian on (-1, 1).
 
-Builds the closed-form and collocation tables, checks the plane-wave symbol
-of the operator by direct singular-integral quadrature, and shows the root
-gap rho_{n+1}^{1/(2s)} - rho_n^{1/(2s)} settling at pi/2.
+Builds the closed-form table and the Jacobi-Galerkin table (exact up to
+truncation) and compares them, checks the plane-wave symbol of the operator
+by direct singular-integral quadrature, and shows the root gap
+rho_{n+1}^{1/(2s)} - rho_n^{1/(2s)} settling at pi/2.
 """
 
 import math

@@ -7,8 +7,6 @@ staying under a single multiple of rho_m.
 
 import pathlib
 
-import numpy as np
-
 from memwave import biorthogonal as bio
 from memwave.fractional import build_eigenvalue_table
 from memwave.moving import build_moving_spectrum

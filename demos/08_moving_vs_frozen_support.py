@@ -7,8 +7,6 @@ vanish; with the frozen support the memory norm stalls and does not decay as
 the truncation grows.
 """
 
-import numpy as np
-
 from memwave import control as ctl
 from memwave import simulate as sim
 from memwave.biorthogonal import horizon_threshold

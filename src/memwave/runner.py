@@ -210,14 +210,12 @@ class _Run:
         table.to_csv(path)
         artifacts = [path.name]
         verdicts = {
-            "monotone": bool(np.all(np.diff(table.rho) > 0)),
             "gap_certified": table.gap_certified,
             "gap_gamma": table.gap_gamma,
             "gap_threshold": table.gap_threshold,
         }
         if cfg.backend == "asymptotic":
-            td = fr.build_eigenvalue_table(cfg.s, 32, backend="discretized")
-            agr = fr.compare_backends(fr.build_eigenvalue_table(cfg.s, 32), td)
+            agr = fr.compare_backends(table, fr.build_eigenvalue_table(cfg.s, 32, backend="discretized"))
             verdicts["backend_agreement"] = agr.passed
             verdicts["backend_max_rel"] = agr.max_rel
         sym = fr.verify_symbol_identity(math.pi / 2, cfg.s, tol=1e-3)

@@ -1,5 +1,5 @@
-"""Source hygiene: every name a module imports is used or re-exported, and
-every memwave name a demo refers to exists."""
+"""Source hygiene: every name a module, demo or test imports is used or
+re-exported, and every memwave name a demo refers to exists."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "memwave"
 DEMOS = SRC.parents[1] / "demos"
+TESTS = SRC.parents[1] / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,7 +43,8 @@ def test_guard_sees_an_unused_import():
     assert unused_imports("import a.b\nfrom c import d as e\na.b.f(e)\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(DEMOS.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -397,10 +397,10 @@ def test_terminal_report_json(tmp_path, world):
 
 
 def test_discretized_backend_control_nulls_state():
-    # synthesis runs on the configured collocation spectrum, not on the
+    # synthesis runs on the configured Galerkin spectrum, not on the
     # closed form, so the float64 quadrature moments, float64 propagation
     # and the mp terminal check all see the same system
-    table = build_eigenvalue_table(0.75, 8, backend="discretized", grid_points=400)
+    table = build_eigenvalue_table(0.75, 8, backend="discretized")
     closed = build_eigenvalue_table(0.75, 8)
     assert np.max(np.abs(table.rho / closed.rho - 1)) > 1e-3
     ms = build_moving_spectrum(table, 0.5, 1.0, 8)
