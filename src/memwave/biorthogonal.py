@@ -50,6 +50,10 @@ __all__ = [
     "time_gram",
 ]
 
+_FREQ_PER_PANEL = 8  # Gauss nodes per frequency panel of the inverse transform
+_N_EXPORT = 640      # equally spaced export samples of each family member
+
+
 def _time_quadrature(T: float, x_window: float, per_panel: int = 12, density: float = 1.0):
     """Gauss panels on a uniform partition of [-T/2, T/2].
 
@@ -161,8 +165,6 @@ def build_biorthogonal(
     T: float,
     family_N: int,
     x_window: float | None = None,
-    per_panel: int = 8,
-    n_export: int = 640,
     symmetrize: bool | None = None,
     tol: float = 1.0e-3,
 ) -> BiorthogonalFamily:
@@ -200,7 +202,7 @@ def build_biorthogonal(
             [-xr[::-1], [0.0], xr, comp.t[comp.t <= X], -comp.t[comp.t <= X], [-X, X]]
         ))
         breaks = breaks[(breaks >= -X) & (breaks <= X)]
-        x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], per_panel))
+        x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], _FREQ_PER_PANEL))
 
         logP = pf.log_eval(x_nodes.astype(complex)) + comp.log_eval(x_nodes.astype(complex))
         Pvals = np.exp(logP)
@@ -255,9 +257,9 @@ def build_biorthogonal(
         )
 
     norms = np.sqrt(np.abs((np.abs(theta2) ** 2 @ w2)))
-    ce, oe = _export_grid(T, n_export)
-    t_grid = _grid(ce, oe)[:n_export]
-    theta_exp = C @ sample(ce, oe)[:, :n_export]
+    ce, oe = _export_grid(T, _N_EXPORT)
+    t_grid = _grid(ce, oe)[:_N_EXPORT]
+    theta_exp = C @ sample(ce, oe)[:, :_N_EXPORT]
 
     return BiorthogonalFamily(
         modes=modes, lam=lam, rho=rho, T=T, window=X,

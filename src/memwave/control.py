@@ -169,9 +169,6 @@ class ControlGram:
     cond_raw: float
     cond_scaled: float
 
-    def rho_weights(self) -> np.ndarray:
-        return mode_arrays(self.ms, self.modes)[2]
-
 
 def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
     """The float64 Gram on ``ms`` and its raw and rho-scaled condition numbers."""
@@ -344,16 +341,22 @@ def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:
     return max(floor, math.ceil(3.0 * periods))
 
 
-def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None = None, nx: int = 48) -> np.ndarray:
-    """Recompute every moment by Gauss-Legendre quadrature, not closed forms.
+_SPACE_NODES = 48  # Gauss-Legendre nodes on omega0; its integrands are smooth there
+
+
+def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None = None) -> np.ndarray:
+    """Recompute every moment by Gauss-Legendre quadrature, not closed forms:
+    int_0^T int_omega0 u(t,x) e^{-i kap_k x} e^{-conj(lam_k) t} dx dt for
+    each of the control's modes k.
 
     The moment integrands oscillate at up to 2 max|Im lam| over (0, T); the
     default ``nt`` puts three time nodes on each such period, never fewer
-    than 360.
+    than 360.  This is the one space-time quadrature of a control: the
+    duality check pairs these moments with its adjoint coefficients.
     """
     lam, kap, _ = mode_arrays(ms, control.modes)
     t, tw = gauss_interval(0.0, control.T, nt if nt is not None else _time_nodes(control.T, lam, 360))
-    x, xw = gauss_interval(*control.omega0, nx)
+    x, xw = gauss_interval(*control.omega0, _SPACE_NODES)
     u = _field(lam, kap, control.a, t, x)
     E_t = np.exp(-np.conj(lam)[:, None] * t[None, :]) * tw[None, :]
     E_x = np.exp(-1j * kap[:, None] * x[None, :]) * xw[None, :]

@@ -276,16 +276,11 @@ def build_eigenvalue_table(s: float, n_max: int, backend: str = "asymptotic") ->
 
 @dataclass
 class OperatorSample:
-    """Function samples on a uniform grid, prepared for operator evaluation.
-
-    ``epsilon`` is the half-width of the principal-value cell around each
-    evaluation point; it must not fall below the grid resolution h/2.
-    """
+    """Function samples on a uniform grid, prepared for operator evaluation."""
 
     grid: np.ndarray
     values: np.ndarray
     s: float
-    epsilon: float | None = None
     c_s: float = field(init=False)
 
     def __post_init__(self):
@@ -297,11 +292,6 @@ class OperatorSample:
         if len(dx) < 8 or dx.min() <= 0 or (dx.max() - dx.min()) > 1e-9 * dx.mean():
             raise ValueError("grid must be uniform and increasing with at least 9 points")
         self.s = _check_order(self.s)
-        h = float(dx.mean())
-        if self.epsilon is None:
-            self.epsilon = h / 2.0
-        if self.epsilon < h / 2.0 - 1e-12 * h:
-            raise ValueError(f"epsilon={self.epsilon} below grid resolution h/2={h/2}")
         self.c_s = normalization_constant(self.s)
 
     @property
@@ -313,7 +303,7 @@ _NEAR_RADIUS = 0.5   # physical half-width of the moment-corrected band
 _NEAR_MIN_CELLS = 12  # never correct fewer cells than this on each side
 
 
-def apply_fractional_laplacian(sample: OperatorSample, eval_indices=None):
+def apply_fractional_laplacian(sample: OperatorSample, eval_indices):
     """Evaluate (-d^2)^s on the sample by principal-value quadrature.
 
     Symmetric cell quadrature with exact kernel integrals, a Taylor correction
@@ -324,16 +314,13 @@ def apply_fractional_laplacian(sample: OperatorSample, eval_indices=None):
     (so constants map to zero identically); otherwise the exterior difference
     is modeled as u(x) alone, which is the right truncation for decaying or
     rapidly oscillating bounded samples.  Returns ``(x_eval, values)``.
-    Evaluation indices must keep a margin of grid on both sides; the default
-    takes the central third of the grid.
+    Evaluation indices must keep a margin of grid on both sides.
     """
     s, h = sample.s, sample.h
     u = sample.values
     m = len(u)
     near_cells = max(_NEAR_MIN_CELLS, int(round(_NEAR_RADIUS / h)))
     near_cells = min(near_cells, m // 4)
-    if eval_indices is None:
-        eval_indices = np.arange(m // 3, m - m // 3)
     eval_indices = np.asarray(eval_indices, dtype=int)
     if eval_indices.min(initial=m) < near_cells + 2 or eval_indices.max(initial=-1) > m - near_cells - 3:
         raise ValueError("evaluation indices too close to the grid edge for the tail truncation")
@@ -411,9 +398,9 @@ class BackendAgreement:
 
     The Galerkin table is exact to about 1e-9, so ``delta`` is the closed
     form's own O(1/n) defect.  ``c_fitted`` is that band, fitted to the low
-    modes; ``flagged`` marks a low mode more than ``band_factor`` times
-    above it.  ``passed`` is the blanket relative criterion (1e-2 by
-    default) over the shared range with no mode flagged.
+    modes; ``flagged`` marks a low mode more than ``_BAND_FACTOR`` times
+    above it.  ``passed`` is the blanket relative criterion ``_REL_TOL``
+    over the shared range with no mode flagged.
     """
 
     n: np.ndarray
@@ -425,12 +412,11 @@ class BackendAgreement:
     passed: bool
 
 
-def compare_backends(
-    table_asym: EigenvalueTable,
-    table_disc: EigenvalueTable,
-    rel_tol: float = 1.0e-2,
-    band_factor: float = 5.0,
-) -> BackendAgreement:
+_REL_TOL = 1.0e-2     # blanket relative agreement of the two tables
+_BAND_FACTOR = 5.0    # a low mode this many times above the fitted band is flagged
+
+
+def compare_backends(table_asym: EigenvalueTable, table_disc: EigenvalueTable) -> BackendAgreement:
     """Compare a closed-form table with a Galerkin table of the same order over
     their shared modes; relative errors are taken against the closed form."""
     if table_asym.s != table_disc.s:
@@ -442,10 +428,10 @@ def compare_backends(
     fit_range = max(3, n_cmp // 3)
     c_fit = float(np.median((delta * n)[:fit_range]))
     flagged = np.zeros(n_cmp, dtype=bool)
-    flagged[:fit_range] = (delta * n)[:fit_range] > band_factor * max(c_fit, 1e-300)
+    flagged[:fit_range] = (delta * n)[:fit_range] > _BAND_FACTOR * max(c_fit, 1e-300)
     max_rel = float(rel.max())
     return BackendAgreement(
         n=n.astype(int), delta=delta, rel=rel, c_fitted=c_fit,
         flagged=flagged, max_rel=max_rel,
-        passed=bool(max_rel <= rel_tol and not flagged.any()),
+        passed=bool(max_rel <= _REL_TOL and not flagged.any()),
     )

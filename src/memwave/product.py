@@ -71,6 +71,8 @@ _PANEL = 256        # points per panel of the near-zero expansions
 _SAFETY = 4.0      # direct blocks run out to c*kappa >= _SAFETY * max|z|
 _MAX_LEVEL = 1 << 20  # six direct zeros per level: 6.3e6 zeros, ~100 MB per array
 _NEAR_RATIO = 2.0  # a zero is expanded about z_c once |a + z_c| > _NEAR_RATIO * radius
+_GROWTH_SAMPLES = 160  # midpoints between real zeros in the modulus trend fit
+_STRIP_DELTA = 1.0     # half-width of the strip |Im z| <= delta the strip bound scans
 
 
 def _expansion(a: np.ndarray, w: np.ndarray, zc: complex, u: np.ndarray) -> np.ndarray:
@@ -301,7 +303,6 @@ class GrowthFit:
     d1: float
     d0: float
     alpha: float
-    residual_spread: float
 
 
 def zero_abscissas(pf: ProductFunction, x_max: float) -> np.ndarray:
@@ -314,20 +315,18 @@ def zero_abscissas(pf: ProductFunction, x_max: float) -> np.ndarray:
     return np.sort(np.unique(xs[(xs > 0.0) & (xs <= x_max)]))
 
 
-def fit_axis_growth(pf: ProductFunction, x_max: float, samples: int = 160) -> GrowthFit:
+def fit_axis_growth(pf: ProductFunction, x_max: float) -> GrowthFit:
     """Fit the subexponential modulus trend at midpoints between real zeros."""
     alpha = 2.0 * pf.ms.s - 1.0
     xr = zero_abscissas(pf, x_max)
     xr = xr[xr > 1.0]
     mids = 0.5 * (xr[1:] + xr[:-1])
-    if len(mids) > samples:
-        mids = mids[np.linspace(0, len(mids) - 1, samples).astype(int)]
+    if len(mids) > _GROWTH_SAMPLES:
+        mids = mids[np.linspace(0, len(mids) - 1, _GROWTH_SAMPLES).astype(int)]
     vals = pf.log_eval(mids.astype(complex)).real
     basis = np.vstack([mids**alpha, np.ones_like(mids)]).T
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
-    resid = vals - basis @ coef
-    return GrowthFit(d1=float(coef[0]), d0=float(coef[1]), alpha=alpha,
-                     residual_spread=float(resid.max() - resid.min()))
+    return GrowthFit(d1=float(coef[0]), d0=float(coef[1]), alpha=alpha)
 
 
 class GrowthCompensator:
@@ -335,31 +334,30 @@ class GrowthCompensator:
 
     Classical multiplier construction: a regular comb of slope B has counting
     N(t) = B t and a bounded sine-type modulus; thinning it to
-    N(t) = B t - omega(t)/pi with omega(t) = d1 (t^alpha - t0^alpha)_+ makes
+    N(t) = B t - omega(t)/pi with omega(t) = d1 (t^alpha - T0^alpha)_+ makes
     the log-modulus on the real axis track -omega(|x|) on top of the bounded
     baseline.  Since omega is o(t), the deficit costs nothing beyond the
     comb's own type pi*B.  Zeros are placed explicitly (drift included) out to
-    ``reach`` times the working window; past them the comb is linear and its
+    ``REACH`` times the working window; past them the comb is linear and its
     product has a closed gamma-function form.
     """
 
-    def __init__(
-        self, d1: float, alpha: float, x_max: float,
-        t0: float = 1.0, reach: float = 30.0, offset: float = 0.75,
-    ):
+    T0 = 1.0       # onset of the counting deficit
+    REACH = 30.0   # explicit zeros out to REACH * max(x_max, 10)
+    OFFSET = 0.75  # distance of the zeros t_j +- i OFFSET from the real axis
+
+    def __init__(self, d1: float, alpha: float, x_max: float):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie in (0,1)")
         self.alpha = float(alpha)
         self.d1 = max(float(d1), 0.0)
-        self.t0 = float(t0)
-        self.offset = float(offset)
         # slope keeps the counting strictly increasing through the deficit
         self.B = max(0.6, 1.3 * self.d1 * alpha / math.pi)
         self.type = math.pi * self.B
-        # zeros come in conjugate pairs t_j +- i*offset, so they stay clear of
+        # zeros come in conjugate pairs t_j +- i*OFFSET, so they stay clear of
         # the product's near-axis zeros; each abscissa carries two zeros and
         # the per-chain counting uses half the slope and half the deficit
-        L = reach * max(x_max, 10.0)
+        L = self.REACH * max(x_max, 10.0)
         J = int(math.floor((self.B * L - self._omega(L) / math.pi) / 2.0))
         j = np.arange(1, J + 2, dtype=float)
         t = 2.0 * j / self.B
@@ -369,14 +367,14 @@ class GrowthCompensator:
         self._m0 = J + 1 + (self.B * t[-1] / 2.0 - (J + 1))
 
     def _omega(self, t):
-        tt = np.maximum(np.asarray(t, dtype=float), self.t0)
-        return self.d1 * (tt**self.alpha - self.t0**self.alpha)
+        tt = np.maximum(np.asarray(t, dtype=float), self.T0)
+        return self.d1 * (tt**self.alpha - self.T0**self.alpha)
 
     def log_eval(self, z) -> np.ndarray:
         from scipy.special import loggamma
 
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        zeta = self.t + 1j * self.offset
+        zeta = self.t + 1j * self.OFFSET
         acc = _log_factor_sum(np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)]), z)
         # two linear chains beyond the explicit zeros, spacing 2/B each
         w = z * self.B / 2.0
@@ -395,32 +393,25 @@ class ProductReport:
     """Audit of the product's analytic properties at desk scale.
 
     The exponential type, derivative envelope, and zero density refer to the
-    literal product; the strip bound and decay envelope are properties of the
-    compensated product (the literal one carries the measured |x|^(2s-1)
-    modulus trend recorded in ``growth``, so a flat strip bound holds only
-    after compensation).
+    literal product; the strip stability is a property of the compensated
+    product (the literal one carries the measured |x|^(2s-1) modulus trend
+    recorded in ``growth``, so a flat strip bound holds only after
+    compensation).
     """
 
     type_theoretical: float
     type_empirical: float
     type_ok: bool
-    type_lower_reference: float
     growth: GrowthFit
-    strip_sup: float
-    strip_sup_half_range: float
     strip_stable: bool
-    c1_hat: float
-    envelope_slope: float
     c2_hat: float
-    c2_per_mode: dict
     zero_density: float
     zero_density_reference: float
     passed: bool
 
 
 def verify_product_properties(
-    pf: ProductFunction, strip_delta: float = 1.0, family_N: int | None = None,
-    scan_radius: float | None = None,
+    pf: ProductFunction, family_N: int | None = None, scan_radius: float | None = None,
 ) -> ProductReport:
     """Numerical audit of type, growth/boundedness, and zero derivatives."""
     ms = pf.ms
@@ -443,37 +434,16 @@ def verify_product_properties(
     # horizontal line is not driven by the outer half of the scan range
     xs = np.linspace(-x_hi, x_hi, 4001)
     inner = np.abs(xs) <= x_hi / 2.0
-    sup_full, sup_half = 0.0, 0.0
     strip_stable = True
-    for yline in (0.0, strip_delta / 2.0, strip_delta):
+    for yline in (0.0, _STRIP_DELTA / 2.0, _STRIP_DELTA):
         logm = (pf.log_eval(xs + 1j * yline) + comp.log_eval(xs + 1j * yline)).real
-        line_full = float(np.exp(logm.max()))
-        line_half = float(np.exp(logm[inner].max()))
-        strip_stable = strip_stable and line_full <= 5.0 * line_half
-        sup_full = max(sup_full, line_full)
-        if yline == 0.0:
-            sup_half = line_half
-            logmod_axis = logm
-
-    # decay envelope of compensated P(x)/(x - z_m) for a few family modes
-    c1_hat = 0.0
-    slopes = []
-    mod_axis = np.exp(logmod_axis)
-    for n in (1, max(1, N_fam // 2), N_fam):
-        for j in (1, 2):
-            z_m = -1j * np.conj(ms.lam(n, j))
-            env = mod_axis / np.abs(xs - z_m) * (1.0 + np.abs(xs - z_m.real))
-            c1_hat = max(c1_hat, float(env.max()))
-            half = len(xs) // 2
-            slopes.append(float(np.log(max(env[half:].max(), 1e-300) / max(env[:half].max(), 1e-300))))
-    envelope_slope = float(np.mean(slopes))
+        strip_stable = strip_stable and float(np.exp(logm.max())) <= 5.0 * float(np.exp(logm[inner].max()))
 
     # derivative lower envelope over the family modes (literal product)
-    c2: dict = {}
-    for n in [m for m in ms.mode_indices() if abs(m) <= N_fam]:
-        for j in BRANCHES:
-            c2[(n, j)] = abs(ms.rho(n) * pf.derivative_at_mode(n, j))
-    c2_hat = float(min(c2.values()))
+    c2_hat = float(min(
+        abs(ms.rho(n) * pf.derivative_at_mode(n, j))
+        for n in ms.mode_indices() if abs(n) <= N_fam for j in BRANCHES
+    ))
 
     # zero counting (reported, not asserted): per-unit density of zeros and
     # the per-unit density tau/pi the quoted type would imply
@@ -481,11 +451,8 @@ def verify_product_properties(
     re_zeros = np.abs(pf.zeros.real)
     density = float(np.count_nonzero(re_zeros <= r) / (2.0 * r))
     return ProductReport(
-        type_theoretical=tau, type_empirical=type_emp, type_ok=type_ok,
-        type_lower_reference=math.pi / c, growth=fit,
-        strip_sup=sup_full, strip_sup_half_range=sup_half, strip_stable=strip_stable,
-        c1_hat=c1_hat, envelope_slope=envelope_slope,
-        c2_hat=c2_hat, c2_per_mode={f"{k}": v for k, v in c2.items()},
+        type_theoretical=tau, type_empirical=type_emp, type_ok=type_ok, growth=fit,
+        strip_stable=strip_stable, c2_hat=c2_hat,
         zero_density=density, zero_density_reference=tau / math.pi,
         passed=bool(type_ok and strip_stable and c2_hat > 0.0),
     )

@@ -302,8 +302,6 @@ class _Run:
     def simulate_stage(self):
         cfg = self.config
         ms = self.ms()
-        if "control" not in self.cache:
-            self.control_stage()
         data, cf, T = self.cache["control"]
         sigma = (cfg.sigma_xi, cfg.sigma_xi_dot, cfg.sigma_zeta)
         simulator = sim.GalerkinSimulator(ms, cfg.omega0(), sigma_weights=sigma)

@@ -21,6 +21,12 @@ off-diagonal mass quantifies the convention's deviation from the exact
 L2-projection.  Every closed-form integral here is the control's: the Duhamel
 terms use ``control._time_factor`` and the plane-wave Gram
 ``control._space_factor``.
+
+The duality check builds no adjoint flow on a grid: an adjoint solution
+with terminal coefficients b pairs with the control as sum_k conj(b_k
+e^{lam_k T}) times the control's k-th moment, so it reuses the control's
+one space-time quadrature, ``control.quadrature_moments``, and checks it
+against the adjoint pairing of the initial data.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ import numpy as np
 
 from . import dd
 from .control import (
-    ControlField, InitialData, _exp, _field, _space_factor, _time_factor, _time_nodes,
+    ControlField, InitialData, _exp, _space_factor, _time_factor, _time_nodes, quadrature_moments,
 )
-from .fractional import gauss_interval, write_csv, write_json
+from .fractional import write_csv, write_json
 from .hp import MpSpectrum, mode_arrays
 from .moving import BRANCHES, MovingSpectrum
 
@@ -384,11 +390,10 @@ def verify_duality(
     T: float,
     ms: MovingSpectrum,
     nt: int | None = None,
-    nx: int = 48,
 ) -> float:
     """Relative duality residual for one set of adjoint terminal coefficients;
     the one-element case of ``duality_residuals``."""
-    return float(duality_residuals(data, control, [adjoint_coeffs], T, ms, nt=nt, nx=nx)[0])
+    return float(duality_residuals(data, control, [adjoint_coeffs], T, ms, nt=nt)[0])
 
 
 def duality_residuals(
@@ -398,33 +403,32 @@ def duality_residuals(
     T: float,
     ms: MovingSpectrum,
     nt: int | None = None,
-    nx: int = 48,
 ) -> np.ndarray:
     """Relative residuals between the quadrature and coefficient evaluations,
     one per set of adjoint terminal coefficients.
 
-    Left side: space-time Gauss quadrature of u * conj(phi) over (0,T) x
-    omega0 with phi the adjoint flow of the given terminal coefficients; the
+    Left side: int_0^T int_omega0 u * conj(phi) with phi = sum_k b_k
+    e^{lam_k (T - t)} e^{i kappa_k x} the adjoint flow of the terminal
+    coefficients b.  By linearity it is sum_k conj(b_k e^{lam_k T}) times the
+    control's k-th moment, and the moments come from the one space-time
+    Gauss quadrature of a control, ``control.quadrature_moments``; the
     default ``nt`` puts three time nodes on each period of the fastest
     integrand, never fewer than 480.
     Right side: the coefficient pairing 2 sum_n [ y0_n conj(phi_t,n(0)) -
-    (y1_n + i c kappa_n y0_n) conj(phi_n(0)) ].
-    The nodes and the control field are computed once, and every set's phi
-    comes out of one matrix product.
+    (y1_n + i c kappa_n y0_n) conj(phi_n(0)) ], an independent derivation of
+    the moment targets (not ``control._moments``).
+    The control must be on the spectrum's modes in their order, since the
+    pairing indexes its moments by them.
     """
     modes = list(ms.modes())
+    if list(control.modes) != modes:
+        raise ValueError("the control's modes differ from the spectrum's modes")
     bcoef = np.array([[coeffs.get(mk, 0.0) for mk in modes] for coeffs in coeff_sets], dtype=complex)
     lam, kap, _ = mode_arrays(ms, modes)
-    t, tw = gauss_interval(0.0, T, nt if nt is not None else _time_nodes(T, lam, 480))
-    x, xw = gauss_interval(*control.omega0, nx)
-    u = _field(*mode_arrays(ms, control.modes)[:2], control.a, t, x)
-    # phi[t, set, x] = sum_k e^{lam_k (T - t)} b_set,k e^{i kappa_k x}
-    space = bcoef.T[:, :, None] * np.exp(1j * kap[:, None] * x[None, :])[:, None, :]
-    phi = np.exp(lam[:, None] * (T - t[None, :])).T @ space.reshape(len(modes), -1)
-    lhs = (tw @ (np.tile(u, len(coeff_sets)) * np.conj(phi))).reshape(len(coeff_sets), nx) @ xw
+    grow = bcoef * np.exp(lam * T)
+    lhs = np.conj(grow) @ quadrature_moments(control, ms, nt if nt is not None else _time_nodes(T, lam, 480))
 
     # per mode n, sum over the branches of the adjoint flow at t = 0
-    grow = bcoef * np.exp(lam * T)
     phi_0 = grow.reshape(len(coeff_sets), -1, len(BRANCHES)).sum(axis=2)
     phi_t0 = (grow * -lam).reshape(len(coeff_sets), -1, len(BRANCHES)).sum(axis=2)
     y0, y1 = np.array([data.coeff(n) for n in ms.mode_indices()]).T

@@ -33,12 +33,6 @@ def test_constant_maps_to_zero():
     assert np.max(np.abs(out)) < 1e-12
 
 
-def test_epsilon_below_resolution_rejected():
-    g = np.arange(-5, 5, 0.1)
-    with pytest.raises(ValueError):
-        fr.OperatorSample(grid=g, values=np.exp(1j * g), s=0.6, epsilon=0.01)
-
-
 def test_symbol_identity_kappa2_s_half():
     # |kappa|^{2s} = 2 exactly; quadrature vs symbol within 1e-4 relative.
     # The 1e-4 target needs the wide window (tail ~ W^{-2}) and a fine grid

@@ -341,11 +341,15 @@ def _duality_reference(data, control, adjoint_coeffs, T, ms, nt=480, nx=48):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
-def test_duality_matches_einsum_reference(world):
+@pytest.mark.parametrize("M, c, N", [(0.5, 1.0, 8), (2.0, 1.0, 4), (-0.5, -1.4, 3), (0.5, 0.6, 1)])
+def test_duality_matches_einsum_reference(M, c, N):
     # with the synthesized control the residual is round-off; with random
     # control coefficients the identity fails at O(1), so agreement there
     # checks the quadrature itself
-    ms, T, data, cf, simulator = world
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, c, N)
+    T = 1.05 * horizon_threshold(c, ms.gamma)
+    data = ctl.random_initial_data(ms, seed=3)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), ctl.assemble_gram(ms, OMEGA0, T))
     rng = np.random.default_rng(5)
     modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
     coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
@@ -358,6 +362,22 @@ def test_duality_matches_einsum_reference(world):
         want = _duality_reference(data, control, coeffs, T, ms)
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
     assert want > 1e-3
+
+
+def test_duality_rejects_a_control_on_other_modes(world):
+    # the pairing indexes the control's moments by the adjoint's modes
+    ms, T, data, cf, simulator = world
+    modes = list(ms.modes())
+    coeffs = {mk: 1.0 for mk in modes}
+    for order in (np.arange(len(modes) - 3), np.roll(np.arange(len(modes)), 1)):
+        other = ctl.ControlField(
+            modes=[modes[i] for i in order], a=cf.a[order], omega0=cf.omega0, T=cf.T, residual=cf.residual,
+            rhs_norm=cf.rhs_norm, norm=cf.norm, method=cf.method, gram_condition={}, ms=ms,
+        )
+        with pytest.raises(ValueError, match="modes"):
+            sim.verify_duality(data, other, coeffs, T, ms)
+        with pytest.raises(ValueError, match="modes"):
+            sim.duality_residuals(data, other, [coeffs], T, ms)
 
 
 def test_energy_envelope_report(world):
@@ -428,8 +448,8 @@ def test_duality_nodes_follow_the_fastest_period(monkeypatch, N):
     data = ctl.random_initial_data(ms, seed=N)
     coeffs = {mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
     counts = []
-    gauss = sim.gauss_interval
-    monkeypatch.setattr(sim, "gauss_interval", lambda a, b, n: counts.append(n) or gauss(a, b, n))
+    gauss = ctl.gauss_interval
+    monkeypatch.setattr(ctl, "gauss_interval", lambda a, b, n: counts.append(n) or gauss(a, b, n))
     res = sim.verify_duality(data, control, coeffs, T, ms)
     nt = counts[0]
     fastest = max(abs(ms.eigenvalue(n, j).imag) for n, j in modes)
