@@ -35,9 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .control import _time_factor
-from .fractional import gauss_interval, gauss_legendre, write_csv, write_json
+from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_csv, write_json
 from .moving import BRANCHES, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
@@ -198,7 +199,7 @@ def build_biorthogonal(
             )
 
         xr = zero_abscissas(pf, X)
-        breaks = np.unique(np.concatenate(
+        breaks = sorted_unique(np.concatenate(
             [-xr[::-1], [0.0], xr, comp.t[comp.t <= X], -comp.t[comp.t <= X], [-X, X]]
         ))
         breaks = breaks[(breaks >= -X) & (breaks <= X)]
@@ -296,7 +297,7 @@ def verify_lower_summation(bf: BiorthogonalFamily, trials: int = 200, seed: int 
     sum |a|^2 / rho^2 <= C * ||sum a e^{-lam t}||^2 on random vectors plus an
     adversarial vector concentrated on the closest spectral pair.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     lam, rho = bf.lam, bf.rho
     m = len(bf.modes)
     # family constant from the produced samples

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
+from numpy.random import default_rng
 
 from . import dd
 from .fractional import gauss_interval, write_csv, write_json
@@ -79,7 +80,7 @@ class InitialData:
 
 def random_initial_data(ms: MovingSpectrum, seed: int = 0, sigma0: float = 3.0, sigma1: float = 2.0) -> InitialData:
     """Coefficients y0_n = rho^-sigma0 * unit, y1_n = rho^-sigma1 * unit."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ns = np.array(ms.mode_indices())
     rho = mode_arrays(ms, [(n, 1) for n in ns])[2]
     u0 = rng.standard_normal(len(ns)) + 1j * rng.standard_normal(len(ns))
@@ -266,11 +267,11 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
     cond_scaled, m, |M| T and ``terminal_tol``, the tolerance of the
     terminal check the control must pass: double-double (``dd.DD``) where
     it keeps both the solve and that check six digits clear, mpmath at dps
-    otherwise.  ``hermitian_solve`` then refines a single float64 LU factor
-    against residuals taken in that arithmetic; in mpmath it factors once
-    more only when that stalls above the floor or the Gram does not fit in
-    double precision.  If double-double refinement stalls above its floor,
-    the system is rebuilt and solved in mpmath, and ``gram_condition``
+    otherwise.  ``hermitian_solve`` then refines float64 LU solves against
+    residuals taken in that arithmetic; in mpmath it takes one mpmath LU
+    factorization only when that stalls above the floor or the Gram does
+    not fit in double precision.  If double-double refinement stalls above
+    its floor, the system is rebuilt and solved in mpmath, and ``gram_condition``
     records that ``fallback``.
 
     ``gram_condition`` also records ``arithmetic`` ("dd" or "mp"), the
@@ -363,6 +364,14 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None
     return np.sum((E_t @ u) * E_x, axis=1)
 
 
+def _top_generalized_eigenvalue(w: np.ndarray, G: np.ndarray) -> float:
+    """Largest c with diag(w^2) v = c G v for a positive definite G, reduced
+    as LAPACK's hegv does: with G = L L^H it is the top eigenvalue of
+    Y Y^H, Y = L^-1 diag(w)."""
+    Y = np.linalg.solve(np.linalg.cholesky(G), np.diag(w))
+    return float(np.linalg.eigvalsh(Y @ Y.conj().T)[-1])
+
+
 @dataclass
 class ObservabilityReport:
     c_obs_hat: float
@@ -386,16 +395,14 @@ def certify_observability(
     near-resonant two-mode vector then verify the inequality at that
     constant and report their own worst ratio.
     """
-    from scipy.linalg import eigh as generalized_eigh
-
     if gram is None:
         gram = assemble_gram(ms, omega0, T)
     G = gram.G
     lam, _, rho = mode_arrays(ms, gram.modes)
-    c_exact = float(generalized_eigh(np.diag(1.0 / rho**2), G, eigvals_only=True)[-1])
+    c_exact = _top_generalized_eigenvalue(1.0 / rho, G)
 
     # random trials, then the closest spectral pair phased to minimize the energy
-    x = np.random.default_rng(seed).standard_normal((trials, 2, len(lam)))
+    x = default_rng(seed).standard_normal((trials, 2, len(lam)))
     lhs, rhs, (i, j) = weighted_inequality(G, rho, lam, x[:, 0] + 1j * x[:, 1])
     failures = int(np.count_nonzero(lhs > c_exact * rhs * (1 + 1e-9)))
     worst_random = float(np.max(lhs[:-1] / rhs[:-1], initial=0.0))

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, poch, roots_jacobi
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "normalization_constant",
@@ -46,6 +46,8 @@ __all__ = [
     "GAP_SLACK",
     "gauss_legendre",
     "gauss_interval",
+    "gauss_jacobi",
+    "sorted_unique",
     "write_csv",
     "write_json",
 ]
@@ -61,7 +63,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The arrays are shared between callers and therefore read-only.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -76,6 +78,15 @@ def gauss_interval(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = gauss_legendre(n)
     half = 0.5 * (b - a)
     return half * (x + 1.0) + a, half * w
+
+
+def sorted_unique(v) -> np.ndarray:
+    """``np.unique`` of a 1-D array without NaNs, by one sort; ``np.unique``
+    imports ``numpy.ma`` on its first call."""
+    v = np.sort(v)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
 
 
 def write_csv(path, header: str, row_format: str, rows) -> None:
@@ -115,7 +126,7 @@ def _check_order(s: float) -> float:
 def normalization_constant(s: float) -> float:
     """Normalization C_s = s * 2^(2s) * Gamma((1+2s)/2) / (sqrt(pi) * Gamma(1-s))."""
     s = _check_order(s)
-    return s * 2.0 ** (2 * s) * gamma_fn((1 + 2 * s) / 2.0) / (math.sqrt(math.pi) * gamma_fn(1 - s))
+    return s * 2.0 ** (2 * s) * math.gamma((1 + 2 * s) / 2.0) / (math.sqrt(math.pi) * math.gamma(1 - s))
 
 
 def asymptotic_kappa(s: float, k):
@@ -159,18 +170,48 @@ def _cell_kernel_weights(s: float, a: np.ndarray, h: float):
     return W, np.sign(a) * m1_pos, m2
 
 
+def _jacobi_b(a: float, k_max: int) -> np.ndarray:
+    """Recurrence coefficients b_1..b_{k_max-1} of the polynomials orthonormal
+    for the weight (1-x^2)^a on (-1, 1); b[k-1] = b_k."""
+    k = np.arange(1.0, k_max)
+    return np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+
+
 def _jacobi_rows(s: float, k_max: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal polynomials p_0..p_{k_max-1} for the weight (1-x^2)^s on
     (-1, 1), one row each, sampled at x, from the three-term recurrence
     x p_k = b_{k+1} p_{k+1} + b_k p_{k-1} of the symmetric Jacobi family."""
-    k = np.arange(1.0, k_max)
-    b = np.sqrt(k * (k + 2 * s) / ((2 * k + 2 * s + 1) * (2 * k + 2 * s - 1)))  # b[k-1] = b_k
+    b = _jacobi_b(s, k_max)
     p = np.empty((k_max, len(x)))
-    p[0] = math.sqrt(gamma_fn(s + 1.5) / (math.sqrt(math.pi) * gamma_fn(s + 1.0)))
-    p[1] = x * p[0] / b[0]
+    p[0] = math.sqrt(math.gamma(s + 1.5) / (math.sqrt(math.pi) * math.gamma(s + 1.0)))
+    if k_max > 1:
+        p[1] = x * p[0] / b[0]
     for j in range(1, k_max - 1):
         p[j + 1] = (x * p[j] - b[j - 1] * p[j - 1]) / b[j]
     return p
+
+
+def gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes and weights for the weight (1-x^2)^a on (-1, 1).
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix
+    (Golub-Welsch), made exactly odd; the weights are the Christoffel
+    numbers 1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}.
+    """
+    if n < 1 or not a >= 0.0:
+        raise ValueError(f"need n >= 1 and a >= 0, got n = {n}, a = {a}")
+    b = _jacobi_b(a, n)
+    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
+    x = 0.5 * (x - x[::-1])
+    return x, 1.0 / np.sum(_jacobi_rows(a, n, x) ** 2, axis=0)
+
+
+def _stiffness(s: float, k_max: int) -> np.ndarray:
+    """Gamma(k+1+2s)/k!, k = 0..k_max-1: the diagonal of (-d^2)^s in the basis
+    (1-x^2)^s p_k.  A running product of (k+2s)/k from Gamma(1+2s) keeps it
+    within 1e-14 relative at k = 336, where exp(lgamma - lgamma) is 5e-13 off."""
+    k = np.arange(1.0, k_max)
+    return math.gamma(1.0 + 2 * s) * np.cumprod(np.concatenate(([1.0], (k + 2 * s) / k)))
 
 
 def _ritz_values(s: float, per_parity: int) -> np.ndarray:
@@ -179,17 +220,16 @@ def _ritz_values(s: float, per_parity: int) -> np.ndarray:
 
     (-d^2)^s phi_k = Gamma(2s+k+1)/k! p_k (Acosta, Borthagaray, Bruno and
     Maas, Math. Comp. 2018), so the stiffness matrix is diagonal, L.  The mass
-    matrix G = int (1-x^2)^(2s) p_j p_k is exact under Gauss-Jacobi quadrature
-    with weight (1-x^2)^(2s), and even and odd k decouple.  The Ritz values
-    are the reciprocals of the eigenvalues of L^(-1/2) G L^(-1/2), whose
-    largest eigenvalues (the lowest modes) the symmetric solve gets to full
-    relative accuracy.  Being Ritz values, they bound the eigenvalues from
+    matrix G = int (1-x^2)^(2s) p_j p_k is exact under ``gauss_jacobi``, the
+    Gauss-Jacobi rule for the weight (1-x^2)^(2s), and even and odd k
+    decouple.  The Ritz values are the reciprocals of the eigenvalues of
+    L^(-1/2) G L^(-1/2), whose largest eigenvalues (the lowest modes) the
+    symmetric solve gets to full relative accuracy.  Being Ritz values, they bound the eigenvalues from
     above and do not increase as the basis grows.
     """
     k_max = 2 * per_parity
-    x, w = roots_jacobi(k_max, 2 * s, 2 * s)
-    stiffness = poch(np.arange(1.0, k_max + 1), 2 * s)
-    q = _jacobi_rows(s, k_max, x) * np.sqrt(w) / np.sqrt(stiffness)[:, None]
+    x, w = gauss_jacobi(k_max, 2 * s)
+    q = _jacobi_rows(s, k_max, x) * np.sqrt(w) / np.sqrt(_stiffness(s, k_max))[:, None]
     mu = [np.linalg.eigvalsh(half @ half.T) for half in (q[0::2], q[1::2])]
     return np.sort(1.0 / np.concatenate(mu))
 
@@ -416,6 +456,14 @@ _REL_TOL = 1.0e-2     # blanket relative agreement of the two tables
 _BAND_FACTOR = 5.0    # a low mode this many times above the fitted band is flagged
 
 
+def _median(v) -> float:
+    """``np.median`` of a 1-D array without NaNs, by one sort; ``np.median``
+    imports ``numpy.ma`` on its first call."""
+    v = np.sort(v)
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2.0)
+
+
 def compare_backends(table_asym: EigenvalueTable, table_disc: EigenvalueTable) -> BackendAgreement:
     """Compare a closed-form table with a Galerkin table of the same order over
     their shared modes; relative errors are taken against the closed form."""
@@ -426,7 +474,7 @@ def compare_backends(table_asym: EigenvalueTable, table_disc: EigenvalueTable) -
     delta = np.abs(table_asym.rho[:n_cmp] - table_disc.rho[:n_cmp])
     rel = delta / table_asym.rho[:n_cmp]
     fit_range = max(3, n_cmp // 3)
-    c_fit = float(np.median((delta * n)[:fit_range]))
+    c_fit = _median((delta * n)[:fit_range])
     flagged = np.zeros(n_cmp, dtype=bool)
     flagged[:fit_range] = (delta * n)[:fit_range] > _BAND_FACTOR * max(c_fit, 1e-300)
     max_rel = float(rel.max())

@@ -18,7 +18,7 @@ priori estimate of the digits they need: double-double (``dd.DD``, about
 31 digits in vectorised float64 operations) when that keeps both six
 digits clear, mpmath at the table's precision otherwise, and mpmath again
 if double-double refinement stalls.  The solve climbs a two-rung ladder in
-either: one double-precision LU factor refined against residuals taken in
+either: double-precision LU solves refined against residuals taken in
 the extended arithmetic, and, for mpmath values only, one mpmath LU factor
 when that refinement stalls or the matrix does not fit in doubles.
 """
@@ -30,7 +30,6 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-import scipy.linalg
 
 from . import dd
 from .cubic import complex_root, real_root
@@ -109,7 +108,7 @@ def choose_arithmetic(cond_scaled: float, m: int, growth: float, terminal_tol: f
 
     Two requirements, each with ``MARGIN_DIGITS`` digits to spare:
 
-    - **The solve.**  Refinement with one float64 LU factor shrinks the
+    - **The solve.**  Refinement with float64 LU solves shrinks the
       error by about cond_scaled u64 per step, so it converges only while
       that is well below 1; this is also where the float64 estimate of
       cond_scaled stops being round-off, so past ``COND_TRUSTED`` = 1e14 the
@@ -153,13 +152,15 @@ def hermitian_solve(A, b) -> LadderSolve:
     A and b are ``dd.DD`` arrays, or mpmath values as object arrays; x comes
     back in the same arithmetic.
 
-    Rung "float64": A is rounded to complex128 and LU-factored once; each
-    correction is solved with that factor, added to x in the values'
-    arithmetic, and the residual b - A x is recomputed there (mixed-precision
-    iterative refinement).  It continues while each step shrinks max |r|
-    at least tenfold.  Its floor is m u max|A| max|x|, with u = ``dd.EPS``
-    or 10^(-dps): the residual that rounding A x alone can leave, so no
-    factorization can promise less.  A double-double system must also
+    Rung "float64": A is rounded to complex128 and each correction is
+    solved with it in double precision (``np.linalg.solve``, which factors
+    it again at each step: 60 us at m = 48, 15 ms at m = 576 on 2 cores),
+    added to x in the values' arithmetic, and the residual b - A x is
+    recomputed there (mixed-precision iterative refinement); a matrix that
+    is singular in double precision ends the rung.  It continues while each
+    step shrinks max |r| at least tenfold.  Its floor is m u max|A| max|x|,
+    with u = ``dd.EPS`` or 10^(-dps): the residual that rounding A x alone
+    can leave, so no factorization can promise less.  A double-double system must also
     reach 10^-(10 + MARGIN_DIGITS) max|b|, the solve requirement
     ``choose_arithmetic`` chose it for (a diverged iterate is so large that
     its own floor promises nothing); one that stalls above either raises
@@ -172,12 +173,14 @@ def hermitian_solve(A, b) -> LadderSolve:
     history = {}
     A64 = dd.leading(A)
     if np.all(np.isfinite(A64)):
-        factor = scipy.linalg.lu_factor(A64, check_finite=False)
         x, r, res = b * 0, b, _max_abs(b)
         steps = history["float64"] = [float(res)]
         while res > 0:
             # the residual is normalized before rounding so it cannot underflow
-            d = scipy.linalg.lu_solve(factor, _normalized(r, res), check_finite=False)
+            try:
+                d = np.linalg.solve(A64, _normalized(r, res))
+            except np.linalg.LinAlgError:  # singular in double precision
+                break
             if not np.all(np.isfinite(d)):
                 break
             x_new = x + dd.lift(d, "dd" if isinstance(A, dd.DD) else "mp") * res

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.random import default_rng
 
 from .cubic import check_memory_coefficient, solve_cubic
 from .fractional import EigenvalueTable, write_csv, write_json
@@ -531,7 +532,7 @@ def frame_bounds(ms: MovingSpectrum, trials: int = 200, seed: int = 0) -> FrameR
     """
     if trials < 100:
         raise ValueError("need at least 100 randomized trials")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     B = np.stack([frame_matrix(ms, n) for n in ms.mode_indices()])
     H = B.conj().transpose(0, 2, 1) @ B
     w = np.linalg.eigvalsh(H)

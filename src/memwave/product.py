@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from .cubic import complex_root, real_root
-from .fractional import asymptotic_kappa, asymptotic_level, gauss_interval
+from .fractional import asymptotic_kappa, asymptotic_level, gauss_interval, sorted_unique
 from .moving import MovingSpectrum, BRANCHES, horizon_threshold, pair_distances
 
 __all__ = [
@@ -312,7 +312,7 @@ def zero_abscissas(pf: ProductFunction, x_max: float) -> np.ndarray:
     k_hi = int(math.ceil(asymptotic_level(ms.s, x_max / c))) + 2
     kap, _, m2, _ = pf._mu_tuple(np.arange(ms.N + 1, k_hi + 1, dtype=float))
     xs = np.concatenate([np.abs(pf.zeros.real), c * kap, c * kap + m2.imag, np.abs(c * kap - m2.imag)])
-    return np.sort(np.unique(xs[(xs > 0.0) & (xs <= x_max)]))
+    return sorted_unique(xs[(xs > 0.0) & (xs <= x_max)])
 
 
 def fit_axis_growth(pf: ProductFunction, x_max: float) -> GrowthFit:
@@ -327,6 +327,25 @@ def fit_axis_growth(pf: ProductFunction, x_max: float) -> GrowthFit:
     basis = np.vstack([mids**alpha, np.ones_like(mids)]).T
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
     return GrowthFit(d1=float(coef[0]), d0=float(coef[1]), alpha=alpha)
+
+
+# B_2k / (2k (2k - 1)), k = 1..6: the Stirling series of log Gamma
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0, -691.0 / 360360.0)
+
+
+def _loggamma(z) -> np.ndarray:
+    """log Gamma(z), the branch continuous from the positive axis, by the
+    Stirling series with six Bernoulli terms.  For Re z >= 20 the first term
+    left out is below 1e-19; smaller Re z raises ``ValueError``."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.real < 20.0):
+        raise ValueError("the Stirling series needs Re z >= 20")
+    inv = 1.0 / z
+    inv2 = inv * inv
+    series = 0.0
+    for c in _STIRLING[::-1]:
+        series = series * inv2 + c
+    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series * inv
 
 
 class GrowthCompensator:
@@ -371,14 +390,12 @@ class GrowthCompensator:
         return self.d1 * (tt**self.alpha - self.T0**self.alpha)
 
     def log_eval(self, z) -> np.ndarray:
-        from scipy.special import loggamma
-
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zeta = self.t + 1j * self.OFFSET
         acc = _log_factor_sum(np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)]), z)
         # two linear chains beyond the explicit zeros, spacing 2/B each
         w = z * self.B / 2.0
-        acc += 2.0 * (2.0 * loggamma(self._m0) - loggamma(self._m0 + w) - loggamma(self._m0 - w))
+        acc += 2.0 * (2.0 * _loggamma(self._m0) - _loggamma(self._m0 + w) - _loggamma(self._m0 - w))
         return acc
 
 

@@ -16,6 +16,7 @@ import pathlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from . import biorthogonal as bio
@@ -309,7 +310,7 @@ class _Run:
         rep_path = self.outdir / "terminal_report.json"
         report.to_json(rep_path)
         report.trajectory_csv(self.outdir / "trajectory.csv")
-        rng = np.random.default_rng(cfg.seed + 1)
+        rng = default_rng(cfg.seed + 1)
         modes = [(n, j) for n in ms.mode_indices() for j in (1, 2, 3)]
         coeff_sets = [{mk: complex(rng.standard_normal(), rng.standard_normal()) for mk in modes}
                       for _ in range(8)]

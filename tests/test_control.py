@@ -119,7 +119,7 @@ def test_synthesis_and_moment_feasibility(setup):
 
 
 def test_ladder_float64_rung(setup):
-    # at M = 0.5 one float64 factor refined against mp residuals suffices
+    # at M = 0.5 float64 solves refined against extended residuals suffice
     ms, T, gram = setup
     cf = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=11), ms), gram)
     assert cf.gram_condition["rung"] == "float64"
@@ -131,8 +131,8 @@ def test_ladder_float64_rung(setup):
 
 
 def test_ladder_escalates_to_one_mp_factorization(monkeypatch):
-    # at M = 5 the scaled Gram (condition ~1e38) is beyond one float64
-    # factor: rung 1 stalls, and rung 2 factors in mpmath exactly once
+    # at M = 5 the scaled Gram (condition ~1e38) is beyond float64
+    # solves: rung 1 stalls, and rung 2 factors in mpmath exactly once
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
     gram = ctl.assemble_gram(ms, OMEGA0, T)
@@ -164,6 +164,21 @@ def test_ladder_overflowing_matrix_goes_to_mp():
         assert solve.rung == "mp" and list(solve.history) == ["mp"]
         assert solve.residual <= 1e-25 * 3 * scale
         assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
+
+
+def test_ladder_matrix_singular_in_double_precision():
+    # rounded to float64 the matrix is exactly singular: rung 1 stops at once,
+    # mpmath values go to the mp rung and double-double ones to the fallback
+    with mp.workdps(50):
+        eps = mp.mpf("1e-20")
+        A = np.array([[1, 1], [1, 1 + eps]], dtype=object) * mp.mpf(1)
+        b = np.array([2, 2 + eps], dtype=object)
+        solve = hp.hermitian_solve(A, b)
+        assert solve.rung == "mp" and list(solve.history) == ["float64", "mp"]
+        assert len(solve.history["float64"]) == 1
+        assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
+    with pytest.raises(hp.RefinementStalled):
+        hp.hermitian_solve(dd.lift(A, "dd"), dd.lift(b, "dd"))
 
 
 def test_ladder_stays_on_float64_where_the_mp_rung_gains_nothing():
@@ -345,6 +360,18 @@ def test_observability_certificate(setup):
     assert (1 / rho**2) / rhs <= rep.c_obs_hat + 1e-12
 
 
+@pytest.mark.parametrize("M, N", [(0.5, 16), (2.0, 8)])
+def test_observability_constant_matches_scipy_generalized_eigh(M, N):
+    # the default configuration, and strong memory, against LAPACK's hegv
+    from scipy.linalg import eigh
+
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 200), M, 1.0, N)
+    gram = ctl.assemble_gram(ms, OMEGA0, 1.05 * horizon_threshold(1.0, ms.gamma))
+    rho = np.array([ms.rho(n) for n, _ in gram.modes])
+    ref = eigh(np.diag(1.0 / rho**2), gram.G, eigvals_only=True)[-1]
+    assert abs(ctl._top_generalized_eigenvalue(1.0 / rho, gram.G) / ref - 1.0) <= 1e-10
+
+
 def test_control_exports(tmp_path, setup):
     ms, T, gram = setup
     data = ctl.random_initial_data(ms, seed=1)
@@ -384,11 +411,9 @@ def test_mp_table_is_the_moving_spectrum(M, negative, c, N):
 
 def test_observability_certificate_can_fail(setup, monkeypatch):
     # below the exact constant the inequality must break on the trial vectors
-    import scipy.linalg
-
     ms, T, gram = setup
-    eigh = scipy.linalg.eigh
-    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: 1e-6 * eigh(*a, **k))
+    top = ctl._top_generalized_eigenvalue
+    monkeypatch.setattr(ctl, "_top_generalized_eigenvalue", lambda *a, **k: 1e-6 * top(*a, **k))
     rep = ctl.certify_observability(ms, OMEGA0, T, trials=150, seed=4, gram=gram)
     assert rep.c_obs_hat > 0 and rep.min_rhs > 0
     assert not rep.passed and rep.failures > 0

@@ -6,11 +6,12 @@ import math
 import pathlib
 import tempfile
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_jacobi, gammaln
+from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
 from memwave import fractional as fr
 
@@ -141,6 +142,58 @@ def test_jacobi_rows_match_normalized_eval_jacobi(s):
              / (2 * k + 2 * s + 1))
     ref = eval_jacobi(k[:, None], s, s, x) / np.sqrt(norm2)[:, None]
     assert np.max(np.abs(fr._jacobi_rows(s, 24, x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([1, 2, 7, 80, 320]), a=st.floats(0.0, 1.9))
+def test_gauss_jacobi_nodes_match_scipy(n, a):
+    x, w = fr.gauss_jacobi(n, a)
+    x_ref, w_ref = roots_jacobi(n, a, a)
+    assert np.max(np.abs(x - x_ref)) <= 1e-14
+    assert np.max(np.abs(w - w_ref) / w_ref) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(s=st.floats(0.5, 0.95), n=st.sampled_from([80, 320]))
+def test_gauss_jacobi_rule_keeps_the_rows_orthonormal(s, n):
+    # exact for degree 2n - 1, so the n-point rule integrates p_j p_k to delta_jk
+    # (scipy's own rule misses by 3.9e-12 at n = 320)
+    for a in (s, 2 * s):
+        x, w = fr.gauss_jacobi(n, a)
+        p = fr._jacobi_rows(a, n, x)
+        assert np.max(np.abs((p * w) @ p.T - np.eye(n))) <= 1e-12
+
+
+def test_gauss_jacobi_rejects_an_empty_rule_or_a_singular_weight():
+    for n, a in ((0, 0.5), (4, -0.5), (4, float("nan"))):
+        with pytest.raises(ValueError):
+            fr.gauss_jacobi(n, a)
+
+
+@settings(max_examples=10, deadline=None)
+@given(s=st.floats(0.5, 0.95))
+def test_stiffness_is_the_gamma_ratio(s):
+    with mp.workdps(30):
+        ref = [float(mp.gamma(k + 1 + 2 * mp.mpf(s)) / mp.factorial(k)) for k in range(336)]
+    assert np.max(np.abs(fr._stiffness(s, 336) / ref - 1.0)) <= 1e-13
+
+
+# finite floats without -0.0: equal elements may come out in either order
+_finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+
+
+@given(v=st.lists(_finite, min_size=1, max_size=40))
+@example(v=[3.0, 1.0, 2.0])
+@example(v=[4.0, 1.0, 3.0, 2.0])
+def test_median_is_np_median_bit_for_bit(v):
+    v = np.array(v)
+    assert np.float64(fr._median(v)).tobytes() == np.median(v).tobytes()
+
+
+@given(v=st.lists(_finite | st.sampled_from([0.0, 1.0, -2.5]), max_size=40))
+def test_sorted_unique_is_np_unique(v):
+    v = np.array(v, dtype=float)
+    assert fr.sorted_unique(v).tobytes() == np.unique(v).tobytes()
 
 
 def test_galerkin_matches_the_half_order_anchor():

@@ -1,10 +1,14 @@
 """Source hygiene: every name a module, demo or test imports is used or
-re-exported, and every memwave name a demo refers to exists."""
+re-exported, every memwave name a demo refers to exists, and the package
+neither imports nor loads scipy."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +99,48 @@ def test_guard_sees_an_unresolved_demo_name():
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")), ids=lambda p: p.name)
 def test_demo_memwave_names_resolve(path):
     assert unresolved_memwave_names(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every import of scipy in ``source``, at top level or inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"{alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy" and not node.level:
+            found.append(f"{node.module} (line {node.lineno})")
+    return found
+
+
+def test_guard_sees_a_scipy_import():
+    assert scipy_imports("import scipy.linalg\ndef f():\n    from scipy.special import gamma\n") == [
+        "scipy.linalg (line 1)", "scipy.special (line 3)"]
+    assert scipy_imports("import numpy\nfrom .scipy import x\nfrom scipyx import y\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_does_not_import_scipy(path):
+    # scipy is a test-only oracle; loading it costs every run about 0.35 s
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_pipelines_load_no_scipy_module(tmp_path):
+    # nor numpy.ma, which np.median and np.unique import on their first call
+    script = (
+        "import sys\n"
+        "import memwave\n"
+        "from memwave import runner\n"
+        "before = set(sys.modules)\n"
+        "loaded = [sorted(m for m in sys.modules if m.startswith('scipy'))]\n"
+        "for pipeline, key, value in (('simulate', 'N', 4), ('biorthogonal', 'family_N', 2)):\n"
+        "    config = runner.load_config(overrides={key: value})\n"
+        "    _, passed = runner.run_pipeline(config, pipeline, outdir=sys.argv[1] + '/' + pipeline)\n"
+        "    assert passed, pipeline\n"
+        "    loaded.append(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(loaded, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[[], [], []] []"

@@ -335,3 +335,21 @@ def test_family_configuration_takes_far_branch(monkeypatch):
     # weight 1 but on the remainder zeros, which are all far
     tail = 6 * (pf._GAUSS_N + 3)
     assert np.all(w[:-tail] == 1.0) and np.all(np.abs(a[-tail:]) > pr._NEAR_RATIO * np.max(np.abs(zz)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(re=st.floats(20.0, 5000.0), im=st.floats(-3000.0, 3000.0))
+def test_loggamma_matches_scipy(re, im):
+    from scipy.special import loggamma
+
+    z = complex(re, im)
+    assert abs(pr._loggamma(z) - loggamma(z)) <= 1e-15 * abs(loggamma(z))
+
+
+def test_loggamma_refuses_arguments_below_its_series_range():
+    with pytest.raises(ValueError):
+        pr._loggamma(np.array([30.0, 19.5 + 40j]))
+    # the compensator's chains stay far inside the range across its window
+    comp = pr.GrowthCompensator(2.0, 0.5, 300.0)
+    assert comp._m0 - comp.B * 300.0 / 2.0 >= 20.0
+    assert np.all(np.isfinite(comp.log_eval(np.array([-300.0, 300.0]) + 1j)))
