@@ -27,7 +27,7 @@ print(f"compensator: {len(comp.t)} zero pairs, exponential type {comp.type:.3f}"
 
 xs = np.linspace(0.5, 300.0, 1200)
 raw = pf.log_eval(xs.astype(complex)).real
-flat = raw + comp.log_eval(xs.astype(complex)).real
+flat = pf.log_eval(xs.astype(complex), comp).real
 np.savetxt(OUT / "product_modulus.csv",
            np.column_stack([xs, raw, flat]),
            delimiter=",", header="x,log_abs_P,log_abs_P_compensated", comments="")

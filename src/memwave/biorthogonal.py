@@ -191,7 +191,7 @@ def build_biorthogonal(
         comp, fit = growth_compensator(pf, X)
         # exponential-type budget: product plus multiplier must fit T/2
         y_probe = np.linspace(0.3, 0.55, 6) * abs(ms.c) * float(ms.kappa_pos[-1])
-        tvals = (pf.log_eval(1j * y_probe) + comp.log_eval(1j * y_probe)).real
+        tvals = pf.log_eval(1j * y_probe, comp).real
         type_total = float(np.polyfit(y_probe, tvals, 1)[0])
         if type_total > 0.98 * T / 2.0:
             raise ValueError(
@@ -205,10 +205,8 @@ def build_biorthogonal(
         breaks = breaks[(breaks >= -X) & (breaks <= X)]
         x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], _FREQ_PER_PANEL))
 
-        logP = pf.log_eval(x_nodes.astype(complex)) + comp.log_eval(x_nodes.astype(complex))
-        Pvals = np.exp(logP)
-        # P~'(z) = P'(z) * M(z) at a zero of P
-        dP = np.array([pf.derivative_at_mode(n, j) for (n, j) in modes]) * np.exp(comp.log_eval(zeros))
+        Pvals = np.exp(pf.log_eval(x_nodes.astype(complex), comp))
+        dP = pf.derivative_at_modes(modes, comp)
 
         theta_hat = Pvals[None, :] / ((x_nodes[None, :] - zeros[:, None]) * dP[:, None])
 

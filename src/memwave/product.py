@@ -12,36 +12,31 @@ many orders of magnitude), so the evaluator has three layers:
 * direct blocks for levels beyond the table: level k contributes the six
   factors 1 + z/a with a = i mu^j -+ c kappa_k, from the closed-form
   frequency extension kappa_k = k*pi/2 - (1-s)*pi/4 and the per-level
-  cubic, out to where all remaining levels are safely non-resonant.  Exact
-  and block factors are summed as log(1 + z/a) by one routine of local
-  expansions: every zero farther than twice the batch's max|z| through the
-  power series -sum_k (-z)^k S_k / k about z = 0 with S_k = sum a^(-k); the
-  nearer zeros per panel of points about its centre z_c, as the constant
-  sum [log(a + z_c) - log a] plus the same series in z - z_c with
-  S_k = sum (a + z_c)^(-k).  Only the zeros within twice a panel's radius
-  of -z_c (and weighted near zeros) stay explicit logs, so the cost is a few
-  dozen series terms per point plus a few dozen logs, exact to round-off;
-  with unit weights the phase is defined mod 2 pi i;
+  cubic, out to where all remaining levels are safely non-resonant;
 * the far tail summed by Euler-Maclaurin: the block log is a smooth,
   non-oscillatory function of the continuous level index once
   c*kappa_k dominates |z|, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
   with the integral taken by quadrature on the compactified variable.
   Every term of that formula is a level's six zeros with a weight (the
-  quadrature weight, 1/2, or the difference weight of f'), so the tail goes
-  through the same sum as the other zeros; lying past the direct blocks,
-  its zeros land among the far ones, where they only add w a^(-k) to the
-  power sums and cost nothing per point beyond the series.
+  quadrature weight, 1/2, or the difference weight of f').
+
+All of these zeros, weighted or not, go through one routine of local power
+series expansions, ``_log_factor_sum``, exact to round-off at a few dozen
+series terms and a few dozen explicit logs per point; the tail's zeros lie
+past the direct blocks among the far ones, where they cost nothing per point.
 
 One structural fact matters downstream: for 1/2 < s < 1 the dispersive comb
 offset beta_n ~ kappa_n^s makes the zero counting irregular at order
 r^(2s-1), so log|P| carries a genuine subexponential growth trend
 ~ d*|x|^(2s-1) along the real axis (at s = 1 the offset is linear in kappa
-and the trend vanishes, which is where the flat-modulus expectation comes
-from).  The growth is o(|x|) and can therefore be cancelled at zero cost in
-exponential type by a sparse real-zero multiplier whose counting function
-matches the measured trend; ``growth_compensator`` builds it (its explicit
-zeros go through the same expansions), and the Fourier-side constructions
-evaluate the compensated product.
+and the trend vanishes).  The growth is o(|x|), so a sparse real-zero
+multiplier M whose counting function matches the measured trend cancels it
+at no cost in exponential type (``growth_compensator``).  The Fourier-side
+constructions use the compensated product P~ = P M as one object: with a
+compensator, ``log_eval`` sums the zeros of P and M in one call and adds M's
+closed-form chain term, and ``derivative_at_modes`` takes P' or P~' at a
+whole list of modes from one zero set, the other exact factors entering as
+one explicit (modes x exact zeros) log matrix.
 """
 
 from __future__ import annotations
@@ -223,16 +218,18 @@ class ProductFunction:
         ck = abs(self.ms.c) * kap
         return np.concatenate([ims - ck, ims + ck])
 
-    def _factor_zeros(self, k_cut: int, skip: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Every zero a of a factor 1 + z/a with its weight: the spectrum's
-        modes (but ``skip``) and the six zeros of each direct-block level
-        k <= k_cut with weight 1, then the weighted remainder zeros."""
-        exact = self.zeta_factor if skip is None else np.delete(self.zeta_factor, skip)
+    def _factor_zeros(self, zmax: float, comp: GrowthCompensator | None) -> tuple[np.ndarray, np.ndarray]:
+        """Every zero a of a factor 1 + z/a with its weight, for points with
+        max|z| = zmax: the spectrum's modes, the six zeros of each direct-block
+        level out to ``_direct_cutoff`` and the explicit zeros of ``comp`` with
+        weight 1, then the weighted remainder zeros."""
+        k_cut = self._direct_cutoff(zmax)
         levels = self._level_zeros(np.arange(self.ms.N + 1, k_cut + 1, dtype=float)).ravel()
         tail, w_tail = self._remainder_zeros(k_cut)
-        return np.concatenate([exact, levels, tail]), np.concatenate([np.ones(len(exact) + len(levels)), w_tail])
+        a = np.concatenate([self.zeta_factor, levels, np.empty(0) if comp is None else comp.zeros, tail])
+        return a, np.concatenate([np.ones(len(a) - len(tail)), w_tail])
 
-    _GAUSS_N = 48  # Gauss nodes on (0, 1) of the compactified remainder integral
+    _GAUSS_N = 96  # Gauss nodes on (0, 1) of the compactified remainder integral
 
     def _remainder_levels(self, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
         """Levels and weights whose weighted level log sums are the
@@ -258,38 +255,40 @@ class ProductFunction:
         return self._level_zeros(levels).ravel(), np.tile(weights, 6)
 
     # -- evaluation ---------------------------------------------------------
-    def log_eval(self, z) -> np.ndarray:
-        """log P(z) on an array of points (phase defined mod 2 pi i)."""
+    def log_eval(self, z, comp: GrowthCompensator | None = None) -> np.ndarray:
+        """log P(z) on an array of points, or with ``comp`` log P~(z) = log P(z) M(z):
+        one log sum over both zero sets plus the compensator's chain term
+        (phase defined mod 2 pi i)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.where(z == 0, -np.inf + 0j, 3.0 * np.log(np.where(z == 0, 1.0, z)))
         out = out.astype(complex)
         nz = z != 0
-        out[nz] += self._log_factors(z[nz])
+        a, w = self._factor_zeros(float(np.max(np.abs(z[nz]), initial=1.0)), comp)
+        out[nz] += _log_factor_sum(a, z[nz], w)
+        if comp is not None:
+            out += comp.chain_log(z)
         return out
 
     def eval(self, z) -> np.ndarray:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        res = np.zeros_like(z)
-        nz = z != 0
-        res[nz] = np.exp(self.log_eval(z[nz]))
-        return res
-
-    def _log_factors(self, z: np.ndarray, skip: int | None = None) -> np.ndarray:
-        """log of every factor but z^3: exact modes, direct blocks, remainder."""
-        k_cut = self._direct_cutoff(float(np.max(np.abs(z), initial=1.0)))
-        a, w = self._factor_zeros(k_cut, skip)
-        return _log_factor_sum(a, z, w)
+        return np.exp(self.log_eval(z))  # exp(-inf) = 0 on the zeros
 
     # -- derivatives --------------------------------------------------------
-    def derivative_at_mode(self, n: int, j: int) -> complex:
-        """P'(z0) at the mode's zero z0 = -i conj(lam(n,j)), factored form."""
-        try:
-            idx = self.modes.index((n, j))
-        except ValueError:
-            raise KeyError(f"mode {(n, j)} is not an included factor") from None
-        z0 = self.zeros[idx]
-        log_rest = self._log_factors(np.array([z0]), skip=idx)[0]
-        return complex(z0**3 / self.zeta_factor[idx] * np.exp(log_rest))
+    def derivative_at_modes(self, modes, comp: GrowthCompensator | None = None) -> np.ndarray:
+        """P'(z0) at each mode's zero z0 = -i conj(lam(n,j)), or with ``comp``
+        P~'(z0) = P'(z0) M(z0), in factored form from one zero set: z0^3 / zeta
+        of the mode's own factor, the other exact factors as explicit logs, and
+        one log sum over the blocks, the remainder and the compensator."""
+        idx = np.array([self.modes.index(m) for m in modes])
+        z0, ne = self.zeros[idx], len(self.zeta_factor)
+        a, w = self._factor_zeros(float(np.max(np.abs(z0))), comp)
+        with np.errstate(divide="ignore"):
+            exact = np.log(self.zeta_factor + z0[:, None]) - np.log(self.zeta_factor)
+        exact[np.arange(len(idx)), idx] = 0.0  # the factor that vanishes at z0
+        log_d = 3.0 * np.log(z0) - np.log(self.zeta_factor[idx]) + exact.sum(axis=1)
+        log_d += _log_factor_sum(a[ne:], z0, w[ne:])
+        if comp is not None:
+            log_d += comp.chain_log(z0)
+        return np.exp(log_d)
 
 
 def build_product(ms: MovingSpectrum) -> ProductFunction:
@@ -383,6 +382,8 @@ class GrowthCompensator:
         for _ in range(12):
             t = (2.0 * j + self._omega(t) / math.pi) / self.B
         self.t = t[:-1]
+        zeta = self.t + 1j * self.OFFSET
+        self.zeros = np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)])
         self._m0 = J + 1 + (self.B * t[-1] / 2.0 - (J + 1))
 
     def _omega(self, t):
@@ -390,13 +391,16 @@ class GrowthCompensator:
         return self.d1 * (tt**self.alpha - self.T0**self.alpha)
 
     def log_eval(self, z) -> np.ndarray:
+        """log M(z) of the multiplier alone; the compensated product sums these
+        zeros together with the product's (``ProductFunction.log_eval``)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        zeta = self.t + 1j * self.OFFSET
-        acc = _log_factor_sum(np.concatenate([zeta, -zeta, np.conj(zeta), -np.conj(zeta)]), z)
-        # two linear chains beyond the explicit zeros, spacing 2/B each
+        return _log_factor_sum(self.zeros, z) + self.chain_log(z)
+
+    def chain_log(self, z) -> np.ndarray:
+        """log of the two linear chains beyond the explicit zeros, spacing 2/B
+        each, in closed form; the explicit ``zeros`` enter the product's sum."""
         w = z * self.B / 2.0
-        acc += 2.0 * (2.0 * _loggamma(self._m0) - _loggamma(self._m0 + w) - _loggamma(self._m0 - w))
-        return acc
+        return 2.0 * (2.0 * _loggamma(self._m0) - _loggamma(self._m0 + w) - _loggamma(self._m0 - w))
 
 
 def growth_compensator(pf: ProductFunction, x_max: float) -> tuple[GrowthCompensator, GrowthFit]:
@@ -451,16 +455,14 @@ def verify_product_properties(
     # horizontal line is not driven by the outer half of the scan range
     xs = np.linspace(-x_hi, x_hi, 4001)
     inner = np.abs(xs) <= x_hi / 2.0
-    strip_stable = True
-    for yline in (0.0, _STRIP_DELTA / 2.0, _STRIP_DELTA):
-        logm = (pf.log_eval(xs + 1j * yline) + comp.log_eval(xs + 1j * yline)).real
-        strip_stable = strip_stable and float(np.exp(logm.max())) <= 5.0 * float(np.exp(logm[inner].max()))
+    lines = np.array([0.0, _STRIP_DELTA / 2.0, _STRIP_DELTA])
+    logm = pf.log_eval((xs[None, :] + 1j * lines[:, None]).ravel(), comp).real.reshape(len(lines), -1)
+    strip_stable = bool(np.all(np.exp(logm.max(axis=1)) <= 5.0 * np.exp(logm[:, inner].max(axis=1))))
 
     # derivative lower envelope over the family modes (literal product)
-    c2_hat = float(min(
-        abs(ms.rho(n) * pf.derivative_at_mode(n, j))
-        for n in ms.mode_indices() if abs(n) <= N_fam for j in BRANCHES
-    ))
+    fam = [(n, j) for n in ms.mode_indices() if abs(n) <= N_fam for j in BRANCHES]
+    rho = np.array([ms.rho(n) for n, _ in fam])
+    c2_hat = float(np.min(np.abs(rho * pf.derivative_at_modes(fam))))
 
     # zero counting (reported, not asserted): per-unit density of zeros and
     # the per-unit density tau/pi the quoted type would imply

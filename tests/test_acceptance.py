@@ -115,12 +115,10 @@ def test_criterion_4_biorthogonality():
     gram_ok = bf.gram_deviation <= 1e-3
     C = bf.norm_ratio_bound()
     norm_ok = np.isfinite(C) and np.all(bf.norms <= C * bf.rho + 1e-12)
-    c2 = {}
-    for n in [m for m in ms.mode_indices() if abs(m) <= 12]:
-        for j in (1, 2, 3):
-            c2[(n, j)] = abs(ms.rho(n) * pf.derivative_at_mode(n, j))
-    c2_hat = min(c2.values())
-    env_ok = c2_hat > 0 and all(v >= c2_hat for v in c2.values())
+    modes = [(n, j) for n in ms.mode_indices() if abs(n) <= 12 for j in (1, 2, 3)]
+    c2 = np.abs(np.array([ms.rho(n) for n, _ in modes]) * pf.derivative_at_modes(modes))
+    c2_hat = float(c2.min())
+    env_ok = c2_hat > 0 and bool(np.all(c2 >= c2_hat))
     verdict(4, "biorthogonality at N=12", gram_ok and norm_ok and env_ok,
             f"gram deviation {bf.gram_deviation:.2e}; norm constant {C:.3g}; C2 {c2_hat:.3g}")
 

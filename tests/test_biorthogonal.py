@@ -192,3 +192,24 @@ def test_window_attempts_are_recorded(tmp_path):
     assert json.loads((tmp_path / "family.json").read_text())["window_attempts"] == again.window_attempts
     with pytest.raises(RuntimeError, match=r"windows 20, 30, 45"):
         bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0, tol=1e-30)
+
+
+def test_zero_set_builds_do_not_grow_with_the_family(monkeypatch):
+    # every P~ and P~' of one window attempt comes from a fixed number of zero
+    # sets, however many modes the family has
+    from memwave.product import ProductFunction
+
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
+    pf = build_product(ms)
+    T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
+    builds = []
+    factor_zeros = ProductFunction._factor_zeros
+    monkeypatch.setattr(ProductFunction, "_factor_zeros",
+                        lambda self, *args: builds.append(args) or factor_zeros(self, *args))
+    counts = []
+    for family_N in (2, 4):
+        builds.clear()
+        bf = bio.build_biorthogonal(pf, T, family_N=family_N)
+        assert len(bf.window_attempts) == 1
+        counts.append(len(builds))
+    assert counts[0] == counts[1]

@@ -146,7 +146,10 @@ def test_axis_growth_trend_and_compensation(pf):
     assert fit.alpha == pytest.approx(0.5)
     assert fit.d1 > 1.0
     xs = np.linspace(0.5, 300, 800)
-    logm = (pf.log_eval(xs.astype(complex)) + comp.log_eval(xs.astype(complex))).real
+    logm = pf.log_eval(xs.astype(complex), comp).real
+    # one sum over both zero sets is the product's sum plus the multiplier's
+    apart = (pf.log_eval(xs.astype(complex)) + comp.log_eval(xs.astype(complex))).real
+    assert np.max(np.abs(logm - apart)) < 1e-10
     # compensated modulus flat: no order-of-magnitude growth across the window
     basis = np.vstack([np.sqrt(xs), np.ones_like(xs)]).T
     slope = np.linalg.lstsq(basis, logm, rcond=None)[0][0]
@@ -154,13 +157,22 @@ def test_axis_growth_trend_and_compensation(pf):
     assert logm.max() - np.median(logm) < 6.0
 
 
-def test_derivative_at_mode_matches_finite_difference(pf):
-    for mode in ((3, 2), (-7, 1), (10, 3)):
-        z0 = -1j * np.conj(pf.ms.lam(*mode))
-        dp = pf.derivative_at_mode(*mode)
-        h = 1e-6
-        fd = (pf.eval(z0 + h)[0] - pf.eval(z0 - h)[0]) / (2 * h)
-        assert dp == pytest.approx(fd, rel=1e-5)
+def test_derivative_at_mode_matches_finite_difference():
+    # the batched P' and P~' at every mode |n| <= 12 against a batched central
+    # difference of log_eval, off the tuned point as well
+    h = 1e-6
+    for s in (0.6, 0.75, 0.95):
+        table = build_eigenvalue_table(s, 16)
+        for c in (1.0, 1.4):
+            pf = pr.build_product(build_moving_spectrum(table, 0.5, c, 16))
+            comp, _ = pr.growth_compensator(pf, 150.0)
+            modes = [m for m in pf.modes if abs(m[0]) <= 12]
+            z0 = -1j * np.conj(np.array([pf.ms.lam(*m) for m in modes]))
+            steps = np.concatenate([z0 + h, z0 - h])
+            for m in (None, comp):
+                up, down = np.split(np.exp(pf.log_eval(steps, m)), 2)
+                fd = (up - down) / (2 * h)
+                assert pf.derivative_at_modes(modes, m) == pytest.approx(fd, rel=1e-5), (s, c, m)
 
 
 def test_product_report(pf):
@@ -319,13 +331,6 @@ def test_family_configuration_takes_far_branch(monkeypatch):
         assert len(set(centres[1:])) == panels
         assert sum(explicit_pairs) <= 0.1 * len(z) * (len(a) - far_zeros(a, z))
 
-    comp.log_eval(z)
-    (a, zz, w), = calls
-    assert len(a) == 4 * len(comp.t) and w is None
-    assert far_zeros(a, zz) > len(a) // 2
-    check_panels(a, zz)
-    for log in (calls, explicit_pairs, centres):
-        log.clear()
     pf.log_eval(z)
     (a, zz, w), = calls
     # exact modes plus six zeros per direct-block level and per remainder level
@@ -335,6 +340,16 @@ def test_family_configuration_takes_far_branch(monkeypatch):
     # weight 1 but on the remainder zeros, which are all far
     tail = 6 * (pf._GAUSS_N + 3)
     assert np.all(w[:-tail] == 1.0) and np.all(np.abs(a[-tail:]) > pr._NEAR_RATIO * np.max(np.abs(zz)))
+    for log in (calls, explicit_pairs, centres):
+        log.clear()
+    # the compensated product: the same zero set and the compensator's zeros in one sum
+    pf.log_eval(z, comp)
+    (b, zz, v), = calls
+    assert len(comp.zeros) == 4 * len(comp.t)
+    assert np.array_equal(b, np.concatenate([a[:-tail], comp.zeros, a[-tail:]]))
+    assert np.array_equal(v, np.concatenate([w[:-tail], np.ones(len(comp.zeros)), w[-tail:]]))
+    assert far_zeros(comp.zeros, zz) > len(comp.zeros) // 2
+    check_panels(b, zz)
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,4 +367,4 @@ def test_loggamma_refuses_arguments_below_its_series_range():
     # the compensator's chains stay far inside the range across its window
     comp = pr.GrowthCompensator(2.0, 0.5, 300.0)
     assert comp._m0 - comp.B * 300.0 / 2.0 >= 20.0
-    assert np.all(np.isfinite(comp.log_eval(np.array([-300.0, 300.0]) + 1j)))
+    assert np.all(np.isfinite(comp.chain_log(np.array([-300.0, 300.0]) + 1j)))
