@@ -59,7 +59,6 @@ from .simulate import (
     GalerkinState,
     PlaneWaveGram,
     duality_residuals,
-    map_frames,
     verify_duality,
 )
 from .runner import RunConfig, load_config, run_pipeline, sweep

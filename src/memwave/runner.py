@@ -108,8 +108,9 @@ class RunConfig:
             raise ConfigError(
                 f"n_table = {v['n_table']} must be at least N = {v['N']} and 4 family_N = {4 * v['family_N']}"
             )
-        if not (v["T_factor"] > 0.0 and v["terminal_tol"] > 0.0 and (v["T"] is None or v["T"] > 0.0)):
-            raise ConfigError("T, T_factor and terminal_tol must be positive")
+        if not (v["T_factor"] > 0.0 and v["terminal_tol"] > 0.0
+                and all(v[key] is None or v[key] > 0.0 for key in ("T", "gap_epsilon"))):
+            raise ConfigError("T, T_factor, terminal_tol and gap_epsilon must be positive")
         if min(v["sigma_xi"], v["sigma_xi_dot"], v["sigma_zeta"]) < 0.0:
             raise ConfigError("the sigma weights must be nonnegative")
         if not v["omega0_hi"] > v["omega0_lo"]:
@@ -252,10 +253,12 @@ class _Run:
     def biorthogonal_stage(self):
         cfg = self.config
         table = self.table()
+        T, below = _resolve_horizon(cfg, table.gap_gamma)
+        if below:  # the Gram control may run there; the family has no construction
+            raise ConfigError(f"T = {T:.4f} is below the horizon threshold, where the biorthogonal family has none")
         ms4 = moving.build_moving_spectrum(table, cfg.M, cfg.c, 4 * cfg.family_N)
         pf = pr.build_product(ms4)
         prep = pr.verify_product_properties(pf, family_N=cfg.family_N)
-        T, below = _resolve_horizon(cfg, table.gap_gamma)
         bf = bio.build_biorthogonal(pf, T, family_N=cfg.family_N)
         man_path = self.outdir / "biorthogonal_manifest.json"
         bf.export_manifest(man_path)
@@ -270,7 +273,6 @@ class _Run:
             "gram_within_1e3": bool(bf.gram_deviation <= 1e-3),
             "norm_ratio_bound": bf.norm_ratio_bound(),
             "lower_summation": low.passed,
-            "below_threshold_watermark": below,
         }
         self.record("biorthogonal", verdicts, [man_path.name, "theta_samples"])
         return verdicts

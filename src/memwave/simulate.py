@@ -1,5 +1,9 @@
 """Exact propagation of the truncated moving-frame system with memory.
 
+States, data and forcing all live in the frame co-moving with the control's
+support; a support frozen in the original frame is the forcing phase
+``Forcing.shift = -i c kappa``, not a second frame.
+
 Per plane-wave mode the displacement/velocity/memory triple obeys a 3x3
 linear system whose eigenvalues are the memory-cubic roots shifted by the
 transport phase, nu_j = mu_j - i c kappa_n, so propagation is exact modal
@@ -54,7 +58,6 @@ __all__ = [
     "TerminalReport",
     "verify_duality",
     "duality_residuals",
-    "map_frames",
 ]
 
 SIGMA_WEIGHTS = (3.0, 2.0, 1.0)  # weighted norms for (xi, xi_t, zeta)
@@ -67,10 +70,6 @@ class GalerkinState:
     xi: np.ndarray
     xi_dot: np.ndarray
     zeta: np.ndarray
-    frame: str = "moving"
-
-    def copy(self) -> "GalerkinState":
-        return GalerkinState(self.t, self.ns.copy(), self.xi.copy(), self.xi_dot.copy(), self.zeta.copy(), self.frame)
 
 
 class ModalTable(NamedTuple):
@@ -103,6 +102,9 @@ class Forcing(NamedTuple):
     kappa_i) x} dx.  The exponents separate as expos[i, k] = shift[i] -
     lam[k], so every exponential the propagation needs is a product of two
     per-mode tables.
+    ``shift`` is zero for the synthesized support, fixed at omega0 in the
+    co-moving frame; a support pinned at omega0 in the original frame is the
+    same projection times e^{-i c kappa_i t}, i.e. shift = -i c kappa.
     """
 
     a: np.ndarray
@@ -158,25 +160,23 @@ class _ModalSetup:
     or ``hp.MpSpectrum``) in an arithmetic (see ``dd.lift``), with the
     transport shift ick = i c kappa of the frame; binds forcing and data."""
 
-    def __init__(self, spec, arithmetic: str, ns, frame: str):
+    def __init__(self, spec, arithmetic: str, ns):
         self.spec, self.arithmetic, self.ns = spec, arithmetic, ns
         _, self.kappa, self.rho = mode_arrays(spec, [(n, 1) for n in ns], arithmetic)
         self.zeros = dd.lift(np.zeros(len(ns)), arithmetic)
-        self.ick = 1j * dd.lift(spec.c if frame == "moving" else 0.0, arithmetic) * self.kappa
+        self.ick = 1j * dd.lift(spec.c, arithmetic) * self.kappa
         mu = dd.lift([[spec.mu_of(n, j) for j in BRANCHES] for n in ns], arithmetic)
         self.modal = ModalTable.build(mu, self.rho, dd.lift(spec.M, arithmetic), self.ick)
 
-    def forcing(self, modes, a, omega0, transported: bool = False) -> Forcing:
-        """The forcing of the control sum_k a_k e^{-lam_k t} e^{i kap_k x} on
-        omega0, whose support moves with the frame if ``transported``."""
+    def forcing(self, modes, a, omega0) -> Forcing:
+        """The forcing of the control sum_k a_k e^{-lam_k t} e^{i kap_k x} on omega0."""
         arithmetic, kappa = self.arithmetic, self.kappa
         lam, kap, _ = mode_arrays(self.spec, modes, arithmetic)
         x0, x1 = (dd.lift(v, arithmetic) for v in omega0)
         e0 = _exp(1j * kap * x0)[None, :] * _exp(-1j * kappa * x0)[:, None]
         e1 = _exp(1j * kap * x1)[None, :] * _exp(-1j * kappa * x1)[:, None]
         S = _space_factor(kap[None, :] - kappa[:, None], x0, x1, e0, e1)
-        shift = 1j * dd.lift(self.spec.c, arithmetic) * kappa if transported else self.zeros
-        return Forcing(dd.lift(a, arithmetic), S, lam, shift)
+        return Forcing(dd.lift(a, arithmetic), S, lam, self.zeros)
 
     def initial_state(self, data: InitialData):
         """Moving-frame data as states (modes x (xi, xi_dot, zeta)):
@@ -210,17 +210,15 @@ class PlaneWaveGram:
 
 
 class GalerkinSimulator:
-    """Exact modal propagator for the moving- or fixed-frame system."""
+    """Exact modal propagator in the co-moving frame.  A support frozen in
+    the original frame is ``bind_forcing(cf)._replace(shift=-1j * ms.c * self.kappa)``."""
 
-    def __init__(self, ms: MovingSpectrum, omega0, frame: str = "moving", sigma_weights=SIGMA_WEIGHTS):
-        if frame not in ("moving", "fixed"):
-            raise ValueError("frame must be 'moving' or 'fixed'")
+    def __init__(self, ms: MovingSpectrum, omega0, sigma_weights=SIGMA_WEIGHTS):
         self.ms = ms
         self.sigma_weights = tuple(float(v) for v in sigma_weights)
         self.omega0 = (float(omega0[0]), float(omega0[1]))
-        self.frame = frame
         self.ns = np.array(ms.mode_indices())
-        self._setup = setup = _ModalSetup(ms, "float64", ms.mode_indices(), frame)
+        self._setup = setup = _ModalSetup(ms, "float64", ms.mode_indices())
         self.kappa, self.rho, self.modal = setup.kappa, setup.rho, setup.modal
         self.gram = PlaneWaveGram.build(self.ns, self.kappa)
         root, rho = self.modal.nu + setup.ick[:, None], self.rho[:, None]
@@ -231,38 +229,26 @@ class GalerkinSimulator:
 
     # -- states --------------------------------------------------------------
     def initial_state(self, data: InitialData) -> GalerkinState:
-        if self.frame != "moving":
-            raise ValueError("initial data is given in the moving frame")
-        return GalerkinState(0.0, self.ns.copy(), *self._setup.initial_state(data).T, frame="moving")
+        return GalerkinState(0.0, self.ns.copy(), *self._setup.initial_state(data).T)
 
     def weighted_norms(self, state: GalerkinState) -> dict:
         return _weighted_norms(self.rho, np.stack([state.xi, state.xi_dot, state.zeta], axis=1), self.sigma_weights)
 
     # -- forcing --------------------------------------------------------------
-    def bind_forcing(self, control: ControlField | None, support_frame: str = "moving") -> Forcing:
-        """The control's forcing on every mode, one row per mode.
-
-        ``support_frame`` says where the control's support lives: "moving"
-        is the synthesized situation (support fixed at omega0 in the
-        co-moving frame); "frozen" pins the support at omega0 in the
-        original frame instead, the diagnostic configuration in which the
-        memory cannot be shut down.
-        """
-        if support_frame not in ("moving", "frozen"):
-            raise ValueError("support_frame must be 'moving' or 'frozen'")
+    def bind_forcing(self, control: ControlField | None) -> Forcing:
+        """The control's forcing on every mode, one row per mode, with the
+        support fixed at omega0 in the co-moving frame (zero shift)."""
         if control is not None and control.omega0 != self.omega0:
             raise ValueError("control support differs from the simulator's omega0")
-        if support_frame == "frozen" and self.frame != "fixed":
-            raise ValueError("the frozen-support diagnostic runs in the fixed frame")
         modes = control.modes if control is not None else []
         a = control.a if control is not None else np.zeros(0, dtype=complex)
-        return self._setup.forcing(modes, a, self.omega0, self.frame == "fixed" and support_frame == "moving")
+        return self._setup.forcing(modes, a, self.omega0)
 
     # -- propagation -----------------------------------------------------------
     def step_exact(self, state: GalerkinState, forcing: Forcing, dt: float) -> GalerkinState:
         """Advance by dt with exact exponentials and closed-form Duhamel."""
         X = _advance(self.modal, np.stack([state.xi, state.xi_dot, state.zeta], axis=1), state.t, dt, forcing)
-        return GalerkinState(state.t + dt, state.ns.copy(), *X.T, frame=state.frame)
+        return GalerkinState(state.t + dt, state.ns.copy(), *X.T)
 
     def run_to_T(
         self,
@@ -308,8 +294,6 @@ class GalerkinSimulator:
         from the solved coefficients at full precision.  The terminal
         coordinates are where fourteen-plus digits cancel.
         """
-        if self.frame != "moving":
-            raise ValueError("the extended-precision path covers the moving frame")
         spec = control.spec_mp if control is not None else None
         dps = spec.dps if spec is not None else 50
         modes, a, arithmetic = [], np.zeros(0, dtype=complex), "mp"
@@ -317,7 +301,7 @@ class GalerkinSimulator:
             modes, arithmetic = control.modes, control.arithmetic
             a = control.a_hp if control.a_hp is not None else control.a
         with mp.workdps(dps):
-            setup = _ModalSetup(spec or MpSpectrum(self.ms, dps=dps), arithmetic, self._setup.ns, "moving")
+            setup = _ModalSetup(spec or MpSpectrum(self.ms, dps=dps), arithmetic, self._setup.ns)
             X = _advance(setup.modal, setup.initial_state(data), 0, dd.lift(T, arithmetic),
                          setup.forcing(modes, a, self.omega0))
             return _weighted_norms(setup.rho, X, self.sigma_weights)
@@ -353,34 +337,6 @@ class TerminalReport:
     def trajectory_csv(self, path) -> None:
         write_csv(path, "t,norm_xi,norm_xi_dot,norm_zeta", "%r,%r,%r,%r",
                   ((t, norms["xi"], norms["xi_dot"], norms["zeta"]) for t, norms in self.trajectory))
-
-
-def map_frames(state: GalerkinState, ms: MovingSpectrum, direction: str) -> GalerkinState:
-    """Phase conjugation between the co-moving and fixed frames.
-
-    moving->fixed:  y_n = xi_n e^{i kappa_n c t},
-                    (y_t)_n = (xi_dot_n + i c kappa_n xi_n) e^{i kappa_n c t}.
-    """
-    kappa = mode_arrays(ms, [(int(n), 1) for n in state.ns])[1]
-    phase = np.exp(1j * kappa * ms.c * state.t)
-    out = state.copy()
-    if direction == "moving_to_fixed":
-        if state.frame != "moving":
-            raise ValueError("state is not in the moving frame")
-        out.xi = state.xi * phase
-        out.xi_dot = (state.xi_dot + 1j * ms.c * kappa * state.xi) * phase
-        out.zeta = state.zeta * phase
-        out.frame = "fixed"
-    elif direction == "fixed_to_moving":
-        if state.frame != "fixed":
-            raise ValueError("state is not in the fixed frame")
-        out.xi = state.xi / phase
-        out.xi_dot = state.xi_dot / phase - 1j * ms.c * kappa * (state.xi / phase)
-        out.zeta = state.zeta / phase
-        out.frame = "moving"
-    else:
-        raise ValueError("direction must be 'moving_to_fixed' or 'fixed_to_moving'")
-    return out
 
 
 def verify_duality(

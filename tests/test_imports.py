@@ -1,6 +1,6 @@
 """Source hygiene: every name a module, demo or test imports is used or
-re-exported, every memwave name a demo refers to exists, and the package
-neither imports nor loads scipy."""
+re-exported, every name a module exports and every memwave name a demo
+refers to exists, and the package neither imports nor loads scipy."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -51,6 +52,29 @@ def test_guard_sees_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def stale_exports(module) -> list[str]:
+    """Names in ``module.__all__`` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def _module_from(source: str):
+    module = types.ModuleType("probe")
+    exec(source, module.__dict__)
+    return module
+
+
+def test_guard_sees_a_stale_export():
+    assert stale_exports(_module_from("from math import pi\ndef f(): pass\n__all__ = ['pi', 'f', 'gone']\n")) == [
+        "gone"]
+    assert stale_exports(_module_from("x = 1\n")) == []
+
+
+@pytest.mark.parametrize("name", ["memwave", *(f"memwave.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                                               if not p.stem.startswith("__"))])
+def test_every_export_resolves(name):
+    assert stale_exports(importlib.import_module(name)) == []
 
 
 def _resolve(dotted: str):

@@ -225,7 +225,7 @@ _bad_values = st.one_of(
 _nonpositive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 _negative = st.floats(max_value=0.0, exclude_max=True, allow_nan=False, allow_infinity=False)
 _out_of_range = st.one_of(
-    st.tuples(st.sampled_from(["T", "T_factor", "terminal_tol"]), _nonpositive),
+    st.tuples(st.sampled_from(["T", "T_factor", "terminal_tol", "gap_epsilon"]), _nonpositive),
     st.tuples(st.sampled_from(["sigma_xi", "sigma_xi_dot", "sigma_zeta"]), _negative),
 )
 # a table smaller than the default N = 16 is rejected, not silently enlarged
@@ -261,6 +261,16 @@ def test_bad_value_is_a_configuration_error(tmp_path_factory, case):
             assert rc == 2 and len(err.splitlines()) == 1
         else:  # parses but out of range: a failed sweep value, like c = 0
             assert rc == 1
+
+
+@pytest.mark.parametrize("verb", ["biorthogonal", "verify-all"])
+def test_cli_short_horizon_cannot_serve_the_family(tmp_path, verb):
+    # below the threshold the Gram control may run on request, the biorthogonal family never:
+    # the horizon is bad input for it (exit 2, one line), not a traceback
+    cfg_path = small_config(tmp_path, T_factor=0.9)
+    rc, err = _cli_exit([verb, "--config", str(cfg_path), "--out", str(tmp_path / "o"), "--allow-short-horizon"])
+    assert rc == 2 and len(err.splitlines()) == 1 and "biorthogonal" in err, err
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_cli_boolean_override_still_parses():

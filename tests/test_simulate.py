@@ -1,4 +1,4 @@
-"""Exact modal propagation, duality, frame maps, and the ODE oracle."""
+"""Exact modal propagation, forcing projection, duality, and the ODE oracle."""
 
 import functools
 import math
@@ -43,11 +43,29 @@ def mode_rhs(ms, n, amps, expos):
     return rhs
 
 
-def test_step_exact_vs_ode_oracle(world):
-    # 20 random single-mode problems against an adaptive high-order integrator
-    ms, T, data, cf, simulator = world
+@functools.cache
+def _world_at(c):
+    # the world fixture's construction at another velocity
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 0.5, c, 8)
+    T = 1.05 * horizon_threshold(c, ms.gamma)
+    data = ctl.random_initial_data(ms, seed=3)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), ctl.assemble_gram(ms, OMEGA0, T))
+    return ms, cf, sim.GalerkinSimulator(ms, OMEGA0)
+
+
+def test_step_exact_vs_ode_oracle():
+    # 20 random single-mode problems against an adaptive high-order integrator, per
+    # velocity and per support: the synthesized one and the frozen one (shift -i c kappa),
+    # so the oracle sees every transport term of the propagation and of the forcing
+    for c in (1.0, -1.4, 0.6):
+        ms, cf, simulator = _world_at(c)
+        synthesized = simulator.bind_forcing(cf)
+        for forcing in (synthesized, synthesized._replace(shift=-1j * c * simulator.kappa)):
+            _check_against_ode_oracle(ms, simulator, forcing)
+
+
+def _check_against_ode_oracle(ms, simulator, forcing):
     rng = np.random.default_rng(12)
-    forcing = simulator.bind_forcing(cf)
     horizon = 4.0
     for trial in range(20):
         n = int(rng.choice(simulator.ns))
@@ -60,7 +78,8 @@ def test_step_exact_vs_ode_oracle(world):
         )
         i = int(np.nonzero(simulator.ns == n)[0][0])
         state.xi[i], state.xi_dot[i], state.zeta[i] = x0
-        out = simulator.step_exact(state, forcing, horizon)
+        # in two steps, so the forcing's phase at a nonzero start time is checked too
+        out = simulator.step_exact(simulator.step_exact(state, forcing, horizon / 2), forcing, horizon / 2)
         amps, expos = forcing.amps[i], forcing.expos[i]
         y0 = [x0[0].real, x0[0].imag, x0[1].real, x0[1].imag, x0[2].real, x0[2].imag]
         sol = solve_ivp(mode_rhs(ms, n, amps, expos), (0, horizon), y0,
@@ -72,7 +91,7 @@ def test_step_exact_vs_ode_oracle(world):
             out.zeta[i].real, out.zeta[i].imag,
         ])
         scale = max(np.max(np.abs(want)), 1.0)
-        assert np.max(np.abs(got - want)) <= 1e-8 * scale, (trial, n)
+        assert np.max(np.abs(got - want)) <= 1e-8 * scale, (ms.c, forcing.shift[0], trial, n)
 
 
 def test_step_is_dt_free(world):
@@ -185,23 +204,6 @@ def test_double_double_terminal_check(world):
     assert all(r <= 1e-20 for r in rep.ratios.values()), rep.ratios
 
 
-def test_frame_covariance(world):
-    # fixed frame with the moving-support control equals the moving frame
-    # result mapped at T
-    ms, T, data, cf, simulator = world
-    t_end = 3.0
-    forcing = simulator.bind_forcing(cf)
-    moving_state = simulator.step_exact(simulator.initial_state(data), forcing, t_end)
-    fixed_sim = sim.GalerkinSimulator(ms, OMEGA0, frame="fixed")
-    s0 = simulator.initial_state(data)
-    s0_fixed = sim.map_frames(s0, ms, "moving_to_fixed")
-    fixed_state = fixed_sim.step_exact(s0_fixed, fixed_sim.bind_forcing(cf), t_end)
-    mapped = sim.map_frames(fixed_state, ms, "fixed_to_moving")
-    for field in ("xi", "xi_dot", "zeta"):
-        a, b = getattr(mapped, field), getattr(moving_state, field)
-        assert np.max(np.abs(a - b)) <= 1e-7 * max(np.max(np.abs(b)), 1e-30)
-
-
 @functools.cache
 def _table6():
     return build_eigenvalue_table(0.75, 6)
@@ -222,57 +224,25 @@ def _random_control(ms, T, rng):
     frac=st.floats(0.0, 1.0, exclude_min=True),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_frames_are_covariant(c, frac, seed):
+def test_forcing_is_the_projection_of_the_control(c, frac, seed):
+    # the synthesized forcing at time t is the factor-1/2 projection of the control on
+    # omega0, by quadrature; the frozen support's forcing (shift -i c kappa) is that
+    # projection times e^{-i kappa c t}, the phase between the frames
     ms = build_moving_spectrum(_table6(), 0.5, c, 6)
     T = 1.05 * horizon_threshold(c, ms.gamma)
     t = frac * T
-    rng = np.random.default_rng(seed)
-    control = _random_control(ms, T, rng)
-    moving_sim, fixed_sim = sim.GalerkinSimulator(ms, OMEGA0), sim.GalerkinSimulator(ms, OMEGA0, frame="fixed")
-    shape = (3, len(moving_sim.ns))
-    s0 = sim.GalerkinState(0.0, moving_sim.ns.copy(), *(rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
-    moved = moving_sim.step_exact(s0, moving_sim.bind_forcing(control), t)
-    fields = ("xi", "xi_dot", "zeta")
-
-    # moving -> fixed -> moving is the identity
-    back = sim.map_frames(sim.map_frames(moved, ms, "moving_to_fixed"), ms, "fixed_to_moving")
-    scale = max(np.max(np.abs(getattr(moved, f))) for f in fields)
-    for f in fields:
-        assert np.max(np.abs(getattr(back, f) - getattr(moved, f))) <= 1e-12 * scale
-
-    # a fixed-frame step under the translating support, mapped back, is the moving-frame step
-    fixed = fixed_sim.step_exact(sim.map_frames(s0, ms, "moving_to_fixed"), fixed_sim.bind_forcing(control), t)
-    mapped = sim.map_frames(fixed, ms, "fixed_to_moving")
-    for f in fields:
-        a, b = getattr(mapped, f), getattr(moved, f)
-        assert np.max(np.abs(a - b)) <= 1e-7 * max(np.max(np.abs(b)), 1e-30), f
-
-    # both fixed-frame forcings are the factor-1/2 projection of the control at time t, by quadrature:
-    # the frozen support sits on omega0; the translating one on omega0 - c t, where x' = x + c t
-    # runs over omega0, so its projection picks up e^{i kappa c t}
+    control = _random_control(ms, T, np.random.default_rng(seed))
+    simulator = sim.GalerkinSimulator(ms, OMEGA0)
     xg, xw = np.polynomial.legendre.leggauss(48)
     x = 0.5 * (OMEGA0[1] - OMEGA0[0]) * (xg + 1.0) + OMEGA0[0]
     xw = 0.5 * (OMEGA0[1] - OMEGA0[0]) * xw
-    kappa = fixed_sim.kappa
-    frozen = 0.5 * np.exp(-1j * kappa[:, None] * x[None, :]) @ (xw * control.evaluate(np.array([t]), x)[0])
-    for support, want in (("frozen", frozen), ("moving", np.exp(1j * kappa * c * t) * frozen)):
-        forcing = fixed_sim.bind_forcing(control, support_frame=support)
+    kappa = simulator.kappa
+    want = 0.5 * np.exp(-1j * kappa[:, None] * x[None, :]) @ (xw * control.evaluate(np.array([t]), x)[0])
+    synthesized = simulator.bind_forcing(control)
+    frozen = synthesized._replace(shift=-1j * c * kappa)
+    for forcing, phase in ((synthesized, 1.0), (frozen, np.exp(-1j * kappa * c * t))):
         got = (forcing.amps * np.exp(forcing.expos * t)).sum(axis=1)
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), support
-
-
-def test_frame_roundtrip_and_t0(world):
-    ms, T, data, cf, simulator = world
-    s0 = simulator.initial_state(data)
-    # at t = 0 the frames coincide
-    fixed = sim.map_frames(s0, ms, "moving_to_fixed")
-    assert np.allclose(fixed.xi, s0.xi)
-    back = sim.map_frames(fixed, ms, "fixed_to_moving")
-    assert np.allclose(back.xi, s0.xi) and np.allclose(back.xi_dot, s0.xi_dot)
-    st = simulator.step_exact(s0, simulator.bind_forcing(None), 2.0)
-    rt = sim.map_frames(sim.map_frames(st, ms, "moving_to_fixed"), ms, "fixed_to_moving")
-    for field in ("xi", "xi_dot", "zeta"):
-        assert np.max(np.abs(getattr(rt, field) - getattr(st, field))) < 1e-12
+        assert np.max(np.abs(got - phase * want)) <= 1e-10 * np.max(np.abs(want)), forcing is frozen
 
 
 def test_duality_identity(world):
