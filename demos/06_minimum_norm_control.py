@@ -32,6 +32,10 @@ msys = ctl.assemble_moments(data, ms)
 cf = ctl.synthesize_control(msys, gram)
 print(f"synthesis in {cf.gram_condition['arithmetic']} arithmetic ({cf.gram_condition['dps']}-digit spectrum): "
       f"moment residual {cf.residual:.2e}, control norm {cf.norm:.4f}")
+cert = cf.gram_condition["certificate"]
+if cert is not None:
+    print(f"double-double solve certified: residual {cert['residual']:.2e} + rounding bound "
+          f"{cert['rounding_bound']:.2e} <= target {cert['target']:.2e} (scaled system)")
 
 qm = ctl.quadrature_moments(cf, ms)
 rel = np.max(np.abs(qm - msys.b) / np.abs(msys.b))

@@ -263,24 +263,27 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
     spectrum, taken at dps = max(40, log10(cond_scaled) + 30) digits
     (``hp.MpSpectrum``), and prescaled by the rho weights.  The arithmetic
     of the rebuild, the solve's residuals, the scaling and the reported
-    residual is chosen a priori by ``hp.choose_arithmetic`` from
-    cond_scaled, m, |M| T and ``terminal_tol``, the tolerance of the
-    terminal check the control must pass: double-double (``dd.DD``) where
-    it keeps both the solve and that check six digits clear, mpmath at dps
-    otherwise.  ``hermitian_solve`` then refines float64 LU solves against
-    residuals taken in that arithmetic; in mpmath it takes one mpmath LU
-    factorization only when that stalls above the floor or the Gram does
-    not fit in double precision.  If double-double refinement stalls above
-    its floor, the system is rebuilt and solved in mpmath, and ``gram_condition``
-    records that ``fallback``.
+    residual is chosen a priori by ``hp.choose_arithmetic`` from |M| T and
+    ``terminal_tol``, the tolerance of the terminal check the control must
+    pass: double-double (``dd.DD``) where it keeps that check six digits
+    clear, mpmath at dps otherwise.  ``hermitian_solve`` then refines
+    float64 LU solves against residuals taken in that arithmetic; in
+    mpmath it takes one mpmath LU factorization only when that stalls
+    above the floor or the Gram does not fit in double precision.  A
+    double-double solve must pass its a posteriori certificate; if it
+    does not, the system is rebuilt and solved in mpmath, and
+    ``gram_condition`` records that ``fallback`` with the refinement and
+    the certificate it missed.
 
     ``gram_condition`` also records ``arithmetic`` ("dd" or "mp"), the
-    ``estimate`` behind it (inputs and the digits each requirement needs),
-    the rung that produced the coefficients (``rung``: "float64" or "mp")
-    and the max residual of the scaled system after every step of every
-    rung tried (``refinement``).  The reported residual is max |G a - b| of
-    the unscaled system; callers judge it (the runner's ``residual_ok``
-    verdict requires <= 1e-10 |b|).
+    ``estimate`` behind it (its inputs, the digits the terminal check
+    needs and the digits double-double has), the ``certificate`` of a
+    double-double solve (``residual``, ``rounding_bound`` and ``target``
+    of the scaled system; None in mpmath), the rung that produced the
+    coefficients (``rung``: "float64" or "mp") and the max residual of the
+    scaled system after every step of every rung tried (``refinement``).
+    The reported residual is max |G a - b| of the unscaled system; callers
+    judge it (the runner's ``residual_ok`` verdict requires <= 1e-10 |b|).
     """
     ms = gram.ms
     modes = gram.modes
@@ -293,7 +296,7 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
         )
 
     dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
-    arithmetic, estimate = choose_arithmetic(gram.cond_scaled, len(modes), abs(ms.M) * gram.T, terminal_tol)
+    arithmetic, estimate = choose_arithmetic(abs(ms.M) * gram.T, terminal_tol)
     spec = MpSpectrum(ms, dps=dps)
     fallback = None
     with mp.workdps(dps):
@@ -301,7 +304,8 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
             try:
                 a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "dd")
             except RefinementStalled as stall:
-                arithmetic, fallback = "mp", {"from": "dd", "refinement": stall.history}
+                arithmetic = "mp"
+                fallback = {"from": "dd", "refinement": stall.history, "certificate": stall.certificate}
         if arithmetic == "mp":
             a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "mp")
 
@@ -310,7 +314,7 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
         residual=residual, rhs_norm=rhs_norm, norm=norm, method="direct",
         gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps,
                         "arithmetic": arithmetic, "estimate": estimate, "fallback": fallback,
-                        "rung": solve.rung, "refinement": solve.history},
+                        "certificate": solve.certificate, "rung": solve.rung, "refinement": solve.history},
         ms=ms, a_hp=a_hp, spec_mp=spec,
     )
 
@@ -334,15 +338,24 @@ def _field(lam, kap, a, t, x) -> np.ndarray:
     return np.exp(-lam[:, None] * t[None, :]).T @ (a[:, None] * np.exp(1j * kap[:, None] * x[None, :]))
 
 
-def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:
-    """Gauss-Legendre nodes on (0, T) for products e^{-lam t} conj(e^{-lam' t}):
-    three per period of the fastest one (frequency 2 max|Im lam|), never
+def _nodes(length: float, frequency: float, floor: int) -> int:
+    """Gauss-Legendre nodes for an integrand oscillating at up to
+    ``frequency`` over an interval of ``length``: three per period, never
     fewer than ``floor``."""
-    periods = T * 2.0 * float(np.max(np.abs(np.imag(lam)))) / (2.0 * math.pi)
-    return max(floor, math.ceil(3.0 * periods))
+    return max(floor, math.ceil(3.0 * length * frequency / (2.0 * math.pi)))
 
 
-_SPACE_NODES = 48  # Gauss-Legendre nodes on omega0; its integrands are smooth there
+def _time_nodes(T: float, lam: np.ndarray, floor: int) -> int:
+    """Time nodes on (0, T) for products e^{-lam t} conj(e^{-lam' t}), whose
+    fastest frequency is 2 max|Im lam|."""
+    return _nodes(T, 2.0 * float(np.max(np.abs(np.imag(lam)))), floor)
+
+
+def _space_nodes(omega0, kap: np.ndarray) -> int:
+    """Space nodes on omega0 for products e^{i kap x} e^{-i kap' x}, whose
+    fastest frequency is 2 max|kap|; the floor of 48 resolves every N up
+    to about 50."""
+    return _nodes(omega0[1] - omega0[0], 2.0 * float(np.max(np.abs(kap))), 48)
 
 
 def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None = None) -> np.ndarray:
@@ -350,14 +363,16 @@ def quadrature_moments(control: ControlField, ms: MovingSpectrum, nt: int | None
     int_0^T int_omega0 u(t,x) e^{-i kap_k x} e^{-conj(lam_k) t} dx dt for
     each of the control's modes k.
 
-    The moment integrands oscillate at up to 2 max|Im lam| over (0, T); the
-    default ``nt`` puts three time nodes on each such period, never fewer
-    than 360.  This is the one space-time quadrature of a control: the
-    duality check pairs these moments with its adjoint coefficients.
+    The moment integrands oscillate at up to 2 max|Im lam| over (0, T) and
+    2 max|kap| over omega0; the default ``nt`` puts three time nodes on
+    each period in time, never fewer than 360, and the space rule three on
+    each period in space, never fewer than 48.  This is the one space-time
+    quadrature of a control: the duality check pairs these moments with its
+    adjoint coefficients.
     """
     lam, kap, _ = mode_arrays(ms, control.modes)
     t, tw = gauss_interval(0.0, control.T, nt if nt is not None else _time_nodes(control.T, lam, 360))
-    x, xw = gauss_interval(*control.omega0, _SPACE_NODES)
+    x, xw = gauss_interval(*control.omega0, _space_nodes(control.omega0, kap))
     u = _field(lam, kap, control.a, t, x)
     E_t = np.exp(-np.conj(lam)[:, None] * t[None, :]) * tw[None, :]
     E_x = np.exp(-1j * kap[:, None] * x[None, :]) * xw[None, :]

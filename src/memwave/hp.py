@@ -13,14 +13,17 @@ propagator integrates.  It answers the accessors of ``MovingSpectrum``
 ``mode_arrays`` reads either spectrum in any arithmetic (``dd.lift``).
 
 Above the table, the moment solve and the terminal check run in one of
-two extended arithmetics, picked per run by ``choose_arithmetic`` from an a
-priori estimate of the digits they need: double-double (``dd.DD``, about
-31 digits in vectorised float64 operations) when that keeps both six
-digits clear, mpmath at the table's precision otherwise, and mpmath again
-if double-double refinement stalls.  The solve climbs a two-rung ladder in
-either: double-precision LU solves refined against residuals taken in
-the extended arithmetic, and, for mpmath values only, one mpmath LU factor
-when that refinement stalls or the matrix does not fit in doubles.
+two extended arithmetics, picked per run by ``choose_arithmetic`` from the
+digits the terminal check needs: double-double (``dd.DD``, about 31 digits
+in vectorised float64 operations) when that keeps the check six digits
+clear, mpmath at the table's precision otherwise.  The solve climbs a
+two-rung ladder in either: double-precision LU solves refined against
+residuals taken in the extended arithmetic, and, for mpmath values only,
+one mpmath LU factor when that refinement stalls or the matrix does not
+fit in doubles.  A double-double solve is not chosen on an a priori
+condition estimate but accepted a posteriori, by a componentwise bound on
+its residual (``LadderSolve.certificate``); a solve that misses it is
+rebuilt in mpmath.
 """
 
 from __future__ import annotations
@@ -80,62 +83,75 @@ def mode_arrays(spec, modes, arithmetic: str = "float64"):
 
 
 class LadderSolve(NamedTuple):
-    """A solve's iterate, its max residual, the rung that produced it and
-    the max residual of every iterate per rung tried, in order."""
+    """A solve's iterate, its max residual, the rung that produced it, the
+    max residual of every iterate per rung tried, in order, and for
+    double-double values the ``certificate`` that accepted the iterate."""
 
     x: object
     residual: float
     rung: str
     history: dict
+    certificate: dict | None = None
 
 
 class RefinementStalled(ArithmeticError):
-    """Double-double refinement stopped above its floor; ``history`` holds its steps."""
+    """A double-double solve missed its certificate; ``history`` holds its
+    refinement steps and ``certificate`` the bound it missed (None if the
+    matrix does not fit in double precision)."""
 
-    def __init__(self, history: dict):
-        super().__init__("double-double refinement stalled above its target")
-        self.history = history
+    def __init__(self, history: dict, certificate: dict | None):
+        super().__init__("double-double solve not certified")
+        self.history, self.certificate = history, certificate
 
 
 # Digits the moment solve and the terminal check must keep below what they
-# report (see ``choose_arithmetic``).
+# report (see ``choose_arithmetic`` and ``hermitian_solve``).
 MARGIN_DIGITS = 6
-COND_TRUSTED = 1e14
+# Units of dd.EPS, relative to |A| |x| entrywise, between the computed and
+# the true residual of a double-double system: the Gram's own entries are
+# accurate to 100 EPS (``test_separable_mp_gram_matches_entrywise_closed_form``)
+# and its matrix-vector product to 32 EPS (``test_dd``).
+ROUNDING_ULPS = 100 + 32
 
 
-def choose_arithmetic(cond_scaled: float, m: int, growth: float, terminal_tol: float) -> tuple[str, dict]:
+def choose_arithmetic(growth: float, terminal_tol: float) -> tuple[str, dict]:
     """"dd" (double-double) or "mp" for the moment solve and the terminal check.
 
-    Two requirements, each with ``MARGIN_DIGITS`` digits to spare:
-
-    - **The solve.**  Refinement with float64 LU solves shrinks the
-      error by about cond_scaled u64 per step, so it converges only while
-      that is well below 1; this is also where the float64 estimate of
-      cond_scaled stops being round-off, so past ``COND_TRUSTED`` = 1e14 the
-      number is not read and the choice is "mp".  Once it converges it
-      stops at the floor m u max|A| max|x| <= m u cond_scaled |b| of the
-      scaled system, and ``residual_ok`` wants 1e-10 |b| of the unscaled
-      one (the rho scaling moves this by at most rho_max / rho_min, about
-      N^(2s), which the margin covers for N up to about 10^3).  That takes
-      log10(m cond_scaled) + 10 + MARGIN_DIGITS digits.
-    - **The terminal check.**  The terminal coordinates are differences of
-      terms as large as e^{|M| T} times the data (``growth`` = |M| T), so
-      rounding at u leaves about u e^{|M| T} of the data, which must sit
-      MARGIN_DIGITS digits below ``terminal_tol``: growth / ln 10 +
-      log10(1 / terminal_tol) + MARGIN_DIGITS digits.
-
-    "dd" if both fit in the ``dd.DIGITS`` (about 31.3) digits of
-    ``dd.EPS``, else "mp".  Returns the choice and the record of it.
+    The terminal coordinates are differences of terms as large as
+    e^{|M| T} times the data (``growth`` = |M| T), so rounding at u leaves
+    about u e^{|M| T} of the data, which must sit ``MARGIN_DIGITS`` digits
+    below ``terminal_tol``: growth / ln 10 + log10(1 / terminal_tol) +
+    MARGIN_DIGITS digits.  "dd" if they fit in the ``dd.DIGITS`` (about
+    31.3) digits of ``dd.EPS``, else "mp".  The solve is not estimated
+    here: a double-double solve carries its own certificate, and
+    ``hermitian_solve`` raises ``RefinementStalled`` where it fails.
+    Returns the choice and the record of it.
     """
     estimate = {
-        "cond_scaled": cond_scaled, "m": m, "growth": growth, "terminal_tol": terminal_tol,
-        "dd_digits": round(dd.DIGITS, 2), "solve_digits": None,
+        "growth": growth, "terminal_tol": terminal_tol, "dd_digits": round(dd.DIGITS, 2),
         "terminal_digits": round(growth / math.log(10) - math.log10(terminal_tol) + MARGIN_DIGITS, 2),
     }
-    if cond_scaled <= COND_TRUSTED:
-        estimate["solve_digits"] = round(math.log10(m * max(cond_scaled, 1.0)) + 10 + MARGIN_DIGITS, 2)
-    fits = estimate["solve_digits"] is not None and max(estimate["solve_digits"], estimate["terminal_digits"]) <= dd.DIGITS
-    return ("dd" if fits else "mp"), estimate
+    return ("dd" if estimate["terminal_digits"] <= dd.DIGITS else "mp"), estimate
+
+
+def _certificate(A64, x, res: float, b) -> dict:
+    """The a posteriori bound that accepts a double-double iterate x of A x = b,
+    given A's leading doubles ``A64``.
+
+    The true residual of the system A stands for differs from the computed
+    one ``res`` by at most ``ROUNDING_ULPS`` dd.EPS (|A| |x|) entrywise
+    (|A| |x| from the leading doubles, one float64 product), so the
+    iterate is certified when res + that ``rounding_bound`` is at most the
+    ``target`` 10^-(10 + MARGIN_DIGITS) max|b|: ``residual_ok`` wants
+    1e-10 |b| of the unscaled system, and the margin covers the rho
+    scaling (at most rho_max / rho_min, about N^(2s)) for N up to about
+    10^3.  This is Oettli and Prager's componentwise backward error turned
+    into a forward residual bound (Rump, "Verification methods", Acta
+    Numerica 2010).  Returns the three figures.
+    """
+    bound = ROUNDING_ULPS * dd.EPS * float(np.max(np.abs(A64) @ np.abs(dd.leading(x))))
+    target = 10.0 ** -(10 + MARGIN_DIGITS) * _max_abs(b)
+    return {"residual": float(res), "rounding_bound": bound, "target": target}
 
 
 def matvec(A, x):
@@ -158,19 +174,22 @@ def hermitian_solve(A, b) -> LadderSolve:
     added to x in the values' arithmetic, and the residual b - A x is
     recomputed there (mixed-precision iterative refinement); a matrix that
     is singular in double precision ends the rung.  It continues while each
-    step shrinks max |r| at least tenfold.  Its floor is m u max|A| max|x|,
-    with u = ``dd.EPS`` or 10^(-dps): the residual that rounding A x alone
-    can leave, so no factorization can promise less.  A double-double system must also
-    reach 10^-(10 + MARGIN_DIGITS) max|b|, the solve requirement
-    ``choose_arithmetic`` chose it for (a diverged iterate is so large that
-    its own floor promises nothing); one that stalls above either raises
-    ``RefinementStalled``: its entries are only accurate to u, so the
-    caller rebuilds it in mpmath.  Rung "mp" runs for mpmath
-    values when A does not fit in double precision or rung 1 stalls above
-    the floor: one mpmath LU factorization at 10 extra bits, as
-    ``mp.lu_solve`` uses, serves the solve and three refinement steps.
+    step shrinks max |r| at least tenfold.
+
+    A double-double iterate is accepted only with its certificate
+    (``_certificate``): the computed residual plus the componentwise
+    bound ``ROUNDING_ULPS`` dd.EPS max(|A| |x|) on what rounding hides
+    from it must reach 10^-(10 + MARGIN_DIGITS) max|b|.  Otherwise
+    ``RefinementStalled`` is raised: the entries are only accurate to
+    about dd.EPS, so the caller rebuilds the system in mpmath.  An mpmath
+    iterate is accepted at the floor m 10^-dps max|A| max|x|, the residual
+    that rounding A x alone can leave, so no factorization can promise
+    less.  Rung "mp" runs for mpmath values when A does not fit in double
+    precision or rung 1 stalls above that floor: one mpmath LU
+    factorization at 10 extra bits, as ``mp.lu_solve`` uses, serves the
+    solve and three refinement steps.
     """
-    history = {}
+    history, cert, is_dd = {}, None, isinstance(A, dd.DD)
     A64 = dd.leading(A)
     if np.all(np.isfinite(A64)):
         x, r, res = b * 0, b, _max_abs(b)
@@ -183,7 +202,7 @@ def hermitian_solve(A, b) -> LadderSolve:
                 break
             if not np.all(np.isfinite(d)):
                 break
-            x_new = x + dd.lift(d, "dd" if isinstance(A, dd.DD) else "mp") * res
+            x_new = x + dd.lift(d, "dd" if is_dd else "mp") * res
             r_new = b - matvec(A, x_new)
             res_new = _max_abs(r_new)
             if not res_new < res:
@@ -193,13 +212,14 @@ def hermitian_solve(A, b) -> LadderSolve:
             steps.append(float(res))
             if not contracted:
                 break
-        floor = len(A) * _unit_roundoff(A) * float(np.max(np.abs(A64))) * _max_abs(x)
-        if isinstance(A, dd.DD):  # the target ``choose_arithmetic`` chose double-double for
-            floor = min(floor, 10.0 ** -(10 + MARGIN_DIGITS) * _max_abs(b))
-        if res <= floor:
+        if is_dd:
+            cert = _certificate(A64, x, res, b)
+            if cert["residual"] + cert["rounding_bound"] <= cert["target"]:
+                return LadderSolve(x, float(res), "float64", history, cert)
+        elif res <= len(A) * 10.0 ** (-mp.mp.dps) * float(np.max(np.abs(A64))) * _max_abs(x):
             return LadderSolve(x, float(res), "float64", history)
-    if isinstance(A, dd.DD):
-        raise RefinementStalled(history)
+    if is_dd:
+        raise RefinementStalled(history, cert)
 
     with mp.extraprec(10):
         LU, p = mp.mp.LU_decomp(mp.matrix(A.tolist()), overwrite=True)
@@ -229,7 +249,3 @@ def _normalized(r, res) -> np.ndarray:
     if isinstance(r, dd.DD):
         return dd.leading(r) / res
     return np.array([complex(v / res) for v in r])
-
-
-def _unit_roundoff(A) -> float:
-    return dd.EPS if isinstance(A, dd.DD) else 10.0 ** (-mp.mp.dps)

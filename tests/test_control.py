@@ -234,21 +234,72 @@ def test_separable_mp_gram_matches_entrywise_closed_form(M, dps):
         assert worst <= 100 * unit, arithmetic
 
 
-@pytest.mark.parametrize("M, N, want", [(0.5, 8, "dd"), (0.5, 16, "dd"), (2.0, 8, "mp"), (3.0, 16, "mp"),
+@pytest.mark.parametrize("M, N, want", [(0.5, 8, "dd"), (0.5, 16, "dd"), (2.0, 8, "dd"), (3.0, 16, "mp"),
                                         (5.0, 8, "mp")])
 def test_arithmetic_choice(M, N, want):
-    # double-double where the solve and the terminal check both keep six
-    # digits to spare; at M >= 2 the scaled condition is beyond what a
-    # float64 estimate can state, so the choice does not read it
+    # double-double where the terminal check keeps six digits to spare; the
+    # solve's conditioning is not read (the solve certifies itself)
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, 1.0, N)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    got, estimate = hp.choose_arithmetic(abs(M) * T, 1e-6)
+    assert got == want
+    assert (estimate["terminal_digits"] <= estimate["dd_digits"]) == (want == "dd")
+    # a tighter terminal tolerance moves it to mpmath
+    assert hp.choose_arithmetic(abs(M) * T, 1e-25)[0] == "mp"
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("M", [1.0, -1.0, -1.5, 2.0])
+def test_certificate_bounds_the_true_residual(M, N):
+    # wherever double-double is accepted, its coefficients' residual against
+    # the Gram and moments rebuilt 20 digits higher stays within the target
+    # the certificate claims, 10^-(10 + MARGIN_DIGITS) max|b| of the scaled system
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, 1.0, N)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
     gram = ctl.assemble_gram(ms, OMEGA0, T)
-    got, estimate = hp.choose_arithmetic(gram.cond_scaled, len(gram.modes), abs(M) * T, 1e-6)
-    assert got == want
-    assert (estimate["solve_digits"] is None) == (gram.cond_scaled > hp.COND_TRUSTED)
-    # a tighter terminal tolerance, or a condition past the trusted range, moves it to mpmath
-    assert hp.choose_arithmetic(gram.cond_scaled, len(gram.modes), abs(M) * T, 1e-25)[0] == "mp"
-    assert hp.choose_arithmetic(2 * hp.COND_TRUSTED, 2, 0.0, 1.0)[0] == "mp"
+    data = ctl.random_initial_data(ms, seed=11)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
+    cond = cf.gram_condition
+    assert cond["arithmetic"] == "dd" or M != 2.0  # strong memory is certified in double-double
+    if cond["arithmetic"] != "dd":
+        assert cond["fallback"]["from"] == "dd" and cond["certificate"] is None
+        return
+    cert = cond["certificate"]
+    assert cert["residual"] + cert["rounding_bound"] <= cert["target"]
+    dps = cond["dps"] + 20
+    spec = MpSpectrum(ms, dps=dps)
+    with mp.workdps(dps):
+        G = ctl._assemble_gram_mp(spec, gram.modes, OMEGA0, T, "mp")
+        b = ctl._moments(spec, gram.modes, data, "mp")
+        rho = hp.mode_arrays(spec, gram.modes, "mp")[2]
+        true = max(abs(r * v) for r, v in zip(rho, hp.matvec(G, dd.to_mp(cf.a_hp)) - b))
+        target = mp.mpf(10) ** -(10 + hp.MARGIN_DIGITS) * max(abs(r * v) for r, v in zip(rho, b))
+    assert true <= target and true <= cert["target"]
+
+
+@pytest.mark.parametrize("log2_delta, accepted", [(-43, False), (-30, True)])
+def test_certificate_rejects_what_rounding_could_hide(log2_delta, accepted):
+    # A = [[1, -1], [-1, 1 + delta]], b = [0, delta]: x = [1, 1] exactly, so
+    # refinement ends at a computed residual of 0, but |A| |x| = 2 + delta,
+    # and entries accurate only to ~1e-30 leave room for a true residual of
+    # ROUNDING_ULPS EPS (2 + delta).  At delta = 2^-43 that exceeds the
+    # target 1e-16 delta (it would not with 100 ulps, nor with the target
+    # 1e-10 delta); at 2^-30 it does not
+    delta = 2.0**log2_delta
+    A = dd.array([[1.0, -1.0], [-1.0, 1.0 + delta]])
+    b = dd.array([0.0, delta])
+    bound = hp.ROUNDING_ULPS * dd.EPS * (2 + delta)
+    if accepted:
+        solve = hp.hermitian_solve(A, b)
+        assert solve.residual == 0.0 and np.all(dd.leading(solve.x) == 1.0)
+        assert solve.certificate == {"residual": 0.0, "rounding_bound": bound,
+                                     "target": 10.0 ** -(10 + hp.MARGIN_DIGITS) * delta}
+        return
+    with pytest.raises(hp.RefinementStalled) as stall:
+        hp.hermitian_solve(A, b)
+    cert = stall.value.certificate
+    assert cert["residual"] == 0.0 and cert["rounding_bound"] == bound
+    assert cert["target"] == 10.0 ** -(10 + hp.MARGIN_DIGITS) * delta < bound
 
 
 def test_stalled_double_double_solve_falls_back_to_mpmath(monkeypatch):

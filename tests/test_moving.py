@@ -127,6 +127,20 @@ def test_every_gap_clause_can_fail(table, monkeypatch, clause, moved, pairwise):
     assert rep.clause("pair_coverage").passed is not pairwise
 
 
+# one branch-2 eigenvalue moved along the imaginary axis, toward its next
+# level: the increment to that level falls below c gamma - eps (aligned
+# branch) or below c gamma - eps - (sqrt(rho_6) - sqrt(rho_5)) (drifting
+# branch), while both branches stay monotone and every other clause holds
+@pytest.mark.parametrize("mode, shift", [((5, 2), 1.0), ((-5, 2), -0.5)])
+def test_tail_spacing_can_fail(table, monkeypatch, mode, shift):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 8)
+    assert moving.gap_diagnostics(ms).clause("tail_spacing").passed
+    true = ms.eigenvalue
+    monkeypatch.setattr(ms, "eigenvalue", lambda n, j: true(n, j) + (1j * shift if (n, j) == mode else 0))
+    rep = moving.gap_diagnostics(ms)
+    assert [cl.name for cl in rep.clauses if cl.passed is False] == ["tail_spacing"] and not rep.passed
+
+
 def _brute_force_gaps(ms):
     """The gap audit's pairwise figures by a loop over pairs with scalar abs()."""
     sign = ms.c >= 0

@@ -1,5 +1,6 @@
 """Exact modal propagation, forcing projection, duality, and the ODE oracle."""
 
+import dataclasses
 import functools
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from memwave import control as ctl
+from memwave import dd
 from memwave import simulate as sim
 from memwave.biorthogonal import horizon_threshold
 from memwave.fractional import build_eigenvalue_table
@@ -202,6 +204,26 @@ def test_double_double_terminal_check(world):
     _, rep = simulator.run_to_T(data, cf, T, precision="mp")
     assert rep.arithmetic == "dd" and rep.passed
     assert all(r <= 1e-20 for r in rep.ratios.values()), rep.ratios
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_double_double_terminal_check_at_strong_memory(N):
+    # at M = 2 the certified double-double solve and its terminal check
+    # stand in for mpmath: the check on the same coefficients evaluated in
+    # mpmath agrees to 1e-3 of the terminal tolerance, and both pass
+    tol = 1e-6
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), 2.0, 1.0, N)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    data = ctl.random_initial_data(ms, seed=0)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), ctl.assemble_gram(ms, OMEGA0, T), terminal_tol=tol)
+    assert cf.arithmetic == "dd" and cf.gram_condition["fallback"] is None
+    simulator = sim.GalerkinSimulator(ms, OMEGA0)
+    data_norm = data.weighted_norm()
+    got = simulator._terminal_norms_mp(data, cf, T)
+    want = simulator._terminal_norms_mp(data, dataclasses.replace(cf, a_hp=dd.to_mp(cf.a_hp)), T)
+    for key in want:
+        assert abs(got[key] - want[key]) <= 1e-3 * tol * data_norm, key
+        assert max(got[key], want[key]) <= tol * data_norm, key
 
 
 @functools.cache
