@@ -8,36 +8,45 @@ linear factor vanishing there:
 
 so theta_hat equals 1 at z_mk and 0 at every other mode zero.  Sampling the
 inverse transform over a finite frequency window gives a band-limited raw
-family whose biorthogonality defect reflects the window truncation; a final
-within-span recombination against the measured Gram (the constructive
-realization of the horizon-extension step) makes the produced family
-biorthogonal to quadrature accuracy.  The reported figures keep both stages
-visible: ``raw_deviation`` for the analytic construction, ``gram_deviation``
-for the shipped family measured on an independent quadrature, and
-``window_attempts`` for every frequency window tried on the way.
+family theta_k(t) = sum_x w_k(x) e^{ixt} / (2 pi), whose biorthogonality
+defect reflects the window truncation.  Its Gram against the exponentials
+is exact, sum_x w_k(x) K(x, lam) / (2 pi) with K the closed-form integral of
+e^{ixt} e^{-conj(lam) t} over [-T/2, T/2], so no time grid is sampled for
+it.  A within-span recombination by the inverse of that Gram (the
+constructive realization of the horizon-extension step) makes the produced
+family biorthogonal up to round-off amplified by that Gram's conditioning.  The reported figures keep both
+stages visible: ``raw_deviation`` for the analytic construction,
+``gram_deviation`` for the shipped family measured on an independent Gauss
+quadrature, and ``window_attempts`` for every frequency window tried on the
+way.
 
-Every time grid is uniform blocks: the Gauss panels of both time quadratures
-partition [-T/2, T/2] evenly, and the export grid is equally spaced, so each
-node is a block center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.
-The inverse transform therefore takes exponentials per center and per offset
-instead of per node, and samples a whole grid with one matrix product.
+The time grids that are sampled, the verification quadrature and the
+export grid, are uniform blocks: the Gauss panels partition [-T/2, T/2]
+evenly and the export grid is equally spaced, so each node is a block
+center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.  The inverse
+transform therefore takes exponentials per center and per offset instead
+of per node, and samples a whole grid with one matrix product.  The centers
+are an arithmetic progression, so their exponentials are in turn a coarse
+factor times a fine one.
 
 The closed forms are shared, not re-derived: the frequency panels come from
-``fractional.gauss_interval`` broadcast over the panel ends, ``time_gram`` is
-``control._time_factor`` shifted to [-T/2, T/2], ``horizon_threshold`` lives
-in ``moving`` (re-exported here), and the lower summation runs the same
-``moving.weighted_inequality`` audit as the observability certificate.
+``fractional.gauss_interval`` broadcast over the panel ends, one integral of
+e^{-wt} over [-T/2, T/2] (``_interval_integral``) gives the raw Gram and the
+exponentials' ``time_gram``, its endpoint terms bound the window's tail
+estimate, ``horizon_threshold`` lives in ``moving`` (re-exported here), and the lower
+summation runs the same ``moving.weighted_inequality`` audit as the
+observability certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
 
-from .control import _time_factor
 from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_csv, write_json
 from .moving import BRANCHES, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
@@ -52,34 +61,41 @@ __all__ = [
 ]
 
 _FREQ_PER_PANEL = 8  # Gauss nodes per frequency panel of the inverse transform
-_N_EXPORT = 640      # equally spaced export samples of each family member
+_TIME_PER_PANEL = 10  # Gauss nodes per panel of the verification time quadrature
+_N_EXPORT = 640       # equally spaced export samples of each family member
 
 
-def _time_quadrature(T: float, x_window: float, per_panel: int = 12, density: float = 1.0):
-    """Gauss panels on a uniform partition of [-T/2, T/2].
+class _Blocks(NamedTuple):
+    """Time nodes centers[:, None] + offsets[None, :] raveled, one row per
+    block; the centers are an arithmetic progression with exact step ``step``."""
 
-    Returns (centers, offsets, weights): the nodes are
-    centers[:, None] + offsets[None, :] raveled, one row per panel.
-    """
-    n_panels = max(8, int(math.ceil(density * T * x_window / (1.5 * per_panel))))
+    centers: np.ndarray
+    step: float
+    offsets: np.ndarray
+
+    def nodes(self) -> np.ndarray:
+        return (self.centers[:, None] + self.offsets[None, :]).ravel()
+
+
+def _time_quadrature(T: float, x_window: float):
+    """Gauss panels on a uniform partition of [-T/2, T/2]: (blocks, weights).
+
+    ceil(1.37 T x_window / 15) panels (at least 8) of 10 nodes put about 5.7
+    nodes in each period of e^{i x_window t}."""
+    n_panels = max(8, int(math.ceil(1.37 * T * x_window / (1.5 * _TIME_PER_PANEL))))
     half = T / (2.0 * n_panels)
-    x0, w0 = gauss_legendre(per_panel)
+    x0, w0 = gauss_legendre(_TIME_PER_PANEL)
     centers = -T / 2.0 + half * (2.0 * np.arange(n_panels) + 1.0)
-    return centers, half * x0, np.tile(half * w0, n_panels)
+    return _Blocks(centers, 2.0 * half, half * x0), np.tile(half * w0, n_panels)
 
 
-def _export_grid(T: float, n: int):
+def _export_grid(T: float, n: int) -> _Blocks:
     """n equally spaced points on [-T/2, T/2] as blocks of about sqrt(n)
-    consecutive points: (centers, offsets), of which the first n of
-    centers[:, None] + offsets[None, :] raveled are the grid."""
+    consecutive points, of which the first n nodes are the grid."""
     dt = T / max(n - 1, 1)
     block = max(1, math.ceil(math.sqrt(n)))
     centers = -T / 2.0 + dt * block * np.arange(math.ceil(n / block))
-    return centers, dt * np.arange(block)
-
-
-def _grid(centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    return (centers[:, None] + offsets[None, :]).ravel()
+    return _Blocks(centers, dt * block, dt * np.arange(block))
 
 
 def _cis_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,10 +110,25 @@ def _cis_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, centers: np.ndarray,
-                       offsets: np.ndarray) -> np.ndarray:
-    """sum_x weighted[:, x] e^{ixt} / (2 pi) at t = centers[:, None] + offsets[None, :]
-    (raveled).
+def _cis_progression(x: np.ndarray, centers: np.ndarray, step: float) -> np.ndarray:
+    """e^{i x_j c_k} for centers c_k = c_0 + k step, as coarse (x) fine.
+
+    With B = ceil(sqrt(K)) and k = pB + q, e^{ix c_k} = e^{ix c_pB} e^{ixq step}:
+    sines and cosines of len(x) (K/B + B) phases and one complex product per
+    entry, instead of len(x) K phases.  The returned matrix is a column slice
+    of a len(x) x ceil(K/B) B buffer.
+    """
+    K = len(centers)
+    B = math.ceil(math.sqrt(K))
+    coarse = _cis_outer(x, centers[::B])
+    fine = _cis_outer(x, step * np.arange(B))
+    out = np.empty((len(x), coarse.shape[1] * B), dtype=complex)
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out.reshape(len(x), -1, B))
+    return out[:, :K]
+
+
+def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, grid: _Blocks) -> np.ndarray:
+    """sum_x weighted[:, x] e^{ixt} / (2 pi) at the nodes t of ``grid``.
 
     With e^{ixt} = e^{ix delta} e^{ix t_c} the offsets fold into the left
     factor, L[(k, o), x] = weighted[k, x] e^{ix delta_o} / (2 pi), and the
@@ -105,10 +136,54 @@ def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, centers: np.nd
     nx x centers: exponentials are taken per offset and per center, never
     per node, and no nx x nodes matrix is formed.
     """
+    centers, step, offsets = grid
     left = (weighted[:, None, :] / (2.0 * math.pi)) * _cis_outer(offsets, x_nodes)[None, :, :]
-    out = left.reshape(-1, len(x_nodes)) @ _cis_outer(x_nodes, centers)
+    out = left.reshape(-1, len(x_nodes)) @ _cis_progression(x_nodes, centers, step)
     out = out.reshape(len(weighted), len(offsets), len(centers)).transpose(0, 2, 1)
     return out.reshape(len(weighted), -1)
+
+
+def _endpoint_terms(a: np.ndarray, b: np.ndarray, T: float):
+    """w = a_i + b_j and the endpoint factors e^{w T/2}, e^{-w T/2} of
+    int_{-T/2}^{T/2} e^{-w t} dt, as len(a) x len(b) matrices built from
+    e^{+-a T/2} and e^{+-b T/2}: O(len(a) + len(b)) exponentials."""
+    h = T / 2.0
+    return (np.add.outer(a, b), np.multiply.outer(np.exp(a * h), np.exp(b * h)),
+            np.multiply.outer(np.exp(-a * h), np.exp(-b * h)))
+
+
+def _interval_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
+    """int_{-T/2}^{T/2} e^{-(a_i + b_j) t} dt = 2 sinh(w T/2) / w, w = a_i + b_j.
+
+    Taken as (e^{wT/2} - e^{-wT/2}) / w from ``_endpoint_terms``, whose
+    relative rounding is about EPS / |wT/2|; where |wT/2| < 0.1 the Taylor
+    series of sinh(z)/z through z^8 (truncation below 3e-18) replaces it.
+    """
+    w, e_plus, e_minus = _endpoint_terms(a, b, T)
+    small = np.abs(w) * (T / 2.0) < 0.1
+    out = (e_plus - e_minus) / np.where(small, 1.0, w)
+    if small.any():
+        z2 = (w[small] * (T / 2.0)) ** 2
+        out[small] = T * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0 * (1.0 + z2 / 72.0))))
+    return out
+
+
+def _raw_gram(weighted: np.ndarray, x_nodes: np.ndarray, lam: np.ndarray, T: float,
+              primaries: list, partners: list) -> np.ndarray:
+    """Exact Gram of the raw family against e^{-conj(lam_m) t} on [-T/2, T/2].
+
+    Row primaries[k] is theta_k = sum_x weighted[k, x] e^{ixt} / (2 pi), whose
+    integral against e^{-conj(lam_m) t} is sum_x weighted[k, x] K(x, conj lam_m)
+    / (2 pi) with K(x, mu) the integral of e^{-(mu - ix) t}; row partners[k]
+    (if any) is conj(theta_k), whose Gram row is conj(sum_x weighted[k, x]
+    K(x, lam_m)) / (2 pi).  No time sampling is involved.
+    """
+    gram = np.empty((len(lam), len(lam)), dtype=complex)
+    scaled = weighted / (2.0 * math.pi)
+    gram[primaries] = scaled @ _interval_integral(-1j * x_nodes, np.conj(lam), T)
+    if partners:
+        gram[partners] = np.conj(scaled @ _interval_integral(-1j * x_nodes, lam, T))
+    return gram
 
 
 @dataclass
@@ -140,10 +215,10 @@ class BiorthogonalFamily:
 
         d = pathlib.Path(directory)
         d.mkdir(parents=True, exist_ok=True)
-        t_grid = self.t_grid.tolist()
+        t_text = [repr(t) for t in self.t_grid.tolist()]  # one time column for every file
         for (n, j), theta in zip(self.modes, self.theta):
-            write_csv(d / f"theta_{n}_{j}.csv", "t,re_theta,im_theta", "%r,%r,%r",
-                      zip(t_grid, theta.real.tolist(), theta.imag.tolist()))
+            write_csv(d / f"theta_{n}_{j}.csv", "t,re_theta,im_theta", "%s,%r,%r",
+                      zip(t_text, theta.real.tolist(), theta.imag.tolist()))
 
     def export_manifest(self, path) -> None:
         payload = {
@@ -210,39 +285,37 @@ def build_biorthogonal(
 
         theta_hat = Pvals[None, :] / ((x_nodes[None, :] - zeros[:, None]) * dP[:, None])
 
-        # boundary-term estimate for the window truncation of the Gram rows,
-        # with the exact kernel K_n(x) = 2 sinh((ix-conj lam) T/2)/(ix-conj lam)
+        # boundary-term estimate for the window truncation of the Gram rows:
+        # at the window edges x = +-X the kernel K_n(x) = int e^{ixt} e^{-conj(lam) t} dt
+        # and its antiderivative's boundary term are both bounded by the sum
+        # of its endpoint terms, (|e^{wT/2}| + |e^{-wT/2}|) / |w|
         edge_rows = np.abs(theta_hat[:, [0, -1]]).max(axis=1)
-        kmax = float(np.max(
-            2.0 * np.exp(np.abs(lam.real) * T / 2.0) / np.abs(1j * X - np.conj(lam))
-        ))
+        w, e_plus, e_minus = _endpoint_terms(np.array([-1j * X, 1j * X]), np.conj(lam), T)
+        kmax = float(np.max((np.abs(e_plus) + np.abs(e_minus)) / np.abs(w)))
         tail_est = float(np.max(edge_rows) * kmax / (2.0 * math.pi) / (T / 2.0))
 
         primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
-        partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries]
+        partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries] if symmetrize else []
         weighted = theta_hat[primaries] * x_weights[None, :]
 
-        def sample(centers, offsets):
-            out = np.empty((len(modes), len(centers) * len(offsets)), dtype=complex)
-            out[primaries] = _inverse_transform(weighted, x_nodes, centers, offsets)
-            if symmetrize:
+        def sample(grid):
+            out = np.empty((len(modes), len(grid.centers) * len(grid.offsets)), dtype=complex)
+            out[primaries] = _inverse_transform(weighted, x_nodes, grid)
+            if partners:
                 out[partners] = np.conj(out[primaries])
             return out
 
-        c1, o1, w1 = _time_quadrature(T, X, per_panel=12, density=1.0)
-        theta_raw = sample(c1, o1)
-        E1 = np.exp(-np.conj(lam)[:, None] * _grid(c1, o1)[None, :])
-        gram_raw = theta_raw @ (E1 * w1[None, :]).T
+        gram_raw = _raw_gram(weighted, x_nodes, lam, T, primaries, partners)
         eye = np.eye(len(modes))
         raw_dev = float(np.max(np.abs(gram_raw - eye)))
         raw_diag = float(np.max(np.abs(np.diag(gram_raw) - 1.0)))
 
         C = np.linalg.inv(gram_raw)
 
-        # independent verification quadrature (different panel layout)
-        c2, o2, w2 = _time_quadrature(T, X, per_panel=10, density=1.37)
-        theta2 = C @ sample(c2, o2)
-        E2 = np.exp(-np.conj(lam)[:, None] * _grid(c2, o2)[None, :])
+        # independent verification quadrature
+        grid2, w2 = _time_quadrature(T, X)
+        theta2 = C @ sample(grid2)
+        E2 = np.exp(-np.conj(lam)[:, None] * grid2.nodes()[None, :])
         gram = theta2 @ (E2 * w2[None, :]).T
         dev = float(np.max(np.abs(gram - eye)))
         attempts.append({"window": X, "gram_deviation": dev})
@@ -256,9 +329,9 @@ def build_biorthogonal(
         )
 
     norms = np.sqrt(np.abs((np.abs(theta2) ** 2 @ w2)))
-    ce, oe = _export_grid(T, _N_EXPORT)
-    t_grid = _grid(ce, oe)[:_N_EXPORT]
-    theta_exp = C @ sample(ce, oe)[:, :_N_EXPORT]
+    export = _export_grid(T, _N_EXPORT)
+    t_grid = export.nodes()[:_N_EXPORT]
+    theta_exp = C @ sample(export)[:, :_N_EXPORT]
 
     return BiorthogonalFamily(
         modes=modes, lam=lam, rho=rho, T=T, window=X,
@@ -269,11 +342,9 @@ def build_biorthogonal(
 
 
 def time_gram(lam: np.ndarray, T: float) -> np.ndarray:
-    """Closed-form Gram of the exponentials e^{-lam t} on [-T/2, T/2]:
-    with w = lam_r + conj(lam_c), the integral of e^{-w t} over [-T/2, T/2]
-    is e^{w T/2} times the control's integral over [0, T]."""
-    w = lam[:, None] + np.conj(lam)[None, :]
-    return np.exp(w * T / 2.0) * _time_factor(w, T, np.exp(-w * T))
+    """Closed-form Gram of the exponentials e^{-lam t} on [-T/2, T/2]: entry
+    (r, c) is the integral of e^{-w t} with w = lam_r + conj(lam_c)."""
+    return _interval_integral(lam, np.conj(lam), T)
 
 
 @dataclass

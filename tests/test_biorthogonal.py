@@ -1,9 +1,14 @@
 """Biorthogonal family construction and the lower summation inequality."""
 
+import csv
 import dataclasses
+import io
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave import biorthogonal as bio
 from memwave.fractional import build_eigenvalue_table
@@ -139,6 +144,18 @@ def test_export(tmp_path, family):
     assert header == "t,re_theta,im_theta"
 
 
+def test_export_samples_match_csv_writer(tmp_path, family):
+    # the shared time column writes the bytes csv.writer writes with floats as repr
+    family.export_samples(tmp_path)
+    for (n, j), theta in zip(family.modes, family.theta):
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["t", "re_theta", "im_theta"])
+        writer.writerows([repr(t), repr(z.real), repr(z.imag)]
+                         for t, z in zip(family.t_grid.tolist(), theta.tolist()))
+        assert (tmp_path / f"theta_{n}_{j}.csv").read_bytes() == ref.getvalue().encode("utf-8")
+
+
 @pytest.mark.parametrize("window", [150.0, 300.0])
 def test_separable_sampling_matches_direct_exponentials(window):
     # e^{ixt} = e^{ix t_c} e^{ix delta} over every grid the construction samples on
@@ -146,12 +163,10 @@ def test_separable_sampling_matches_direct_exponentials(window):
     T = 20.7
     x = np.sort(rng.uniform(-window, window, 2000))
     weighted = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
-    grids = [bio._time_quadrature(T, window, per_panel=12)[:2],
-             bio._time_quadrature(T, window, per_panel=10, density=1.37)[:2],
-             bio._export_grid(T, 640), bio._export_grid(T, 7)]
-    for centers, offsets in grids:
-        t = bio._grid(centers, offsets)
-        got = bio._inverse_transform(weighted, x, centers, offsets)
+    grids = [bio._time_quadrature(T, window)[0], bio._export_grid(T, 640), bio._export_grid(T, 7)]
+    for grid in grids:
+        t = grid.nodes()
+        got = bio._inverse_transform(weighted, x, grid)
         want = weighted @ np.exp(1j * np.outer(x, t)) / (2 * np.pi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -159,7 +174,7 @@ def test_separable_sampling_matches_direct_exponentials(window):
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 640, 641])
 def test_export_grid_is_equally_spaced(n):
     T = 20.7
-    grid = bio._grid(*bio._export_grid(T, n))[:n]
+    grid = bio._export_grid(T, n).nodes()[:n]
     assert len(grid) == n
     assert np.max(np.abs(grid - np.linspace(-T / 2, T / 2, n)), initial=0.0) <= 1e-14 * T
 
@@ -167,8 +182,8 @@ def test_export_grid_is_equally_spaced(n):
 def test_time_quadrature_integrates_exponentials():
     # the centers (+) offsets layout is still a Gauss rule on [-T/2, T/2]
     T, lam = 20.7, 0.3 + 12.0j
-    centers, offsets, weights = bio._time_quadrature(T, 150.0)
-    t = bio._grid(centers, offsets)
+    grid, weights = bio._time_quadrature(T, 150.0)
+    t = grid.nodes()
     assert len(t) == len(weights) and np.all(np.diff(t) > 0)
     got = weights @ np.exp(-lam * t)
     assert got == pytest.approx(2 * np.sinh(lam * T / 2) / lam, rel=1e-12)
@@ -213,3 +228,70 @@ def test_zero_set_builds_do_not_grow_with_the_family(monkeypatch):
         assert len(bf.window_attempts) == 1
         counts.append(len(builds))
     assert counts[0] == counts[1]
+
+
+# real parts at and around the scale where a difference form 2 sinh(wT/2)/w loses its digits
+_NEAR_ZERO = st.sampled_from([0.0, 1e-16, -1e-15, 1e-14, -1e-14, 2e-14, -1e-13, 1e-10, -1e-4])
+
+
+@settings(max_examples=80)
+@given(re=st.one_of(_NEAR_ZERO, st.floats(-3.0, 3.0)), im=st.one_of(_NEAR_ZERO, st.floats(-300.0, 300.0)),
+       T=st.floats(1.0, 40.0))
+def test_interval_integral_matches_mpmath(re, im, T):
+    # int_{-T/2}^{T/2} e^{-wt} dt with w = re + i im, against 40 digits; the
+    # bound is the envelope of the kernel, 2 cosh(Re z) / |w| with z = wT/2
+    got = bio._interval_integral(np.array([re]), np.array([1j * im]), T)[0, 0]
+    with mpmath.workdps(40):
+        w = mpmath.mpc(re, im)
+        want = complex(2 * mpmath.sinh(w * T / 2) / w) if w != 0 else T
+    z = abs(complex(re, im)) * T / 2
+    scale = T * np.cosh(re * T / 2) / max(1.0, z)
+    assert abs(got - want) <= 1e-14 * (1.0 + z) * scale
+
+
+@settings(max_examples=30)
+@given(T=st.floats(8.0, 30.0), window=st.floats(5.0, 60.0), symmetrize=st.booleans(), data=st.data())
+def test_raw_gram_matches_dense_time_quadrature(T, window, symmetrize, data):
+    # the closed-form raw Gram is the Gram of the sampled raw family: rows
+    # theta_k = sum_x weighted e^{ixt} / (2 pi) and, with symmetrize, their
+    # conjugates, integrated against e^{-conj(lam) t} on a dense Gauss rule
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x0, xw = np.polynomial.legendre.leggauss(48)
+    x = window * x0
+    n_primary = 2 if symmetrize else 4
+    weighted = (rng.standard_normal((n_primary, len(x))) + 1j * rng.standard_normal((n_primary, len(x)))) * xw
+    lam = np.array([
+        complex(data.draw(st.one_of(_NEAR_ZERO, st.floats(-0.8, 0.8))),
+                # on a node, w = conj(lam) - ix is as small as the real part
+                data.draw(st.one_of(st.floats(-window, window), st.sampled_from(list(-x[[0, 20, 47]])))))
+        for _ in range(4)
+    ])
+    primaries = list(range(n_primary))
+    partners = [2, 3] if symmetrize else []
+    got = bio._raw_gram(weighted, x, lam, T, primaries, partners)
+
+    omega = window + float(np.max(np.abs(lam.imag)))
+    panels = int(np.ceil(omega * T / 2.0))
+    t0, tw = np.polynomial.legendre.leggauss(16)
+    h = T / (2.0 * panels)
+    t = (-T / 2 + h * (2.0 * np.arange(panels) + 1.0)[:, None] + h * t0[None, :]).ravel()
+    theta = np.empty((4, len(t)), dtype=complex)
+    theta[primaries] = weighted @ np.exp(1j * np.outer(x, t)) / (2 * np.pi)
+    theta[partners] = np.conj(theta[primaries[:len(partners)]])
+    want = theta @ (np.exp(-np.conj(lam)[:, None] * t[None, :]) * np.tile(h * tw, panels)).T
+    scale = np.abs(weighted).sum() / (2 * np.pi) * T * np.exp(np.max(np.abs(lam.real)) * T / 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_family_at_strong_memory_first_window():
+    # at M = 2 the drift nearly cancels the oscillation of the lowest modes, so
+    # the raw Gram is ill-conditioned and inv(gram_raw) amplifies any error in
+    # it; with the exact raw Gram the first window already passes
+    table = build_eigenvalue_table(0.75, 200)
+    ms = build_moving_spectrum(table, 2.0, 1.0, 16)
+    pf = build_product(ms)
+    T = 1.05 * bio.horizon_threshold(1.0, table.gap_gamma)
+    bf = bio.build_biorthogonal(pf, T, family_N=4)
+    assert [a["window"] for a in bf.window_attempts] == [150.0]
+    assert bf.gram_deviation <= 1e-3
