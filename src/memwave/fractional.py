@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "normalization_constant",
@@ -59,11 +58,12 @@ GAP_SLACK = 1.0e-3
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+    """Gauss-Legendre nodes and weights on [-1, 1]: ``gauss_jacobi(n, 0)``,
+    computed once per n.
 
     The arrays are shared between callers and therefore read-only.
     """
-    x, w = leggauss(n)
+    x, w = gauss_jacobi(n, 0.0)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -191,19 +191,98 @@ def _jacobi_rows(s: float, k_max: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Jacobi nodes and weights for the weight (1-x^2)^a on (-1, 1).
+# Newton on the nodes' angles stops once rho |dtheta| is this small: the step
+# then leaves only round-off, and second-order terms of the weight are ~1e-17.
+_NEWTON_TOL = 1.0e-8
+# Quadratic convergence takes a step this small to _NEWTON_TOL in one more step
+# (measured: rho |dtheta| 4e-6 -> 4e-12 at the end nodes).
+_NEWTON_LAST = 1.0e-4
+_NEWTON_PASSES = 30
 
-    The nodes are the eigenvalues of the symmetric Jacobi matrix
-    (Golub-Welsch), made exactly odd; the weights are the Christoffel
-    numbers 1 / sum_k p_k(x)^2 over the orthonormal p_0..p_{n-1}.
+
+def _scaled_recurrence(x: np.ndarray, gamma: list, derivative: bool):
+    """q_n, q_{n-1} and, with ``derivative``, q_n'/2 (else ones) at x, where
+    q_{k+1} = 2x q_k - gamma_k q_{k-1}, q_0 = 1, q_1 = 2x and n = len(gamma) + 1.
+
+    With gamma_k = 4 b_k^2, q_k = p_k prod_{j<=k} 2 b_j / p_0 is the
+    orthonormal p_k rescaled so that no division is left in the step; the
+    products converge, so q_k stays within a constant factor of p_k.  One
+    vectorized step per degree, no n x n array.
+    """
+    x2 = 2.0 * x
+    q0, q1, t = np.ones_like(x), x2.copy(), np.empty_like(x)
+    r0, r1, u = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    for g in gamma:
+        if derivative:  # r = q'/2: r_{k+1} = 2x r_k + q_k - gamma_k r_{k-1}
+            np.multiply(x2, r1, out=u)
+            u += q1
+            r0 *= g
+            np.subtract(u, r0, out=r0)
+            r0, r1 = r1, r0
+        np.multiply(x2, q1, out=t)
+        q0 *= g
+        np.subtract(t, q0, out=q0)
+        q0, q1 = q1, q0
+    return q1, q0, r1
+
+
+def gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi nodes and weights for the weight (1-x^2)^a on (-1, 1),
+    a >= 0; ``gauss_legendre`` is its a = 0 case.
+
+    The nodes x = cos(theta) of the non-negative half start from Tricomi-type
+    asymptotic angles, theta ~ phi + (1/4 - a^2) cot(phi) / (2 rho^2) with
+    phi = (k + a/2 - 1/4) pi / rho and rho = n + a + 1/2, and a vectorized
+    Newton iteration on p_n(cos theta), the orthonormal polynomial evaluated
+    by its three-term recurrence, runs until the step is round-off; the rule
+    is made exactly odd.  cos(theta) rounds the node, and near the ends,
+    where 1 - x is exact, the iteration adds back the part
+    2 sin^2(theta/2) - (1 - x) that the rounding dropped, so theta is the
+    angle of the true node.
+
+    The weights are Christoffel-Darboux's 1 / (b_n p_n'(x) p_{n-1}(x)) with
+    p_{n-1} eliminated by (1-x^2) p_n' = (2n+2a+1) b_n p_{n-1} at a zero:
+    w = (2n+2a+1) / ((1-x^2) p_n'(x)^2), with 1 - x^2 = sin^2(theta) and p_n'
+    from the last Newton pass, moved to the final node to first order by
+    p_n'' = (2a+2) x p_n' / (1-x^2).  (Taking p_{n-1} itself costs 3e-7
+    relative at the end nodes of n = 3831: it is small there and moves fast.)
+    Neither nodes nor weights need an eigensolve or an n x n array.
     """
     if n < 1 or not a >= 0.0:
         raise ValueError(f"need n >= 1 and a >= 0, got n = {n}, a = {a}")
-    b = _jacobi_b(a, n)
-    x = np.linalg.eigvalsh(np.diag(b, 1) + np.diag(b, -1))
-    x = 0.5 * (x - x[::-1])
-    return x, 1.0 / np.sum(_jacobi_rows(a, n, x) ** 2, axis=0)
+    # gamma_k = 4 b_k^2 = 1 - c_k, k = 1..n, to within an ulp, where
+    # squaring _jacobi_b's square roots would be a few ulps off
+    gamma = 1.0 - (4.0 * a * a - 1.0) / ((2.0 * np.arange(1, n + 1) + 2.0 * a) ** 2 - 1.0)
+    rho = n + a + 0.5
+    phi = (np.arange(1, (n + 1) // 2 + 1) + 0.5 * a - 0.25) * (math.pi / rho)
+    theta = phi + (0.25 - a * a) / (2.0 * rho * rho) / np.tan(phi)
+    steps, derivative = gamma[:-1].tolist(), False
+    for _ in range(_NEWTON_PASSES):
+        x, sin = np.cos(theta), np.sin(theta)
+        lost = np.where(x >= 0.5, (1.0 - x) - 2.0 * np.sin(0.5 * theta) ** 2, 0.0)
+        qn, qm, rn = _scaled_recurrence(x, steps, derivative)
+        # q_n' from the last pass, or from (1-x^2) q_n' = -n x q_n + (2n+2a+1) 2 b_n^2 q_{n-1}
+        dq = 2.0 * rn if derivative else ((2 * n + 2 * a + 1) * 0.5 * gamma[-1] * qm - n * x * qn) / sin**2
+        step = (qn / dq + lost) / sin  # Newton on p_n at the exact cos(theta) = x + lost
+        theta = theta + step
+        size = rho * float(np.max(np.abs(step)))
+        if derivative and size <= _NEWTON_TOL:
+            break
+        derivative = size <= _NEWTON_LAST
+    else:
+        raise RuntimeError(f"Gauss-Jacobi Newton iteration did not converge at n = {n}, a = {a}")
+    sin = np.sin(theta)
+    moved = lost - sin * step  # cos(theta) - x, theta the final angle
+    # p_n' = 2 r_n p_0 / prod 2 b_k with p_0^2 = 1 / int (1-x^2)^a; the product
+    # of the rounded gamma_k the recurrence used, summed as exact logs, cancels
+    # their rounding in r_n
+    scale = (2 * n + 2 * a + 1) * math.sqrt(math.pi) * math.gamma(a + 1.0) / (4.0 * math.gamma(a + 1.5))
+    dr = rn * (1.0 + (2 * a + 2) * x * moved / sin**2)
+    w = scale * math.exp(float(np.sum(np.log1p(gamma - 1.0)))) / (sin * dr) ** 2
+    x = np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0
+    return np.concatenate((-x, x[::-1][n % 2:])), np.concatenate((w, w[::-1][n % 2:]))
 
 
 def _stiffness(s: float, k_max: int) -> np.ndarray:

@@ -468,3 +468,53 @@ def test_observability_certificate_can_fail(setup, monkeypatch):
     rep = ctl.certify_observability(ms, OMEGA0, T, trials=150, seed=4, gram=gram)
     assert rep.c_obs_hat > 0 and rep.min_rhs > 0
     assert not rep.passed and rep.failures > 0
+
+
+_TOL = {"float64": 1e-14, "dd": 1e-29}
+
+
+def _small_complex():
+    # |z| from 1e-16 to 5 at any phase: series, crossover and closed form
+    return st.builds(lambda m, phase: 10.0**m * complex(np.cos(phase), np.sin(phase)),
+                     st.floats(-16.0, 0.7), st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_small_complex(), T=st.floats(0.5, 30.0), arithmetic=st.sampled_from(["float64", "dd"]))
+def test_time_factor_keeps_its_digits_near_zero(z, T, arithmetic):
+    # (1 - e^{-wT}) / w loses digits as wT -> 0 (5.2e-6 relative at w = 1e-13,
+    # T = 20.7 before its Taylor branch); against 60-digit mpmath
+    w = np.array([z / T, 0.0, 1.0 + 2j])
+    W, TT = dd.lift(w, arithmetic), dd.lift(T, arithmetic)
+    got = ctl._time_factor(W, TT, ctl._exp(-W * TT))
+    got = dd.to_mp(got) if arithmetic == "dd" else got
+    with mp.workdps(60):
+        for g, wk in zip(got, w):
+            ref = mp.mpf(T) if wk == 0 else (1 - mp.exp(-mp.mpc(wk) * T)) / mp.mpc(wk)
+            assert abs(mp.mpc(g) - ref) <= _TOL[arithmetic] * abs(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=_small_complex(), x0=st.floats(-1.0, 0.9), length=st.floats(0.05, 1.0),
+       arithmetic=st.sampled_from(["float64", "dd"]))
+def test_space_factor_keeps_its_digits_near_zero(z, x0, length, arithmetic):
+    x1 = min(x0 + length, 1.0)
+    delta = np.array([z.real, 0.0, 3.0])  # real, as kap_c - kap_r is
+    D, X0, X1 = dd.lift(delta, arithmetic), dd.lift(x0, arithmetic), dd.lift(x1, arithmetic)
+    got = ctl._space_factor(D, X0, X1, ctl._exp(1j * D * X0), ctl._exp(1j * D * X1))
+    got = dd.to_mp(got) if arithmetic == "dd" else got
+    with mp.workdps(60):
+        for g, d in zip(got, delta):
+            ref = (mp.mpf(x1) - mp.mpf(x0) if d == 0
+                   else (mp.exp(1j * mp.mpf(d) * x1) - mp.exp(1j * mp.mpf(d) * x0)) / (1j * mp.mpf(d)))
+            assert abs(mp.mpc(g) - ref) <= _TOL[arithmetic] * abs(ref)
+
+
+def test_series_branch_runs_in_mp():
+    # the same branch on mpmath values, at the working precision
+    w = np.array([mp.mpc("1e-20", "3e-21"), mp.mpc(0), mp.mpc("0.5")], dtype=object)
+    with mp.workdps(50):
+        got = ctl._time_factor(w, mp.mpf(7), ctl._exp(-w * 7))
+        with mp.workdps(120):
+            ref = [(1 - mp.exp(-mp.mpc(wk) * 7)) / mp.mpc(wk) if wk else mp.mpf(7) for wk in w]
+        assert all(abs(g - r) <= mp.mpf(10) ** -48 * abs(r) for g, r in zip(got, ref))

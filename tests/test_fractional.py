@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, gammaln, roots_jacobi
 
+import gauss_oracle
 from memwave import fractional as fr
 
 
@@ -266,16 +267,65 @@ def test_n_max_validation():
         fr.build_eigenvalue_table(0.75, 10, backend="bogus")
 
 
+def _weight_bounds(n: int) -> tuple[float, float, float]:
+    """Relative weight error allowed at the end, sixth and middle node of an
+    n-point rule.  The forward recurrence's round-off grows like n^1.5 eps
+    toward the ends; at n = 3831, a = 0 the rule reads 2.4e-11, 5.8e-12 and
+    2.6e-15, and numpy's ``leggauss`` 3.3e-7, 6.9e-9 and 4.8e-14."""
+    return 1e-14 + 4e-16 * n**1.5, 1e-14 + 1e-16 * n**1.5, 2e-15 + 4e-16 * math.sqrt(n)
+
+
+def _assert_matches_mp(x, w, n, a, extra=()):
+    # end, sixth and middle node (and any extra ones) against a 40-digit
+    # mpmath Newton reference started from the rule's own nodes
+    idx = [0, min(5, n - 1), n // 2, *extra]
+    x_mp, w_mp = gauss_oracle.gauss_jacobi_mp(n, a, x[idx])
+    node_err = [float(abs(x[i] - r)) for i, r in zip(idx, x_mp)]
+    weight_err = [float(abs(w[i] - r) / r) for i, r in zip(idx, w_mp)]
+    end, sixth, middle = _weight_bounds(n)
+    assert max(node_err) <= 2e-16, node_err
+    assert weight_err[0] <= end and weight_err[1] <= sixth and weight_err[2] <= middle, weight_err
+    assert all(e <= end for e in weight_err[3:]), weight_err
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 600), a=st.one_of(st.just(0.0), st.floats(0.0, 1.9)), u=st.floats(0.0, 1.0))
+@example(n=1994, a=0.0, u=0.3)
+@example(n=3831, a=0.0, u=0.01)
+@example(n=3831, a=1.9, u=0.2)
+def test_gauss_jacobi_matches_mpmath(n, a, u):
+    x, w = fr.gauss_jacobi(n, a)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact on even monomials of degree <= 2n - 1, so no zero is missing or found twice
+    for j in range(min(4, n)):
+        moment = math.gamma(j + 0.5) * math.gamma(a + 1.0) / math.gamma(j + a + 1.5)
+        assert abs(np.sum(w * x ** (2 * j)) - moment) <= 1e-13 * moment
+    _assert_matches_mp(x, w, n, a, extra=[int(u * (n - 1))])
+
+
 def test_gauss_legendre_nodes_are_cached_and_read_only():
     x, w = fr.gauss_legendre(33)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(33)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert np.array_equal(x, fr.gauss_jacobi(33, 0.0)[0]) and np.array_equal(w, fr.gauss_jacobi(33, 0.0)[1])
+    _assert_matches_mp(x, w, 33, 0.0, extra=range(33))
     assert fr.gauss_legendre(33)[0] is x
     assert not x.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
     with pytest.raises(ValueError):
         w *= 2.0
+
+
+@pytest.mark.parametrize("n", [48, 320, 480])
+def test_gauss_legendre_oracle_matches_mpmath(n):
+    # the tests' float64 reference rule, polished from leggauss, is itself
+    # checked against the 40-digit one: 1.9e-12 at the ends of n = 320, where
+    # leggauss is 2.3e-10 off
+    x, w = gauss_oracle.gauss_legendre(n)
+    idx = [0, 5, n // 2, n - 1]
+    x_mp, w_mp = gauss_oracle.gauss_jacobi_mp(n, 0.0, x[idx])
+    assert max(float(abs(x[i] - r)) for i, r in zip(idx, x_mp)) <= 2e-16
+    assert max(float(abs(w[i] - r) / r) for i, r in zip(idx, w_mp)) <= 1e-11
 
 
 @settings(max_examples=60, deadline=None)

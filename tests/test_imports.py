@@ -11,7 +11,10 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
+
+from memwave import fractional
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "memwave"
 DEMOS = SRC.parents[1] / "demos"
@@ -150,7 +153,8 @@ def test_package_does_not_import_scipy(path):
 
 
 def test_pipelines_load_no_scipy_module(tmp_path):
-    # nor numpy.ma, which np.median and np.unique import on their first call
+    # nor numpy.ma, which np.median and np.unique import on their first call,
+    # nor numpy.polynomial (its leggauss once built the Gauss-Legendre rule)
     script = (
         "import sys\n"
         "import memwave\n"
@@ -162,9 +166,24 @@ def test_pipelines_load_no_scipy_module(tmp_path):
         "    _, passed = runner.run_pipeline(config, pipeline, outdir=sys.argv[1] + '/' + pipeline)\n"
         "    assert passed, pipeline\n"
         "    loaded.append(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
-        "print(loaded, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')))\n"
+        "print(loaded, sorted(m for m in set(sys.modules) - before if m.startswith('numpy.ma')),\n"
+        "      sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
-    assert out.stdout.strip() == "[[], [], []] []"
+    assert out.stdout.strip() == "[[], [], []] [] []"
+
+
+def test_gauss_rules_need_no_eigensolve(monkeypatch):
+    # both rules come from the Newton iteration alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gauss rule called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for n in (1, 2, 7, 480):
+        x, w = fractional.gauss_legendre.__wrapped__(n)
+        assert x.shape == w.shape == (n,) and abs(np.sum(w) - 2.0) <= 1e-14
+        x, w = fractional.gauss_jacobi(n, 1.3)
+        assert x.shape == w.shape == (n,) and np.all(np.diff(x) > 0)

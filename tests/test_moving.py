@@ -141,6 +141,56 @@ def test_tail_spacing_can_fail(table, monkeypatch, mode, shift):
     assert [cl.name for cl in rep.clauses if cl.passed is False] == ["tail_spacing"] and not rep.passed
 
 
+def _failing(rep):
+    return [cl.name for cl in rep.clauses if cl.passed is False]
+
+
+# near_resonant_lower asserts rho_m times the distance of (m, 2) to its nearest
+# branch-2/3 mode is positive.  That partner is never the critical pair, so the
+# claim is implied by branch23_finite_minimum's, and the clause fails only with
+# it and the coverage audit: here (m, 2) is read off its partner
+def test_near_resonant_lower_can_fail(table, monkeypatch):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 16)
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("near_resonant_lower").passed
+    m = min(rep.pair_map)
+    partner = tuple(rep.pair_map[m]["partner"])
+    true = ms.eigenvalue
+    monkeypatch.setattr(ms, "eigenvalue", lambda n, j: true(*partner) if (n, j) == (m, 2) else true(n, j))
+    rep = moving.gap_diagnostics(ms)
+    assert _failing(rep) == ["branch23_finite_minimum", "near_resonant_lower", "pair_coverage"] and not rep.passed
+
+
+# a near-resonant target moved 10 further along its own side of the real axis:
+# its nearest partner is then farther than the largest hole of the imaginary
+# comb plus |M|, while every imaginary part, sign and other distance bound holds
+def test_near_resonant_upper_can_fail(table, monkeypatch):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 16)
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("near_resonant_upper").passed
+    m = min(rep.pair_map)
+    true = ms.eigenvalue
+    shift = 10.0 * math.copysign(1.0, true(m, 2).real)
+    monkeypatch.setattr(ms, "eigenvalue", lambda n, j: true(n, j) + (shift if (n, j) == (m, 2) else 0))
+    rep = moving.gap_diagnostics(ms)
+    assert _failing(rep) == ["near_resonant_upper"] and not rep.passed
+
+
+# at a critical velocity the double eigenvalue is there, but the configured
+# velocity no longer matches level n_c's critical velocity
+def test_critical_double_eigenvalue_can_fail(table, monkeypatch):
+    n_c, v = moving.critical_velocities(table, 0.5, range(1, 9))[1]
+    ms = moving.build_moving_spectrum(table, 0.5, v, 8)
+    rep = moving.gap_diagnostics(ms)
+    assert ms.critical.n_c == n_c and rep.clause("critical_double_eigenvalue").passed and rep.passed
+    true = moving.critical_velocities
+    monkeypatch.setattr(moving, "critical_velocities",
+                        lambda *args: [(n, u + 1e3 * moving.VELOCITY_TOL) for n, u in true(*args)])
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("critical_double_eigenvalue").measured["matches"] == []
+    assert _failing(rep) == ["critical_double_eigenvalue"] and not rep.passed
+
+
 def _brute_force_gaps(ms):
     """The gap audit's pairwise figures by a loop over pairs with scalar abs()."""
     sign = ms.c >= 0
