@@ -13,14 +13,15 @@ and time integrals.  The Gram (``_assemble_gram_mp``) and the moments
 (``_moments``) are each one routine taking a spectrum (``MovingSpectrum``
 or ``hp.MpSpectrum``) and an arithmetic ("float64", "dd" or "mp", see
 ``dd.lift``); their closed forms broadcast over arrays of any of the three
-and also serve the propagator.  A Gram costs 3m exponentials from one
-per-mode table, and only its upper triangle is computed: the lower one is
-its conjugate.  Branch-2/3 kernels grow like e^{|M| T/2} in time, so the
-Gram's scale spread is extreme; the float64 Gram gives the condition
-numbers, and the solve rebuilds it in extended precision (double-double or
-mpmath, see ``hp``) on the configured spectrum with the rho-weighted
-prescaling.  The solved coefficients are kept both as doubles (exports,
-diagnostics) and at full precision (terminal-state evaluation).
+and also serve the propagator.  A Gram costs 2 x levels + m exponentials
+(the branches of a level n share kap_n); only its upper triangle is
+computed, the lower one is its conjugate.  Branch-2/3 kernels grow like
+e^{|M| T/2} in time, so the Gram's scale spread is extreme; the float64
+Gram gives the condition numbers, and the solve rebuilds it in extended
+precision (double-double or mpmath, see ``hp``) on the configured spectrum
+with the rho-weighted prescaling.  The solved coefficients are kept both as
+doubles (exports, diagnostics) and at full precision (terminal-state
+evaluation).
 """
 
 from __future__ import annotations
@@ -178,15 +179,17 @@ def _time_factor(w, T, e):
     return out
 
 
-def _mode_exponentials(lam, kap, x0, x1, T):
-    """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m).
+def _mode_exponentials(lam, kap, ns, x0, x1, T):
+    """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m),
+    from 2 x levels + m exponentials: the branches of a level n share kap_n.
 
     Every pairwise factor of the Gram is a product of two entries, since
     kap, x0, x1 and T are real:
     e^{i (kap_c - kap_r) x} = e^{i kap_c x} conj(e^{i kap_r x}) and
     e^{-(lam_c + conj(lam_r)) T} = e^{-lam_c T} conj(e^{-lam_r T}).
     """
-    return np.stack([_exp(1j * kap * x0), _exp(1j * kap * x1), _exp(-lam * T)])
+    _, first, level = np.unique(ns, return_index=True, return_inverse=True)
+    return np.stack([*(_exp(1j * kap[first] * x)[level] for x in (x0, x1)), _exp(-lam * T)])
 
 
 def _gram_entry(lam_r, kap_r, tab_r, lam_c, kap_c, tab_c, x0, x1, T):
@@ -228,12 +231,12 @@ def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
 
 def _assemble_gram_mp(spec, modes, omega0, T, arithmetic: str = "mp"):
     """The Gram of the modes on a spectrum, in an arithmetic ("float64", "dd"
-    or "mp", see ``hp.mode_arrays``): 3m exponentials, the upper triangle
-    from their products and the lower triangle by conjugation, so the
-    matrix is Hermitian by construction."""
+    or "mp", see ``hp.mode_arrays``): one ``_mode_exponentials`` table, the
+    upper triangle from its products and the lower triangle by conjugation,
+    so the matrix is Hermitian by construction."""
     x0, x1, T = (dd.lift(v, arithmetic) for v in (omega0[0], omega0[1], T))
     lam, kap, _ = mode_arrays(spec, modes, arithmetic)
-    tab = _mode_exponentials(lam, kap, x0, x1, T)
+    tab = _mode_exponentials(lam, kap, [n for n, _ in modes], x0, x1, T)
     r, c = np.triu_indices(len(modes))
     G = dd.lift(np.zeros((len(modes), len(modes)), dtype=complex), arithmetic)
     upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T)

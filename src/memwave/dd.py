@@ -18,7 +18,7 @@ the same code runs on doubles, on ``DD`` values and on mpmath values;
 ``lift`` puts numbers into whichever of the three a caller names.
 ``np.exp`` is not vectorised: each entry is exponentiated once by
 ``mp.exp`` and rounded back, which is why every caller takes its
-exponentials from per-mode tables.
+exponentials from per-mode tables, and e^{i kappa x} once per level n.
 """
 
 from __future__ import annotations

@@ -360,7 +360,7 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     slack = 0.75 * ms.mu[1].real**2 / (ms.beta + np.sqrt(ms.rho_pos))
     idx_eps = np.nonzero(slack <= eps)[0]
     N_eps = int(idx_eps[0]) + 1 if idx_eps.size else None
-    if N_eps is not None and N_eps < N:
+    if N_eps is not None and max(N_eps, n_star) < N:
         start = max(N_eps, n_star) - 1
         inc_aligned = np.diff(im_2_pos)[start:]
         ok_aligned = bool(np.all(inc_aligned >= c * gamma - eps - 1e-12))
@@ -383,7 +383,8 @@ def gap_diagnostics(ms: MovingSpectrum, epsilon: float | None = None) -> GapRepo
     else:
         clauses.append(ClauseCheck(
             name="tail_spacing", passed=None, measured={"N_eps": N_eps},
-            note="epsilon threshold not inside the truncation; enlarge N or epsilon",
+            note="epsilon threshold not inside the truncation; enlarge N or epsilon"
+            if N_eps is None or N_eps >= N else "drifting branches not monotone inside the truncation",
         ))
 
     # ---- near-resonant pairing -------------------------------------------

@@ -125,12 +125,10 @@ class RunConfig:
             raise ConfigError("velocity c = 0 is excluded")
         return self
 
-    def text(self) -> str:
-        lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]
-        return "\n".join(lines) + "\n"
-
     def hash(self) -> str:
-        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()[:16]
+        """sha256 of the key = value lines but ``outdir``, which says where the outputs go, not what they are."""
+        text = "".join(f"{k} = {self.values[k]}\n" for k in sorted(self.values) if k != "outdir")
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def omega0(self):
         return (self.values["omega0_lo"], self.values["omega0_hi"])

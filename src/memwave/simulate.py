@@ -99,9 +99,9 @@ class Forcing(NamedTuple):
     It is the factor-1/2 projection of the control sum_k a_k e^{-lam_k t}
     e^{i kap_k x} on omega0 onto the plane wave e^{i kappa_i x}, so
     amps[i, k] = a_k S[i, k] / 2 with S[i, k] = int_omega0 e^{i (kap_k -
-    kappa_i) x} dx.  The exponents separate as expos[i, k] = shift[i] -
-    lam[k], so every exponential the propagation needs is a product of two
-    per-mode tables.
+    kappa_i) x} dx from e^{i kappa x0} and e^{i kappa x1} once per level n.
+    The exponents separate as expos[i, k] = shift[i] - lam[k], so every
+    exponential the propagation needs is a product of two per-mode tables.
     ``shift`` is zero for the synthesized support, fixed at omega0 in the
     co-moving frame; a support pinned at omega0 in the original frame is the
     same projection times e^{-i c kappa_i t}, i.e. shift = -i c kappa.
@@ -128,18 +128,15 @@ def _advance(modal: ModalTable, X, t, dt, forcing: Forcing):
     expos = shift - lam and w = nu - shift + lam,
     int_0^dt e^{nu (dt - s)} e^{expos (t + s)} ds
         = e^{shift t} e^{-lam t} e^{nu dt} _time_factor(w, dt, e^{-lam dt} e^{-(nu - shift) dt}),
-    so every exponential comes from a per-mode table.  Doubles, ``dd.DD``
-    values or mpmath values (dtype object) in, the same out.
+    so every exponential comes from a per-mode table, and the sum over the
+    control modes is one contraction over (mode, branch, control mode).
+    Doubles, ``dd.DD`` values or mpmath values (dtype object) in, the same out.
     """
     e_nu, e_lam = _exp(modal.nu * dt), _exp(-forcing.lam * dt)
     rel, e_rel = modal.nu - forcing.shift[:, None], _exp(forcing.shift * dt)[:, None] / e_nu
     at_t = forcing.S * (forcing.a * _exp(-forcing.lam * t) / 2)
-    # one mode at a time: holding the mpmath temporaries of every (mode, branch,
-    # control mode) triple at once costs the garbage collector more than the arithmetic
-    duhamel = np.stack([
-        (at_t[i] * _time_factor(rel[i][:, None] + forcing.lam, dt, e_rel[i][:, None] * e_lam)).sum(axis=1)
-        for i in range(len(rel))
-    ]) * _exp(forcing.shift * t)[:, None]
+    duhamel = (at_t[:, None, :] * _time_factor(rel[:, :, None] + forcing.lam, dt, e_rel[:, :, None] * e_lam)
+               ).sum(axis=2) * _exp(forcing.shift * t)[:, None]
     coords = ((modal.W * X[:, None, :]).sum(axis=2) + duhamel) * e_nu / modal.wv
     return (modal.V * coords[:, None, :]).sum(axis=2)
 
@@ -162,6 +159,7 @@ class _ModalSetup:
 
     def __init__(self, spec, arithmetic: str, ns):
         self.spec, self.arithmetic, self.ns = spec, arithmetic, ns
+        self.level = {n: i for i, n in enumerate(ns)}
         _, self.kappa, self.rho = mode_arrays(spec, [(n, 1) for n in ns], arithmetic)
         self.zeros = dd.lift(np.zeros(len(ns)), arithmetic)
         self.ick = 1j * dd.lift(spec.c, arithmetic) * self.kappa
@@ -169,12 +167,12 @@ class _ModalSetup:
         self.modal = ModalTable.build(mu, self.rho, dd.lift(spec.M, arithmetic), self.ick)
 
     def forcing(self, modes, a, omega0) -> Forcing:
-        """The forcing of the control sum_k a_k e^{-lam_k t} e^{i kap_k x} on omega0."""
+        """The forcing of the control sum_k a_k e^{-lam_k t} e^{i kap_k x} on omega0 (modes on ``ns``)."""
         arithmetic, kappa = self.arithmetic, self.kappa
         lam, kap, _ = mode_arrays(self.spec, modes, arithmetic)
         x0, x1 = (dd.lift(v, arithmetic) for v in omega0)
-        e0 = _exp(1j * kap * x0)[None, :] * _exp(-1j * kappa * x0)[:, None]
-        e1 = _exp(1j * kap * x1)[None, :] * _exp(-1j * kappa * x1)[:, None]
+        level = [self.level[n] for n, _ in modes]
+        e0, e1 = (e[level][None, :] * np.conj(e)[:, None] for e in (_exp(1j * kappa * x0), _exp(1j * kappa * x1)))
         S = _space_factor(kap[None, :] - kappa[:, None], x0, x1, e0, e1)
         return Forcing(dd.lift(a, arithmetic), S, lam, self.zeros)
 

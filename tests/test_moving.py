@@ -161,6 +161,43 @@ def test_near_resonant_lower_can_fail(table, monkeypatch):
     assert _failing(rep) == ["branch23_finite_minimum", "near_resonant_lower", "pair_coverage"] and not rep.passed
 
 
+# the drifting branch's last level read level with the one below it: the last
+# increment is then zero, so no level past the threshold is left inside the
+# truncation, at every N with an increment at all (N = 2 has only this one);
+# the tail-spacing audit past that threshold is then empty, not failed
+@pytest.mark.parametrize("N", [2, 3, 8, 16])
+def test_drifting_branches_eventually_monotone_can_fail(table, monkeypatch, N):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, N)
+    assert moving.gap_diagnostics(ms).clause("drifting_branches_eventually_monotone").passed
+    true = ms.eigenvalue
+    level = true(-(N - 1), 2).imag
+    monkeypatch.setattr(ms, "eigenvalue",
+                        lambda n, j: complex(true(n, j).real, level) if (n, j) == (-N, 2) else true(n, j))
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("drifting_branches_eventually_monotone").measured["threshold"] == N
+    assert _failing(rep) == ["drifting_branches_eventually_monotone"] and not rep.passed
+    assert rep.clause("tail_spacing").passed is None
+
+
+# non_paired_separation asserts that the second-nearest branch-2/3 mode of each
+# near-resonant target is at a positive distance; the nearest is no farther, so
+# the clause fails only with near_resonant_lower, and with the finite minimum
+# and the coverage audit: here the partner and the next branch-3 mode are both
+# read off the target
+def test_non_paired_separation_can_fail(table, monkeypatch):
+    ms = moving.build_moving_spectrum(table, 0.5, 1.0, 16)
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("non_paired_separation").passed
+    m = min(rep.pair_map)
+    n, j = rep.pair_map[m]["partner"]
+    true = ms.eigenvalue
+    monkeypatch.setattr(ms, "eigenvalue", lambda *mode: true(m, 2) if mode in ((n, j), (n + 1, j)) else true(*mode))
+    rep = moving.gap_diagnostics(ms)
+    assert rep.clause("non_paired_separation").measured["delta_hat"] == 0
+    assert _failing(rep) == ["branch23_finite_minimum", "near_resonant_lower", "non_paired_separation",
+                             "pair_coverage"] and not rep.passed
+
+
 # a near-resonant target moved 10 further along its own side of the real axis:
 # its nearest partner is then farther than the largest hole of the imaginary
 # comb plus |M|, while every imaginary part, sign and other distance bound holds

@@ -9,11 +9,12 @@ import pathlib
 import runpy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memwave import cli
-from memwave.runner import PIPELINES, SWEEPABLE, ConfigError, load_config, parse_value, run_pipeline, sweep
+from memwave.runner import (PIPELINES, SWEEPABLE, ConfigError, RunConfig, load_config, parse_value,
+                            run_pipeline, sweep)
 
 FLOAT_KEYS = ("s", "M", "c", "T_factor", "T", "omega0_lo", "omega0_hi", "sigma_xi",
               "sigma_xi_dot", "sigma_zeta", "terminal_tol", "gap_epsilon")
@@ -83,6 +84,21 @@ def test_manifest_determinism(tmp_path):
     a = (tmp_path / "a" / "manifest.json").read_bytes()
     b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert a == b
+
+
+_CONFIG_KEYS = sorted(k for k in load_config(None).values if k != "outdir")
+_config_values = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(allow_nan=False),
+                           st.text(max_size=12))
+
+
+@settings(max_examples=80)
+@given(key=st.sampled_from(_CONFIG_KEYS), value=_config_values, outdir=st.text(min_size=1, max_size=24))
+def test_config_hash_leaves_out_only_the_output_directory(key, value, outdir):
+    # one configuration written to two directories has one hash; any other key moves it
+    base = load_config(None)
+    assert RunConfig(dict(base.values, outdir=outdir)).hash() == base.hash()
+    assume(str(value) != str(base.values[key]))
+    assert RunConfig(dict(base.values, **{key: value})).hash() != base.hash()
 
 
 def test_full_pipeline_manifest_completeness(tmp_path):

@@ -4,15 +4,16 @@ import dataclasses
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import gauss_oracle
 from memwave import control as ctl
-from memwave import dd
+from memwave import dd, hp
 from memwave import simulate as sim
 from memwave.biorthogonal import horizon_threshold
 from memwave.fractional import build_eigenvalue_table
@@ -130,7 +131,7 @@ def test_memory_consistency(world):
     ms, T, data, cf, simulator = world
     forcing = simulator.bind_forcing(cf)
     t_end = 5.0
-    nodes, weights = np.polynomial.legendre.leggauss(180)
+    nodes, weights = gauss_oracle.gauss_legendre(180)
     tau = 0.5 * t_end * (nodes + 1)
     wq = 0.5 * t_end * weights
     s0 = simulator.initial_state(data)
@@ -230,6 +231,78 @@ def test_double_double_terminal_check_at_strong_memory(N):
 @functools.cache
 def _table6():
     return build_eigenvalue_table(0.75, 6)
+
+
+def _advance_by_mode(modal, X, t, dt, forcing):
+    """``simulate._advance`` with the Duhamel sums taken one mode at a time:
+    the reference for its one contraction over (mode, branch, control mode)."""
+    e_nu, e_lam = ctl._exp(modal.nu * dt), ctl._exp(-forcing.lam * dt)
+    rel, e_rel = modal.nu - forcing.shift[:, None], ctl._exp(forcing.shift * dt)[:, None] / e_nu
+    at_t = forcing.S * (forcing.a * ctl._exp(-forcing.lam * t) / 2)
+    duhamel = np.stack([
+        (at_t[i] * ctl._time_factor(rel[i][:, None] + forcing.lam, dt, e_rel[i][:, None] * e_lam)).sum(axis=1)
+        for i in range(len(rel))
+    ]) * ctl._exp(forcing.shift * t)[:, None]
+    coords = ((modal.W * X[:, None, :]).sum(axis=2) + duhamel) * e_nu / modal.wv
+    return (modal.V * coords[:, None, :]).sum(axis=2)
+
+
+def _advance_pairs(N, c, t, dt, arithmetic, seed):
+    # _advance and the per-mode reference from a random state under a random
+    # control, with the synthesized support and the frozen one (shift -i c kappa)
+    ms = build_moving_spectrum(_table6(), 0.5, c, N)
+    setup = sim._ModalSetup(ms if arithmetic == "float64" else hp.MpSpectrum(ms, dps=40), arithmetic,
+                            ms.mode_indices())
+    rng = np.random.default_rng(seed)
+    modes = list(ms.modes())
+    a = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    X = dd.lift(rng.standard_normal((2 * N, 3)) + 1j * rng.standard_normal((2 * N, 3)), arithmetic)
+    t, dt = dd.lift(t, arithmetic), dd.lift(dt, arithmetic)
+    synthesized = setup.forcing(modes, a, OMEGA0)
+    for forcing in (synthesized, synthesized._replace(shift=-setup.ick)):
+        yield sim._advance(setup.modal, X, t, dt, forcing), _advance_by_mode(setup.modal, X, t, dt, forcing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 6), c=st.floats(0.2, 1.8), negative=st.booleans(),
+    t=st.floats(0.1, 20.0), dt=st.one_of(st.floats(-10.0, -1e-3), st.floats(1e-3, 10.0)),
+    arithmetic=st.sampled_from(["float64", "dd"]), seed=st.integers(0, 2**16),
+)
+def test_advance_matches_the_per_mode_loop(N, c, negative, t, dt, arithmetic, seed):
+    # bit for bit in float64, and to 1e-28 relative in double-double, at a
+    # nonzero start time so the frozen support's phase e^{shift t} is exercised
+    assume(abs(c - _table6().gap_gamma) > 1e-6)
+    for got, want in _advance_pairs(N, -c if negative else c, t, dt, arithmetic, seed):
+        if arithmetic == "float64":
+            assert np.array_equal(got, want)
+        else:
+            scale = np.max(np.abs(dd.leading(want)))
+            assert np.max(np.abs(dd.leading(got - want))) <= 1e-28 * scale
+
+
+def test_advance_matches_the_per_mode_loop_in_mpmath():
+    with mp.workdps(40):
+        for got, want in _advance_pairs(3, 1.0, 1.7, 2.3, "mp", 5):
+            scale = max(abs(v) for v in want.ravel())
+            assert max(abs(v) for v in (got - want).ravel()) <= mp.mpf(10) ** -35 * scale
+
+
+def test_double_double_run_takes_space_exponentials_per_level(world, monkeypatch):
+    # the three branches of a level n share kappa_n, and e^{-i kappa x} is the
+    # conjugate of e^{i kappa x}: at N = 8 (16 levels, 48 modes) the dd Gram
+    # takes 2 x 16 + 48 = 80 mpmath exponentials and the terminal check 208
+    # (2 x 16 space, 4 x 48 modal and control, 2 x 16 shift), 288 in all
+    # where one exponential per mode and sign took 144 + 304 = 448
+    ms, T, data, cf, simulator = world
+    assert cf.arithmetic == "dd" and len(cf.modes) == 48
+    exp, counted = dd._MP_EXP, []
+    monkeypatch.setattr(dd, "_MP_EXP", lambda x: counted.append(np.size(x)) or exp(x))
+    with mp.workdps(cf.spec_mp.dps):
+        ctl._assemble_gram_mp(cf.spec_mp, cf.modes, OMEGA0, T, "dd")
+    gram = sum(counted)
+    simulator._terminal_norms_mp(data, cf, T)
+    assert (gram, sum(counted)) == (80, 288)
 
 
 def _random_control(ms, T, rng):
