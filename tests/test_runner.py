@@ -321,3 +321,22 @@ def test_simulate_at_n96_keeps_the_duality_margin(tmp_path):
     manifest, passed = run_pipeline(load_config(None, {"N": 96, "seed": 1}), "simulate", outdir=tmp_path)
     assert passed, manifest["failures"]
     assert manifest["stages"]["simulate"]["verdicts"]["duality_max_residual"] <= 1e-7
+
+
+def test_family_workload_figures_are_pinned(tmp_path):
+    # the benchmark's family configuration (family_N = 4, seed 1): the product
+    # layer's figures, pinned to 1e-9 relative so that a faster evaluation of
+    # the product has to reproduce them
+    manifest, passed = run_pipeline(load_config(None, {"family_N": 4, "seed": 1}), "biorthogonal",
+                                    outdir=tmp_path)
+    assert passed, manifest["failures"]
+    verdicts = manifest["stages"]["biorthogonal"]["verdicts"]
+    pinned = {
+        "product_type_empirical": 6.820332551247714,
+        "product_growth_d1": 3.743881912057736,
+        "derivative_envelope_c2": 0.03415180317407793,
+        "norm_ratio_bound": 792.8117608402305,
+    }
+    for key, value in pinned.items():
+        assert verdicts[key] == pytest.approx(value, rel=1e-9), key
+    assert verdicts["gram_deviation"] <= 1e-8
