@@ -41,6 +41,7 @@ from .product import (
 )
 from .biorthogonal import (
     BiorthogonalFamily,
+    FamilyConstructionError,
     build_biorthogonal,
     horizon_threshold,
     verify_lower_summation,

@@ -53,6 +53,7 @@ from .product import ProductFunction, growth_compensator, zero_abscissas
 
 __all__ = [
     "BiorthogonalFamily",
+    "FamilyConstructionError",
     "build_biorthogonal",
     "horizon_threshold",
     "LowerSummationReport",
@@ -236,6 +237,12 @@ class BiorthogonalFamily:
         write_json(path, payload)
 
 
+class FamilyConstructionError(RuntimeError):
+    """The family has no construction at this configuration: the compensated
+    product's exponential type does not fit the horizon, or no frequency
+    window brought the family's Gram deviation within tolerance."""
+
+
 def build_biorthogonal(
     pf: ProductFunction,
     T: float,
@@ -269,7 +276,7 @@ def build_biorthogonal(
         tvals = pf.log_eval(1j * y_probe, comp).real
         type_total = float(np.polyfit(y_probe, tvals, 1)[0])
         if type_total > 0.98 * T / 2.0:
-            raise ValueError(
+            raise FamilyConstructionError(
                 f"combined exponential type {type_total:.3f} does not fit the horizon T/2 = {T/2:.3f}"
             )
 
@@ -324,7 +331,7 @@ def build_biorthogonal(
         X *= 1.5
     else:
         tried = ", ".join(f"{a['window']:g}" for a in attempts)
-        raise RuntimeError(
+        raise FamilyConstructionError(
             f"window enlargement failed: family deviation {dev:.2e} > {tol:.0e} (windows {tried})"
         )
 

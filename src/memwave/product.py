@@ -22,7 +22,10 @@ many orders of magnitude), so the evaluator has three layers:
 
 All of these zeros, weighted or not, go through one routine of local power
 series expansions, ``_log_factor_sum``, exact to round-off at a few dozen
-series terms and a few dozen explicit logs per point; the tail's zeros lie
+series terms per point.  The far zeros share one expansion about 0; the
+near ones are expanded about the centres of panels of points, all panels in
+one pass, and the few too close to a panel's centre are explicit factors,
+multiplied sixteen at a time before one complex log.  The tail's zeros lie
 past the direct blocks among the far ones, where they cost nothing per point.
 
 One structural fact matters downstream: for 1/2 < s < 1 the dispersive comb
@@ -61,7 +64,8 @@ __all__ = [
     "verify_product_properties",
 ]
 
-_CHUNK = 1 << 20    # points x zeros in one block of explicit logs
+_CHUNK = 1 << 15    # points x zeros in one block of explicit logs (512 kB)
+_GROUP = 16         # factors per complex log: 16 moduli in [1e-19, 1e19] stay in float64's range
 _PANEL = 256        # points per panel of the near-zero expansions
 _SAFETY = 4.0      # direct blocks run out to c*kappa >= _SAFETY * max|z|
 _MAX_LEVEL = 1 << 20  # six direct zeros per level: 6.3e6 zeros, ~100 MB per array
@@ -70,30 +74,43 @@ _GROWTH_SAMPLES = 160  # midpoints between real zeros in the modulus trend fit
 _STRIP_DELTA = 1.0     # half-width of the strip |Im z| <= delta the strip bound scans
 
 
-def _expansion(a: np.ndarray, w: np.ndarray, zc: complex, u: np.ndarray) -> np.ndarray:
-    """sum over a of w * log(1 + (z_c + u)/a) by the expansion about z_c:
-    the constant sum w [log(a + z_c) - log a] plus -sum_k (-u)^k S_k / k with
-    S_k = sum w (a + z_c)^(-k).  Needs r = max|u| / min|a + z_c| < 1; K terms
-    with r^K <= 1e-17 leave a truncation below round-off."""
-    out = np.zeros(len(u), dtype=complex)
-    if not len(a):
-        return out
-    inv = 1.0 / (a + zc)
-    if zc != 0.0:
-        out += w @ (np.log(a + zc) - np.log(a))
-    r = float(np.max(np.abs(u), initial=0.0)) * float(np.max(np.abs(inv)))
-    if r > 0.0:
-        K = max(1, math.ceil(-17.0 / math.log10(r)))
-        coef = np.empty(K, dtype=complex)  # (-1)^(k+1) S_k / k, k = 1..K
-        power = inv.copy()
-        for k in range(1, K + 1):
-            coef[k - 1] = (-1) ** (k + 1) * (power @ w) / k
-            power *= inv
-        series = 0.0
-        for c_k in coef[::-1]:  # Horner in u
-            series = (series + c_k) * u
-        out += series
-    return out
+def _series(inv: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row p of the local expansions about centres z_p: sum over a of
+    w * log(1 + u/(a + z_p)) = -sum_k (-u)^k S_pk / k at the offsets u[p], with
+    the power sums S_pk = sum w inv[p]^k of inv[p] = 1/(a + z_p) (0 for a zero
+    row p does not expand).  Needs r_p = max|u[p]| * max|inv[p]| < 1; row p
+    keeps its own K_p terms with r_p^K_p <= 1e-17, so its truncation is below
+    round-off.  One recurrence of max K_p steps serves every row."""
+    r = np.max(np.abs(u), axis=1, initial=0.0) * np.max(np.abs(inv), axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        K = np.where(r > 0.0, np.maximum(1.0, np.ceil(-17.0 / np.log10(r))), 0.0)
+    coef = np.zeros((int(K.max(initial=0.0)), len(u)), dtype=complex)  # (-1)^(k+1) S_k / k
+    # S_k as one real product: the interleaved (re, im) pairs of each row against w (x) I_2
+    w_pairs = np.zeros((len(w), 2, 2))
+    w_pairs[:, 0, 0] = w_pairs[:, 1, 1] = w
+    w_pairs = w_pairs.reshape(-1, 2)
+    power = inv.copy()
+    for k in range(1, len(coef) + 1):
+        sums = power.view(np.float64) @ w_pairs
+        coef[k - 1] = (-1) ** (k + 1) * sums.view(complex)[:, 0] / k
+        power *= inv
+    coef[np.arange(len(coef))[:, None] >= K[None, :]] = 0.0
+    series = np.zeros(u.shape, dtype=complex)
+    for c_k in coef[::-1]:  # Horner in u
+        series += c_k[:, None]
+        series *= u
+    return series
+
+
+def _grouped_log_sum(factors: np.ndarray, divisor=1.0) -> np.ndarray:
+    """sum over the leading axis, whose length is a multiple of _GROUP, of
+    log(factors), as one complex log per product of _GROUP factors divided by
+    ``divisor`` (one value per group); defined mod 2 pi i.  A factor 0 gives
+    -inf; factors of 1 pad a group."""
+    groups = factors.reshape(-1, _GROUP, *factors.shape[1:]).prod(axis=1)
+    groups /= divisor
+    with np.errstate(divide="ignore"):
+        return np.log(groups).sum(axis=0)
 
 
 def _explicit_logs(a: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -116,42 +133,88 @@ def _explicit_logs(a: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _panel_sums(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum over the unit-weight near zeros a of log(1 + z/a), mod 2 pi i, in
+    one pass over all panels.
+
+    The points, sorted by real part, are cut into P panels of _PANEL (the
+    last padded with its last point), each with the centre z_c of its
+    bounding box and radius rho.  In the P x len(a) matrix a + z_c a zero is
+    expanded about z_c where |a + z_c| > _NEAR_RATIO * rho: its constant
+    log(1 + z_c/a) and its power sums enter every panel at once
+    (``_series``).  The rest are explicit: per panel a padded list of its
+    explicit zeros, whose factors a + z at the panel's points are multiplied
+    _GROUP at a time and divided by the product of the same _GROUP zeros
+    before one log (``_grouped_log_sum``), in blocks of at most _CHUNK
+    factors.  Dividing per group keeps each log the size of the terms it
+    sums; subtracting sum log a once would cost eps * sum |log a|, about
+    1e-12 on a few thousand near zeros.  A z that sits on a zero gives -inf.
+    """
+    P = -(-len(z) // _PANEL)
+    order = np.lexsort((z.imag, z.real))
+    zs = z[np.concatenate([order, np.full(P * _PANEL - len(z), order[-1])])].reshape(P, _PANEL)
+    zc = 0.5 * (zs.real.min(axis=1) + zs.real.max(axis=1)) + 0.5j * (zs.imag.min(axis=1) + zs.imag.max(axis=1))
+    u = zs - zc[:, None]
+    rho = np.max(np.abs(u), axis=1)
+    shifted = a[None, :] + zc[:, None]
+    local = np.abs(shifted) > _NEAR_RATIO * rho[:, None]
+
+    ratios = np.ones((_GROUP * -(-len(a) // _GROUP), P), dtype=complex)  # 1 + z_c/a, local or 1
+    np.copyto(ratios[: len(a)], (shifted / a).T, where=local.T)
+    out = _series(np.divide(1.0, shifted, out=np.zeros_like(shifted), where=local), np.ones(len(a)), u)
+    out += _grouped_log_sum(ratios)[:, None]
+
+    # the explicit zeros of panel p fill column p of an E x P table, padded
+    p_idx, j_idx = np.nonzero(~local)
+    counts = np.bincount(p_idx, minlength=P)
+    E = _GROUP * -(-int(counts.max(initial=0)) // _GROUP)
+    if E:
+        slot = np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = np.zeros((E, P), dtype=int)
+        cols[slot, p_idx] = j_idx
+        pad = np.ones((E, P), dtype=bool)
+        pad[slot, p_idx] = False
+        a_exp = a[cols]
+        a_groups = np.where(pad, 1.0, a_exp).reshape(-1, _GROUP, P).prod(axis=1)
+        step = max(1, _CHUNK // (E * _PANEL))
+        for start in range(0, P, step):
+            sl = slice(start, start + step)
+            factors = a_exp[:, sl, None] + zs[None, sl, :]
+            np.copyto(factors, 1.0, where=pad[:, sl, None])
+            out[sl] += _grouped_log_sum(factors, a_groups[:, sl, None])
+    acc = np.empty(len(z), dtype=complex)
+    acc[order] = out.ravel()[: len(z)]
+    return acc
+
+
 def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """sum over a of w * log(1 + z/a) at each z (w = 1 by default).
 
     Each zero enters through a local expansion about the centre z_c of a group
-    of points of radius rho (``_expansion``) wherever |a + z_c| >
+    of points of radius rho (``_series``) wherever |a + z_c| >
     _NEAR_RATIO * rho, so the truncation is below round-off with r <= 1/2:
 
     * far zeros, |a| > _NEAR_RATIO * max|z|, about z_c = 0 for every point:
       the constant vanishes and the series is the principal log(1 + z/a);
-    * near zeros of weight 1 per panel: the points sorted by real part and
-      cut into panels of _PANEL consecutive points, each about the centre of
-      its bounding box.
+    * near zeros of weight 1 about the centres of panels of _PANEL points,
+      all panels in one pass (``_panel_sums``), the few within
+      _NEAR_RATIO * rho of -z_c as explicit factors multiplied _GROUP at a
+      time before one log, so a z that sits on a zero gives -inf.
 
-    The rest stay explicit logs (``_explicit_logs``): near zeros within
-    _NEAR_RATIO * rho of -z_c, so a z that sits on a zero gives -inf, and
-    near zeros whose weight is not 1, so a weighted term is on the principal
-    branch.  A panel's constant log(a + z_c) - log a carries the phase only
+    Near zeros whose weight is not 1 stay principal explicit logs
+    (``_explicit_logs``).  Products and panel constants carry the phase only
     mod 2 pi i, so with unit weights the sum is defined mod 2 pi i, which
     exp() does not see.
     """
+    z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z), initial=0.0))
     w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
     near = np.abs(a) <= _NEAR_RATIO * zmax
-    acc = _expansion(a[~near], w[~near], 0.0, z)
-    a_near, w_near = a[near], w[near]
-    unit = w_near == 1.0
-    order = np.lexsort((z.imag, z.real))
-    for start in range(0, len(z), _PANEL):
-        idx = order[start : start + _PANEL]
-        zp = z[idx]
-        zc = complex(0.5 * (zp.real.min() + zp.real.max()), 0.5 * (zp.imag.min() + zp.imag.max()))
-        rho = float(np.max(np.abs(zp - zc)))
-        local = unit & (np.abs(a_near + zc) > _NEAR_RATIO * rho)
-        acc[idx] += _expansion(a_near[local], w_near[local], zc, zp - zc)
-        acc[idx] += _explicit_logs(a_near[~local], w_near[~local], zp)
-    return acc
+    acc = _series((1.0 / a[~near])[None, :], w[~near], z[None, :])[0]
+    unit = w[near] == 1.0
+    if len(z):
+        acc += _panel_sums(a[near][unit], z)
+    return acc + _explicit_logs(a[near][~unit], w[near][~unit], z)
 
 
 class ProductFunction:

@@ -257,21 +257,29 @@ class _Run:
         ms4 = moving.build_moving_spectrum(table, cfg.M, cfg.c, 4 * cfg.family_N)
         pf = pr.build_product(ms4)
         prep = pr.verify_product_properties(pf, family_N=cfg.family_N)
-        bf = bio.build_biorthogonal(pf, T, family_N=cfg.family_N)
-        man_path = self.outdir / "biorthogonal_manifest.json"
-        bf.export_manifest(man_path)
-        bf.export_samples(self.outdir / "theta_samples")
-        low = bio.verify_lower_summation(bf, trials=cfg.trials, seed=cfg.seed)
         verdicts = {
             "product_properties": prep.passed,
             "product_type_empirical": prep.type_empirical,
             "product_growth_d1": prep.growth.d1,
             "derivative_envelope_c2": prep.c2_hat,
+        }
+        try:
+            bf = bio.build_biorthogonal(pf, T, family_N=cfg.family_N)
+        except bio.FamilyConstructionError as exc:  # a named failure; the later stages still run
+            verdicts.update(family_constructed=False, family_error=str(exc))
+            self.record("biorthogonal", verdicts, [])
+            return verdicts
+        man_path = self.outdir / "biorthogonal_manifest.json"
+        bf.export_manifest(man_path)
+        bf.export_samples(self.outdir / "theta_samples")
+        low = bio.verify_lower_summation(bf, trials=cfg.trials, seed=cfg.seed)
+        verdicts.update({
+            "family_constructed": True,
             "gram_deviation": bf.gram_deviation,
             "gram_within_1e3": bool(bf.gram_deviation <= 1e-3),
             "norm_ratio_bound": bf.norm_ratio_bound(),
             "lower_summation": low.passed,
-        }
+        })
         self.record("biorthogonal", verdicts, [man_path.name, "theta_samples"])
         return verdicts
 

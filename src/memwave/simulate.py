@@ -134,9 +134,13 @@ def _advance(modal: ModalTable, X, t, dt, forcing: Forcing):
     """
     e_nu, e_lam = _exp(modal.nu * dt), _exp(-forcing.lam * dt)
     rel, e_rel = modal.nu - forcing.shift[:, None], _exp(forcing.shift * dt)[:, None] / e_nu
-    at_t = forcing.S * (forcing.a * _exp(-forcing.lam * t) / 2)
+    # e^{-lam t} and e^{shift t} are 1 at t = 0, where the terminal check and the first step start
+    a_t = forcing.a if t == 0 else forcing.a * _exp(-forcing.lam * t)
+    at_t = forcing.S * (a_t / 2)
     duhamel = (at_t[:, None, :] * _time_factor(rel[:, :, None] + forcing.lam, dt, e_rel[:, :, None] * e_lam)
-               ).sum(axis=2) * _exp(forcing.shift * t)[:, None]
+               ).sum(axis=2)
+    if t != 0:
+        duhamel = duhamel * _exp(forcing.shift * t)[:, None]
     coords = ((modal.W * X[:, None, :]).sum(axis=2) + duhamel) * e_nu / modal.wv
     return (modal.V * coords[:, None, :]).sum(axis=2)
 

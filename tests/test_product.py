@@ -310,26 +310,28 @@ def test_family_configuration_takes_far_branch(monkeypatch):
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
     pf = pr.build_product(ms)
     comp, _ = pr.growth_compensator(pf, 150.0)
-    calls, explicit_pairs, centres = [], [], []
-    helper, explicit, expansion = pr._log_factor_sum, pr._explicit_logs, pr._expansion
+    calls, series, explicit_pairs = [], [], []
+    helper, expansion, grouped = pr._log_factor_sum, pr._series, pr._grouped_log_sum
     monkeypatch.setattr(pr, "_log_factor_sum",
                         lambda a, z, weights=None: calls.append((a, z, weights)) or helper(a, z, weights))
-    monkeypatch.setattr(pr, "_explicit_logs",
-                        lambda a, w, z: explicit_pairs.append(len(a) * len(z)) or explicit(a, w, z))
-    monkeypatch.setattr(pr, "_expansion",
-                        lambda a, w, zc, u: centres.append(zc) or expansion(a, w, zc, u))
+    monkeypatch.setattr(pr, "_series", lambda inv, w, u: series.append(u) or expansion(inv, w, u))
+    # the explicit factors (a + z) of every panel's points, padding included
+    monkeypatch.setattr(pr, "_grouped_log_sum", lambda factors, divisor=1.0: (
+        factors.ndim == 3 and explicit_pairs.append(factors.size)) or grouped(factors, divisor))
     z = np.linspace(-150.0, 150.0, 5001) + 0.5j
 
     def far_zeros(a, z):
         return int(np.count_nonzero(np.abs(a) > pr._NEAR_RATIO * np.max(np.abs(z))))
 
     def check_panels(a, z):
-        # one expansion about 0 for the far zeros, one per panel for the near ones,
-        # and explicit logs for at most a tenth of the near point-zero pairs
+        # one expansion about 0 for the far zeros, then one pass over all panels
+        # for the near ones, and explicit factors for at most a tenth of the near
+        # point-zero pairs
         panels = -(-len(z) // pr._PANEL)
-        assert centres[0] == 0.0 and len(centres) == 1 + panels
-        assert len(set(centres[1:])) == panels
-        assert sum(explicit_pairs) <= 0.1 * len(z) * (len(a) - far_zeros(a, z))
+        far, near = series
+        assert far.shape == (1, len(z)) and np.array_equal(far[0], z)
+        assert near.shape == (panels, pr._PANEL)
+        assert 0 < sum(explicit_pairs) <= 0.1 * len(z) * (len(a) - far_zeros(a, z))
 
     pf.log_eval(z)
     (a, zz, w), = calls
@@ -340,7 +342,7 @@ def test_family_configuration_takes_far_branch(monkeypatch):
     # weight 1 but on the remainder zeros, which are all far
     tail = 6 * (pf._GAUSS_N + 3)
     assert np.all(w[:-tail] == 1.0) and np.all(np.abs(a[-tail:]) > pr._NEAR_RATIO * np.max(np.abs(zz)))
-    for log in (calls, explicit_pairs, centres):
+    for log in (calls, series, explicit_pairs):
         log.clear()
     # the compensated product: the same zero set and the compensator's zeros in one sum
     pf.log_eval(z, comp)
@@ -368,3 +370,84 @@ def test_loggamma_refuses_arguments_below_its_series_range():
     comp = pr.GrowthCompensator(2.0, 0.5, 300.0)
     assert comp._m0 - comp.B * 300.0 / 2.0 >= 20.0
     assert np.all(np.isfinite(comp.chain_log(np.array([-300.0, 300.0]) + 1j)))
+
+
+@pytest.fixture(scope="module")
+def family_product():
+    # the family configuration's product spectrum (N = 16) and its compensator
+    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16))
+    comp, _ = pr.growth_compensator(pf, 150.0)
+    return pf, comp
+
+
+def _log_eval_scale(pf, comp, z):
+    """sum over the zero set of |w log(1 + z/a)|: exact on the near zeros, and
+    the bound 2 |w z/a| >= |w log(1 + z/a)| on the far ones (|z/a| < 1/2)."""
+    a, w = pf._factor_zeros(float(np.max(np.abs(z))), comp)
+    near = np.abs(a) <= pr._NEAR_RATIO * np.max(np.abs(z))
+    scale = 2.0 * np.abs(z) * np.sum(np.abs(w[~near] / a[~near]))
+    for start in range(0, len(z), 256):
+        scale[start : start + 256] += _principal_log_sum(a[near], z[start : start + 256], np.abs(w[near]))[1]
+    return scale
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    shape=st.sampled_from(["line", "cloud"]),
+    points=st.integers(1, 3000),
+    on_zeros=st.integers(0, 3),
+    split=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_log_eval_does_not_depend_on_the_batching(family_product, shape, points, on_zeros, split, seed):
+    # a permutation of the points, and the same points in two calls, give the same
+    # values mod 2 pi i; both calls hold the point of largest modulus, since the
+    # batch's max|z| sets the direct-block cutoff and with it the zero set
+    pf, comp = family_product
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-150.0, 150.0, points)
+    if shape == "line":
+        z = x + 1j * rng.uniform(-1.0, 1.0)
+    else:
+        z = x + 1j * rng.uniform(-1.0, 1.0, points) * rng.uniform(0.01, 1.0) * 150.0
+    # exactly on zeros of P (the spectrum's modes) and of the compensator
+    inside = comp.zeros[np.abs(comp.zeros) <= 150.0]
+    targets = np.concatenate([pf.zeros, inside])
+    hit = rng.choice(points, min(on_zeros, points), replace=False)
+    z[hit] = targets[rng.integers(0, len(targets), len(hit))]
+    want = pf.log_eval(z, comp)
+    assert np.all(want.real[hit] == -np.inf)
+    perm = rng.permutation(points)
+    permuted = np.empty_like(want)
+    permuted[perm] = pf.log_eval(z[perm], comp)
+    top = int(np.argmax(np.abs(z)))
+    cut = int(split * points)
+    parts = [np.union1d(idx, [top]) for idx in (np.arange(cut), np.arange(cut, points))]
+    halves = np.empty_like(want)
+    for idx in parts:
+        halves[idx] = pf.log_eval(z[idx], comp)
+    finite = np.isfinite(want.real)
+    scale = _log_eval_scale(pf, comp, z[finite])
+    for got in (permuted, halves):
+        assert np.array_equal(np.isfinite(got.real), finite)
+        diff = got[finite] - want[finite]
+        diff -= 2j * np.pi * np.round(diff.imag / (2 * np.pi))
+        assert np.all(np.abs(diff) <= 1e-12 * (1.0 + scale))
+
+
+def test_grouped_logs_stay_in_range_and_keep_exact_zeros():
+    # _GROUP factors of modulus 1e19 or 1e-19 neither overflow nor underflow
+    rng = np.random.default_rng(3)
+    phases = rng.uniform(-np.pi, np.pi, (2 * pr._GROUP, 2))
+    for modulus in (1e19, 1e-19):
+        factors = modulus * np.exp(1j * phases)
+        got = pr._grouped_log_sum(factors)
+        want = np.log(factors).sum(axis=0)
+        diff = got - want
+        diff -= 2j * np.pi * np.round(diff.imag / (2 * np.pi))
+        assert np.all(np.abs(diff) <= 1e-12 * np.abs(want))
+    # one exact zero makes its column -inf and leaves the other alone
+    factors = np.exp(1j * phases)
+    factors[5, 1] = 0.0
+    got = pr._grouped_log_sum(factors)
+    assert got.real[1] == -np.inf and np.isfinite(got[0])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from memwave import biorthogonal as bio
 from memwave import cli
 from memwave.runner import (PIPELINES, SWEEPABLE, ConfigError, RunConfig, load_config, parse_value,
                             run_pipeline, sweep)
@@ -340,3 +341,33 @@ def test_family_workload_figures_are_pinned(tmp_path):
     for key, value in pinned.items():
         assert verdicts[key] == pytest.approx(value, rel=1e-9), key
     assert verdicts["gram_deviation"] <= 1e-8
+
+
+def test_cli_type_budget_is_a_named_failure(tmp_path):
+    # at c = 0.6 the compensated product's type (18.6) does not fit T/2 = 10.4:
+    # the stage records the failure with its message and the manifest is written
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("c = 0.6\n")
+    rc, err = _cli_exit(["biorthogonal", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1 and "biorthogonal.family_constructed" in err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "biorthogonal.family_constructed" in manifest["failures"]
+    verdicts = manifest["stages"]["biorthogonal"]["verdicts"]
+    assert verdicts["family_constructed"] is False
+    assert "does not fit the horizon" in verdicts["family_error"]
+    assert manifest["stages"]["biorthogonal"]["artifacts"] == []
+
+
+def test_window_failure_is_named_and_the_full_run_goes_on(tmp_path, monkeypatch):
+    # a tolerance no window can meet: three windows, then a named failure, and the
+    # control and simulate stages still run and pass
+    build = bio.build_biorthogonal
+    monkeypatch.setattr(bio, "build_biorthogonal", lambda *args, **kw: build(*args, **kw, tol=1e-30))
+    cfg_path = small_config(tmp_path)
+    rc, err = _cli_exit(["verify-all", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["failures"] == ["biorthogonal.family_constructed"]
+    assert set(manifest["stages"]) == {"spectrum", "gaps", "biorthogonal", "control", "simulate"}
+    assert manifest["stages"]["biorthogonal"]["verdicts"]["family_error"].startswith("window enlargement failed")
+    assert manifest["stages"]["simulate"]["verdicts"]["terminal_pass"] is True

@@ -291,9 +291,10 @@ def test_advance_matches_the_per_mode_loop_in_mpmath():
 def test_double_double_run_takes_space_exponentials_per_level(world, monkeypatch):
     # the three branches of a level n share kappa_n, and e^{-i kappa x} is the
     # conjugate of e^{i kappa x}: at N = 8 (16 levels, 48 modes) the dd Gram
-    # takes 2 x 16 + 48 = 80 mpmath exponentials and the terminal check 208
-    # (2 x 16 space, 4 x 48 modal and control, 2 x 16 shift), 288 in all
-    # where one exponential per mode and sign took 144 + 304 = 448
+    # takes 2 x 16 + 48 = 80 mpmath exponentials and the terminal check 144
+    # (2 x 16 space, 48 each for e^{nu dt} and e^{-lam dt}, 16 for e^{shift dt};
+    # e^{-lam t} and e^{shift t} are skipped at t = 0), 224 in all where one
+    # exponential per mode and sign took 144 + 304 = 448
     ms, T, data, cf, simulator = world
     assert cf.arithmetic == "dd" and len(cf.modes) == 48
     exp, counted = dd._MP_EXP, []
@@ -302,7 +303,7 @@ def test_double_double_run_takes_space_exponentials_per_level(world, monkeypatch
         ctl._assemble_gram_mp(cf.spec_mp, cf.modes, OMEGA0, T, "dd")
     gram = sum(counted)
     simulator._terminal_norms_mp(data, cf, T)
-    assert (gram, sum(counted)) == (80, 288)
+    assert (gram, sum(counted)) == (80, 224)
 
 
 def _random_control(ms, T, rng):
