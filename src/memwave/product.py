@@ -160,9 +160,12 @@ def _panel_sums(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     local = np.abs(shifted) > _NEAR_RATIO * rho[:, None]
 
     ratios = np.ones((_GROUP * -(-len(a) // _GROUP), P), dtype=complex)  # 1 + z_c/a, local or 1
-    np.copyto(ratios[: len(a)], (shifted / a).T, where=local.T)
-    out = _series(np.divide(1.0, shifted, out=np.zeros_like(shifted), where=local), np.ones(len(a)), u)
-    out += _grouped_log_sum(ratios)[:, None]
+    np.divide(shifted, a, out=ratios[: len(a)].T, where=local)
+    const = _grouped_log_sum(ratios)
+    inv = np.divide(1.0, shifted, out=shifted, where=local)
+    inv[~local] = 0.0
+    out = _series(inv, np.ones(len(a)), u)
+    out += const[:, None]
 
     # the explicit zeros of panel p fill column p of an E x P table, padded
     p_idx, j_idx = np.nonzero(~local)
@@ -170,12 +173,11 @@ def _panel_sums(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     E = _GROUP * -(-int(counts.max(initial=0)) // _GROUP)
     if E:
         slot = np.arange(len(p_idx)) - np.repeat(np.cumsum(counts) - counts, counts)
-        cols = np.zeros((E, P), dtype=int)
-        cols[slot, p_idx] = j_idx
+        a_exp = np.ones((E, P), dtype=complex)
+        a_exp[slot, p_idx] = a[j_idx]
         pad = np.ones((E, P), dtype=bool)
         pad[slot, p_idx] = False
-        a_exp = a[cols]
-        a_groups = np.where(pad, 1.0, a_exp).reshape(-1, _GROUP, P).prod(axis=1)
+        a_groups = a_exp.reshape(-1, _GROUP, P).prod(axis=1)
         step = max(1, _CHUNK // (E * _PANEL))
         for start in range(0, P, step):
             sl = slice(start, start + step)
