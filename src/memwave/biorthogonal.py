@@ -304,7 +304,7 @@ def build_biorthogonal(
         primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
         partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries] if symmetrize else []
         weighted = theta_hat[primaries] * x_weights[None, :]
-        del theta_hat  # (modes x frequency nodes), not held through the sampling below
+        del theta_hat  # modes x frequency nodes: not held through the sampling below, which sets the peak memory
 
         def sample(grid):
             out = np.empty((len(modes), len(grid.centers) * len(grid.offsets)), dtype=complex)

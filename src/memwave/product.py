@@ -208,7 +208,6 @@ def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = N
     mod 2 pi i, so with unit weights the sum is defined mod 2 pi i, which
     exp() does not see.
     """
-    z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z), initial=0.0))
     w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
     near = np.abs(a) <= _NEAR_RATIO * zmax
