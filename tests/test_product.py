@@ -304,12 +304,18 @@ def test_point_on_a_zero_gives_minus_infinity():
     _compare_in_blocks(a, z[rest], np.ones(len(a)), got[rest], mod_2pi=True)
 
 
-def test_family_configuration_takes_far_branch(monkeypatch):
+@pytest.fixture(scope="module")
+def family_product():
+    # the family configuration's product spectrum (N = 16) and its compensator
+    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16))
+    comp, _ = pr.growth_compensator(pf, 150.0)
+    return pf, comp
+
+
+def test_family_configuration_takes_far_branch(family_product, monkeypatch):
     # the benchmark's family configuration: product spectrum N = 16, window 150,
     # on a line as dense as the family's Gauss nodes (~5000 points)
-    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
-    pf = pr.build_product(ms)
-    comp, _ = pr.growth_compensator(pf, 150.0)
+    pf, comp = family_product
     calls, series, explicit_pairs = [], [], []
     helper, expansion, grouped = pr._log_factor_sum, pr._series, pr._grouped_log_sum
     monkeypatch.setattr(pr, "_log_factor_sum",
@@ -370,14 +376,6 @@ def test_loggamma_refuses_arguments_below_its_series_range():
     comp = pr.GrowthCompensator(2.0, 0.5, 300.0)
     assert comp._m0 - comp.B * 300.0 / 2.0 >= 20.0
     assert np.all(np.isfinite(comp.chain_log(np.array([-300.0, 300.0]) + 1j)))
-
-
-@pytest.fixture(scope="module")
-def family_product():
-    # the family configuration's product spectrum (N = 16) and its compensator
-    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16))
-    comp, _ = pr.growth_compensator(pf, 150.0)
-    return pf, comp
 
 
 def _log_eval_scale(pf, comp, z):
