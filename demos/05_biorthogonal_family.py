@@ -29,7 +29,6 @@ print(f"shipped family Gram deviation {bf.gram_deviation:.2e} on an independent 
 print(f"norm bound: ||theta_m|| <= {bf.norm_ratio_bound():.3g} * rho_m over the family")
 
 bf.export_manifest(OUT / "biorthogonal_manifest.json")
-bf.export_samples(OUT / "theta_samples")
 
 rep = bio.verify_lower_summation(bf, trials=150, seed=3)
 print(f"lower summation: C = {rep.c46_hat:.3g}, {rep.trials} random vectors, "
@@ -44,7 +43,7 @@ try:
     fig, ax = plt.subplots(figsize=(7, 4))
     for mode in [(1, 1), (2, 2), (4, 3)]:
         i = bf.index(*mode)
-        ax.plot(bf.t_grid, bf.theta[i].real, lw=0.8, label=f"Re theta{mode}")
+        ax.plot(bf.t_nodes, bf.theta[i].real, lw=0.8, label=f"Re theta{mode}")
     ax.set_xlabel("t")
     ax.legend()
     fig.tight_layout()

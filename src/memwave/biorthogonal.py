@@ -20,14 +20,15 @@ stages visible: ``raw_deviation`` for the analytic construction,
 quadrature, and ``window_attempts`` for every frequency window tried on the
 way.
 
-The time grids that are sampled, the verification quadrature and the
-export grid, are uniform blocks: the Gauss panels partition [-T/2, T/2]
-evenly and the export grid is equally spaced, so each node is a block
-center plus an offset and e^{ixt} = e^{ix t_c} e^{ix delta}.  The inverse
-transform therefore takes exponentials per center and per offset instead
-of per node, and samples a whole grid with one matrix product.  The centers
-are an arithmetic progression, so their exponentials are in turn a coarse
-factor times a fine one.
+The family is sampled on one time rule, the verification quadrature: its
+samples are ``theta``, and its nodes and weights give ``norms``, ``gram``
+and the lower summation's family constant.  The Gauss panels partition
+[-T/2, T/2] evenly, so each node is a panel center plus an offset and
+e^{ixt} = e^{ix t_c} e^{ix delta}.  The inverse transform therefore takes
+exponentials per center and per offset instead of per node, and samples
+the whole rule with one matrix product.  The centers are an arithmetic
+progression, so their exponentials are in turn a coarse factor times a
+fine one.
 
 The closed forms are shared, not re-derived: the frequency panels come from
 ``fractional.gauss_interval`` broadcast over the panel ends, one integral of
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_csv, write_json
+from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_json
 from .moving import BRANCHES, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
@@ -63,7 +64,6 @@ __all__ = [
 
 _FREQ_PER_PANEL = 8  # Gauss nodes per frequency panel of the inverse transform
 _TIME_PER_PANEL = 10  # Gauss nodes per panel of the verification time quadrature
-_N_EXPORT = 640       # equally spaced export samples of each family member
 
 
 class _Blocks(NamedTuple):
@@ -88,15 +88,6 @@ def _time_quadrature(T: float, x_window: float):
     x0, w0 = gauss_legendre(_TIME_PER_PANEL)
     centers = -T / 2.0 + half * (2.0 * np.arange(n_panels) + 1.0)
     return _Blocks(centers, 2.0 * half, half * x0), np.tile(half * w0, n_panels)
-
-
-def _export_grid(T: float, n: int) -> _Blocks:
-    """n equally spaced points on [-T/2, T/2] as blocks of about sqrt(n)
-    consecutive points, of which the first n nodes are the grid."""
-    dt = T / max(n - 1, 1)
-    block = max(1, math.ceil(math.sqrt(n)))
-    centers = -T / 2.0 + dt * block * np.arange(math.ceil(n / block))
-    return _Blocks(centers, dt * block, dt * np.arange(block))
 
 
 def _cis_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,8 +185,9 @@ class BiorthogonalFamily:
     rho: np.ndarray
     T: float
     window: float
-    t_grid: np.ndarray
-    theta: np.ndarray            # samples on t_grid, polished family
+    t_nodes: np.ndarray          # nodes of the verification quadrature
+    weights: np.ndarray          # its weights, summing to T
+    theta: np.ndarray            # polished family sampled at t_nodes
     norms: np.ndarray
     gram: np.ndarray             # final family vs exponentials, independent quadrature
     gram_deviation: float
@@ -210,16 +202,6 @@ class BiorthogonalFamily:
     def norm_ratio_bound(self) -> float:
         """Fitted uniform constant in the norm bound ||theta| | <= C rho."""
         return float(np.max(self.norms / self.rho))
-
-    def export_samples(self, directory) -> None:
-        import pathlib
-
-        d = pathlib.Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        t_text = [repr(t) for t in self.t_grid.tolist()]  # one time column for every file
-        for (n, j), theta in zip(self.modes, self.theta):
-            write_csv(d / f"theta_{n}_{j}.csv", "t,re_theta,im_theta", "%s,%r,%r",
-                      zip(t_text, theta.real.tolist(), theta.imag.tolist()))
 
     def export_manifest(self, path) -> None:
         payload = {
@@ -306,13 +288,6 @@ def build_biorthogonal(
         weighted = theta_hat[primaries] * x_weights[None, :]
         del theta_hat  # modes x frequency nodes: not held through the sampling below, which sets the peak memory
 
-        def sample(grid):
-            out = np.empty((len(modes), len(grid.centers) * len(grid.offsets)), dtype=complex)
-            out[primaries] = _inverse_transform(weighted, x_nodes, grid)
-            if partners:
-                out[partners] = np.conj(out[primaries])
-            return out
-
         gram_raw = _raw_gram(weighted, x_nodes, lam, T, primaries, partners)
         eye = np.eye(len(modes))
         raw_dev = float(np.max(np.abs(gram_raw - eye)))
@@ -320,10 +295,15 @@ def build_biorthogonal(
 
         C = np.linalg.inv(gram_raw)
 
-        # independent verification quadrature
+        # independent verification quadrature, the one rule the family is sampled on
         grid2, w2 = _time_quadrature(T, X)
-        theta2 = C @ sample(grid2)
-        E2 = np.exp(-np.conj(lam)[:, None] * grid2.nodes()[None, :])
+        t2 = grid2.nodes()
+        theta2 = np.empty((len(modes), len(t2)), dtype=complex)
+        theta2[primaries] = _inverse_transform(weighted, x_nodes, grid2)
+        if partners:
+            theta2[partners] = np.conj(theta2[primaries])
+        theta2 = C @ theta2
+        E2 = np.exp(-np.conj(lam)[:, None] * t2[None, :])
         gram = theta2 @ (E2 * w2[None, :]).T
         dev = float(np.max(np.abs(gram - eye)))
         attempts.append({"window": X, "gram_deviation": dev})
@@ -336,14 +316,11 @@ def build_biorthogonal(
             f"window enlargement failed: family deviation {dev:.2e} > {tol:.0e} (windows {tried})"
         )
 
-    norms = np.sqrt(np.abs((np.abs(theta2) ** 2 @ w2)))
-    export = _export_grid(T, _N_EXPORT)
-    t_grid = export.nodes()[:_N_EXPORT]
-    theta_exp = C @ sample(export)[:, :_N_EXPORT]
+    norms = np.sqrt(np.abs(theta2) ** 2 @ w2)
 
     return BiorthogonalFamily(
         modes=modes, lam=lam, rho=rho, T=T, window=X,
-        t_grid=t_grid, theta=theta_exp, norms=norms,
+        t_nodes=t2, weights=w2, theta=theta2, norms=norms,
         gram=gram, gram_deviation=dev, raw_deviation=raw_dev,
         raw_diag_error=raw_diag, tail_estimate=tail_est, window_attempts=attempts,
     )
@@ -370,21 +347,21 @@ def verify_lower_summation(bf: BiorthogonalFamily, trials: int = 200, seed: int 
     """Weighted coefficient sums against exponential-sum norms.
 
     First fits the family constant C in ||sum beta theta||^2 <= C sum rho^2
-    |beta|^2 from single modes and random combinations, then checks
+    |beta|^2 from single modes and 64 random combinations, their norms taken
+    on the family's own quadrature, then checks
     sum |a|^2 / rho^2 <= C * ||sum a e^{-lam t}||^2 on random vectors plus an
     adversarial vector concentrated on the closest spectral pair.
     """
     rng = default_rng(seed)
     lam, rho = bf.lam, bf.rho
     m = len(bf.modes)
-    # family constant from the produced samples
-    dt = bf.t_grid[1] - bf.t_grid[0]
-    c46 = float(np.max(bf.norms**2 / rho**2))
-    for _ in range(64):
-        beta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        comb = beta @ bf.theta
-        num = float(np.sum(np.abs(comb) ** 2) * dt)
-        c46 = max(c46, num / float(np.sum(rho**2 * np.abs(beta) ** 2)))
+    # family constant from the produced samples; draw i holds the real then
+    # the imaginary parts of combination i
+    draws = rng.standard_normal((64, 2, m))
+    beta = draws[:, 0] + 1j * draws[:, 1]
+    num = np.abs(beta @ bf.theta) ** 2 @ bf.weights
+    den = np.sum(rho**2 * np.abs(beta) ** 2, axis=1)
+    c46 = float(max(np.max(bf.norms**2 / rho**2), np.max(num / den)))
 
     vectors = np.zeros((trials, m), dtype=complex)
     for a in vectors:

@@ -271,7 +271,6 @@ class _Run:
             return verdicts
         man_path = self.outdir / "biorthogonal_manifest.json"
         bf.export_manifest(man_path)
-        bf.export_samples(self.outdir / "theta_samples")
         low = bio.verify_lower_summation(bf, trials=cfg.trials, seed=cfg.seed)
         verdicts.update({
             "family_constructed": True,
@@ -280,7 +279,7 @@ class _Run:
             "norm_ratio_bound": bf.norm_ratio_bound(),
             "lower_summation": low.passed,
         })
-        self.record("biorthogonal", verdicts, [man_path.name, "theta_samples"])
+        self.record("biorthogonal", verdicts, [man_path.name])
         return verdicts
 
     def control_stage(self):

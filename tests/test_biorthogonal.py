@@ -1,8 +1,6 @@
 """Biorthogonal family construction and the lower summation inequality."""
 
-import csv
 import dataclasses
-import io
 
 import mpmath
 import numpy as np
@@ -133,50 +131,43 @@ def test_time_gram_closed_form(family):
 
 def test_export(tmp_path, family):
     family.export_manifest(tmp_path / "family.json")
-    family.export_samples(tmp_path / "samples")
     import json
 
     man = json.loads((tmp_path / "family.json").read_text())
     assert man["gram_deviation"] <= 1e-3
-    files = list((tmp_path / "samples").glob("theta_*.csv"))
-    assert len(files) == len(family.modes)
-    header = files[0].read_text().splitlines()[0]
-    assert header == "t,re_theta,im_theta"
-
-
-def test_export_samples_match_csv_writer(tmp_path, family):
-    # the shared time column writes the bytes csv.writer writes with floats as repr
-    family.export_samples(tmp_path)
-    for (n, j), theta in zip(family.modes, family.theta):
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["t", "re_theta", "im_theta"])
-        writer.writerows([repr(t), repr(z.real), repr(z.imag)]
-                         for t, z in zip(family.t_grid.tolist(), theta.tolist()))
-        assert (tmp_path / f"theta_{n}_{j}.csv").read_bytes() == ref.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("window", [150.0, 300.0])
 def test_separable_sampling_matches_direct_exponentials(window):
-    # e^{ixt} = e^{ix t_c} e^{ix delta} over every grid the construction samples on
+    # e^{ixt} = e^{ix t_c} e^{ix delta} over the verification rule; T = 13
+    # gives an odd panel count at both windows (179 and 357), T = 20.7 an even one
     rng = np.random.default_rng(5)
-    T = 20.7
     x = np.sort(rng.uniform(-window, window, 2000))
     weighted = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
-    grids = [bio._time_quadrature(T, window)[0], bio._export_grid(T, 640), bio._export_grid(T, 7)]
-    for grid in grids:
+    for T in (20.7, 13.0):
+        grid = bio._time_quadrature(T, window)[0]
         t = grid.nodes()
         got = bio._inverse_transform(weighted, x, grid)
         want = weighted @ np.exp(1j * np.outer(x, t)) / (2 * np.pi)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 640, 641])
-def test_export_grid_is_equally_spaced(n):
-    T = 20.7
-    grid = bio._export_grid(T, n).nodes()[:n]
-    assert len(grid) == n
-    assert np.max(np.abs(grid - np.linspace(-T / 2, T / 2, n)), initial=0.0) <= 1e-14 * T
+def test_family_figures_come_from_one_rule(family):
+    # theta, norms and the lower summation's constant all live on the verification quadrature
+    assert family.theta.shape == (len(family.modes), len(family.t_nodes))
+    assert np.array_equal(family.norms, np.sqrt(np.abs(family.theta) ** 2 @ family.weights))
+    assert family.weights.sum() == pytest.approx(family.T, rel=1e-13)
+    rep = bio.verify_lower_summation(family, trials=20, seed=7)
+    assert rep.c46_hat >= np.max(family.norms**2 / family.rho**2)
+    # without the single-mode term c46 is the 64-combination fit; the reference
+    # loop draws the real then the imaginary parts of each combination
+    rng, m, want = np.random.default_rng(7), len(family.modes), 0.0
+    for _ in range(64):
+        beta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        num = float(np.abs(beta @ family.theta) ** 2 @ family.weights)
+        want = max(want, num / float(np.sum(family.rho**2 * np.abs(beta) ** 2)))
+    fit = bio.verify_lower_summation(dataclasses.replace(family, norms=0.0 * family.norms), trials=20, seed=7)
+    assert fit.c46_hat == pytest.approx(want, rel=1e-12)
 
 
 def test_time_quadrature_integrates_exponentials():

@@ -124,16 +124,22 @@ def test_full_pipeline_manifest_completeness(tmp_path):
     assert all({"n", "j", "re", "im"} <= set(c) for c in payload["coefficients"])
 
 
-def test_every_csv_artifact_holds_plain_numbers(tmp_path):
+@pytest.fixture(scope="module")
+def small_full_run(tmp_path_factory):
+    # one small passing full run, shared by the tests that read its outputs
+    tmp = tmp_path_factory.mktemp("small")
+    cfg = load_config(small_config(tmp, N=4, family_N=2, trials=20))
+    manifest, passed = run_pipeline(cfg, "full", outdir=tmp / "full")
+    assert passed
+    return manifest, tmp / "full"
+
+
+def test_every_csv_artifact_holds_plain_numbers(small_full_run):
     # every cell but the headers and the eigenvalue table's backend label
     # parses as a float: no numpy reprs such as np.float64(...)
-    cfg = load_config(small_config(tmp_path, N=4, family_N=2, trials=20))
-    _, passed = run_pipeline(cfg, "full", outdir=tmp_path / "full")
-    assert passed
-    paths = sorted((tmp_path / "full").rglob("*.csv"))
+    paths = sorted(small_full_run[1].rglob("*.csv"))
     names = {p.name for p in paths}
     assert {"eigenvalues.csv", "lambda_table.csv", "control_samples.csv", "trajectory.csv"} <= names
-    assert any(name.startswith("theta_") for name in names)
     for path in paths:
         header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
         assert rows, path.name
@@ -144,6 +150,16 @@ def test_every_csv_artifact_holds_plain_numbers(tmp_path):
                     assert cell in ("asymptotic", "discretized")
                 else:
                     float(cell)
+
+
+def test_full_run_writes_exactly_its_artifacts(small_full_run):
+    # the manifest's artifact lists name every file the run leaves, and nothing else
+    manifest, outdir = small_full_run
+    listed = {"manifest.json"}.union(*(stage["artifacts"] for stage in manifest["stages"].values()))
+    written = {p.name for p in outdir.iterdir()}
+    assert written == listed
+    assert all((outdir / name).is_file() for name in written)
+    assert not any(name.startswith("theta_") for name in written)
 
 
 def test_benchmark_workloads_are_valid_configurations():
