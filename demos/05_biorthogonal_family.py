@@ -10,18 +10,16 @@ import pathlib
 from memwave import biorthogonal as bio
 from memwave.fractional import build_eigenvalue_table
 from memwave.moving import build_moving_spectrum
-from memwave.product import build_product
 
 OUT = pathlib.Path("demo_output")
 OUT.mkdir(exist_ok=True)
 
 table = build_eigenvalue_table(0.75, 32)
 ms = build_moving_spectrum(table, 0.5, 1.0, 32)
-pf = build_product(ms)
 T = 1.05 * bio.horizon_threshold(ms.c, ms.gamma)
 print(f"horizon T = {T:.4f} (threshold {T/1.05:.4f})")
 
-bf = bio.build_biorthogonal(pf, T, family_N=8)
+bf = bio.build_biorthogonal(ms, T, family_N=8)
 print(f"family of {len(bf.modes)} members, frequency window |x| <= {bf.window:.0f}")
 print(f"raw construction deviation {bf.raw_deviation:.2e} "
       f"(diagonal already right to {bf.raw_diag_error:.1e})")

@@ -35,7 +35,6 @@ from .moving import (
 )
 from .product import (
     ProductFunction,
-    build_product,
     growth_compensator,
     verify_product_properties,
 )

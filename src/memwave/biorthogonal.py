@@ -49,7 +49,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_json
-from .moving import BRANCHES, horizon_threshold, j_conj, weighted_inequality
+from .moving import BRANCHES, MovingSpectrum, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
 
 __all__ = [
@@ -226,15 +226,14 @@ class FamilyConstructionError(RuntimeError):
 
 
 def build_biorthogonal(
-    pf: ProductFunction,
+    ms: MovingSpectrum,
     T: float,
     family_N: int,
     x_window: float | None = None,
     symmetrize: bool | None = None,
     tol: float = 1.0e-3,
 ) -> BiorthogonalFamily:
-    """Construct the sampled family for all modes |n| <= family_N."""
-    ms = pf.ms
+    """Construct the sampled family for all modes |n| <= family_N; each window attempt builds its product."""
     if family_N > ms.N:
         raise ValueError("family_N exceeds the product's spectrum truncation")
     if T <= horizon_threshold(ms.c, ms.gamma):
@@ -249,12 +248,13 @@ def build_biorthogonal(
 
     x_max_im = float(np.max(np.abs(lam.imag)))
     X = float(x_window) if x_window is not None else max(150.0, 5.0 * x_max_im)
+    # exponential-type budget: product plus multiplier must fit T/2, probed up the imaginary axis
+    y_probe = np.linspace(0.3, 0.55, 6) * abs(ms.c) * float(ms.kappa_pos[-1])
 
     attempts = []
     for _ in range(3):
+        pf = ProductFunction(ms, max(X, y_probe[-1], float(np.max(np.abs(zeros)))))
         comp, fit = growth_compensator(pf, X)
-        # exponential-type budget: product plus multiplier must fit T/2
-        y_probe = np.linspace(0.3, 0.55, 6) * abs(ms.c) * float(ms.kappa_pos[-1])
         tvals = pf.log_eval(1j * y_probe, comp).real
         type_total = float(np.polyfit(y_probe, tvals, 1)[0])
         if type_total > 0.98 * T / 2.0:

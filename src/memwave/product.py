@@ -5,7 +5,9 @@ at z = -i conj(lam(n,j)) and at a triple zero in the origin; its restriction
 to the real axis is the Fourier-side object from which the biorthogonal family
 is read off.  A bare truncation of the product is useless on any interesting
 window (the missing factors near the truncation edge distort the modulus by
-many orders of magnitude), so the evaluator has three layers:
+many orders of magnitude).  So each product builds one zero table for the
+points |z| <= radius it serves, and every evaluation reads it (P is then a
+function of z alone, whichever points share a call).  It has three layers:
 
 * exact factors for every mode of the supplied spectrum (the relabeling
   convention at a critical velocity included);
@@ -15,7 +17,7 @@ many orders of magnitude), so the evaluator has three layers:
   cubic, out to where all remaining levels are safely non-resonant;
 * the far tail summed by Euler-Maclaurin: the block log is a smooth,
   non-oscillatory function of the continuous level index once
-  c*kappa_k dominates |z|, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
+  c*kappa_k dominates the radius, so sum_{k>K} f(k) = int f + f/2 - f'/12 + ...
   with the integral taken by quadrature on the compactified variable.
   Every term of that formula is a level's six zeros with a weight (the
   quadrature weight, 1/2, or the difference weight of f').
@@ -54,7 +56,6 @@ from .moving import MovingSpectrum, BRANCHES, horizon_threshold, pair_distances
 
 __all__ = [
     "ProductFunction",
-    "build_product",
     "GrowthFit",
     "fit_axis_growth",
     "GrowthCompensator",
@@ -219,21 +220,25 @@ def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = N
 
 
 class ProductFunction:
-    """Evaluator for P and P' built over a moving spectrum.
+    """Evaluator for P and P' over a moving spectrum, at points |z| <= radius.
 
-    Every mode of the spectrum is an exact factor; direct blocks run out to
-    c*kappa >= _SAFETY * max|z| of the batch, and on until every remainder
-    zero lies beyond _NEAR_RATIO * max|z|, where the analytic remainder takes
-    over.
+    The constructor builds the zero table: every mode is an exact factor,
+    direct blocks run out to c*kappa >= _SAFETY * radius and on until every
+    remainder zero lies beyond _NEAR_RATIO * radius, where the analytic
+    remainder takes over.  A point beyond the radius raises ``ValueError``.
     """
 
-    def __init__(self, ms: MovingSpectrum):
+    def __init__(self, ms: MovingSpectrum, radius: float):
         self.ms = ms
         self.modes = list(ms.modes())
         self.zeta_factor = np.array([1j * np.conj(ms.lam(n, j)) for n, j in self.modes])
         self.zeros = -self.zeta_factor
         if pair_distances(self.zeros).min() <= 0.0:
             raise ValueError("zero set is not simple; apply the critical-velocity relabeling first")
+        self.radius = float(radius)
+        k_cut = self._direct_cutoff(self.radius)
+        self.levels = self._level_zeros(np.arange(ms.N + 1, k_cut + 1, dtype=float))
+        self._tail, self._w_tail = self._remainder_zeros(k_cut)
 
     # -- extension ----------------------------------------------------------
     def _mu_tuple(self, k_real):
@@ -245,17 +250,17 @@ class ProductFunction:
         return kap, mu1.astype(complex), mu2, np.conj(mu2)
 
     def _direct_cutoff(self, zmax: float) -> int:
-        """Last level handled by direct blocks: beyond it |w_j| <= ~0.2, and
-        every remainder zero lies beyond _NEAR_RATIO * max|z|.
+        """Last level handled by direct blocks for points |z| <= zmax: beyond
+        it |w_j| <= ~0.2, and every remainder zero lies beyond _NEAR_RATIO * zmax.
 
         The branch-2/3 zeros i mu2 -+ c kappa sit Im mu2 ~ kappa^s closer to the
         origin than c kappa, and c kappa - Im mu2 stays negative up to
         kappa ~ c^(-1/(1-s)) (about 1e6 at s = 0.95, c = 0.5), where those
         zeros cross the window.  So the cutoff grows by a quarter until
-        g = c kappa - sqrt(3 M^2/4 + kappa^(2s)) exceeds _NEAR_RATIO * max|z| at
+        g = c kappa - sqrt(3 M^2/4 + kappa^(2s)) exceeds _NEAR_RATIO * zmax at
         the lowest remainder level.  g is a lower bound of c kappa - Im mu2
         (|mu1| < |M|), and once positive it only grows with kappa (c kappa >
-        kappa^s there), so every remainder zero has |Re a| > _NEAR_RATIO * max|z|.
+        kappa^s there), so every remainder zero has |Re a| > _NEAR_RATIO * zmax.
         """
         c, s = abs(self.ms.c), self.ms.s
         zmax = max(zmax, 1.0)
@@ -272,7 +277,7 @@ class ProductFunction:
             if k > _MAX_LEVEL:
                 raise ValueError(
                     f"direct blocks would run past level {_MAX_LEVEL}: the branch-2/3 zeros "
-                    f"i mu2 -+ c kappa are still within {_NEAR_RATIO:g} max|z| there (s = {s}, c = {c})"
+                    f"i mu2 -+ c kappa are still within {_NEAR_RATIO:g} zmax there (s = {s}, c = {c})"
                 )
 
     def _level_zeros(self, k_real) -> np.ndarray:
@@ -282,16 +287,17 @@ class ProductFunction:
         ck = abs(self.ms.c) * kap
         return np.concatenate([ims - ck, ims + ck])
 
-    def _factor_zeros(self, zmax: float, comp: GrowthCompensator | None) -> tuple[np.ndarray, np.ndarray]:
-        """Every zero a of a factor 1 + z/a with its weight, for points with
-        max|z| = zmax: the spectrum's modes, the six zeros of each direct-block
-        level out to ``_direct_cutoff`` and the explicit zeros of ``comp`` with
-        weight 1, then the weighted remainder zeros."""
-        k_cut = self._direct_cutoff(zmax)
-        levels = self._level_zeros(np.arange(self.ms.N + 1, k_cut + 1, dtype=float)).ravel()
-        tail, w_tail = self._remainder_zeros(k_cut)
-        a = np.concatenate([self.zeta_factor, levels, np.empty(0) if comp is None else comp.zeros, tail])
-        return a, np.concatenate([np.ones(len(a) - len(tail)), w_tail])
+    def _zero_set(self, comp: GrowthCompensator | None, modes: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Zeros and weights of one log sum: the modes (with ``modes``), the direct
+        levels and the explicit zeros of ``comp`` with weight 1, then the
+        weighted remainder zeros."""
+        a = np.concatenate([self.zeta_factor if modes else [], self.levels.ravel(),
+                            [] if comp is None else comp.zeros, self._tail])
+        return a, np.concatenate([np.ones(len(a) - len(self._tail)), self._w_tail])
+
+    def _check_radius(self, zmax: float) -> None:
+        if zmax > self.radius:
+            raise ValueError(f"|z| = {zmax:g} lies beyond the product's radius {self.radius:g}")
 
     _GAUSS_N = 96  # Gauss nodes on (0, 1) of the compactified remainder integral
 
@@ -324,10 +330,11 @@ class ProductFunction:
         one log sum over both zero sets plus the compensator's chain term
         (phase defined mod 2 pi i)."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
+        self._check_radius(float(np.max(np.abs(z), initial=0.0)))
         out = np.where(z == 0, -np.inf + 0j, 3.0 * np.log(np.where(z == 0, 1.0, z)))
         out = out.astype(complex)
         nz = z != 0
-        a, w = self._factor_zeros(float(np.max(np.abs(z[nz]), initial=1.0)), comp)
+        a, w = self._zero_set(comp)
         out[nz] += _log_factor_sum(a, z[nz], w)
         if comp is not None:
             out += comp.chain_log(z)
@@ -343,20 +350,17 @@ class ProductFunction:
         of the mode's own factor, the other exact factors as explicit logs, and
         one log sum over the blocks, the remainder and the compensator."""
         idx = np.array([self.modes.index(m) for m in modes])
-        z0, ne = self.zeros[idx], len(self.zeta_factor)
-        a, w = self._factor_zeros(float(np.max(np.abs(z0))), comp)
+        z0 = self.zeros[idx]
+        self._check_radius(float(np.max(np.abs(z0))))
         with np.errstate(divide="ignore"):
             exact = np.log(self.zeta_factor + z0[:, None]) - np.log(self.zeta_factor)
         exact[np.arange(len(idx)), idx] = 0.0  # the factor that vanishes at z0
         log_d = 3.0 * np.log(z0) - np.log(self.zeta_factor[idx]) + exact.sum(axis=1)
-        log_d += _log_factor_sum(a[ne:], z0, w[ne:])
+        a, w = self._zero_set(comp, modes=False)
+        log_d += _log_factor_sum(a, z0, w)
         if comp is not None:
             log_d += comp.chain_log(z0)
         return np.exp(log_d)
-
-
-def build_product(ms: MovingSpectrum) -> ProductFunction:
-    return ProductFunction(ms)
 
 
 @dataclass
@@ -369,12 +373,12 @@ class GrowthFit:
 
 
 def zero_abscissas(pf: ProductFunction, x_max: float) -> np.ndarray:
-    """Real parts of the zeros on the positive axis, table and extension."""
+    """|Re a| of the zeros in (0, x_max]: the modes and the product's direct
+    levels up to two past the one where c kappa reaches x_max."""
+    pf._check_radius(x_max)
     ms = pf.ms
-    c = abs(ms.c)
-    k_hi = int(math.ceil(asymptotic_level(ms.s, x_max / c))) + 2
-    kap, _, m2, _ = pf._mu_tuple(np.arange(ms.N + 1, k_hi + 1, dtype=float))
-    xs = np.concatenate([np.abs(pf.zeros.real), c * kap, c * kap + m2.imag, np.abs(c * kap - m2.imag)])
+    k_hi = int(math.ceil(asymptotic_level(ms.s, x_max / abs(ms.c)))) + 2
+    xs = np.abs(np.concatenate([pf.zeros.real, pf.levels[:, : k_hi - ms.N].real.ravel()]))
     return sorted_unique(xs[(xs > 0.0) & (xs <= x_max)])
 
 
@@ -495,21 +499,19 @@ class ProductReport:
     passed: bool
 
 
-def verify_product_properties(
-    pf: ProductFunction, family_N: int | None = None, scan_radius: float | None = None,
-) -> ProductReport:
-    """Numerical audit of type, growth/boundedness, and zero derivatives."""
-    ms = pf.ms
+def verify_product_properties(ms: MovingSpectrum, family_N: int, scan_radius: float | None = None) -> ProductReport:
+    """Numerical audit of type, growth/boundedness, and zero derivatives, on
+    one product whose radius holds every point the audit evaluates."""
     c, gamma = abs(ms.c), ms.gamma
     tau = horizon_threshold(c, gamma) / 2.0
-    N_fam = family_N if family_N is not None else max(1, ms.N // 4)
     x_hi = scan_radius if scan_radius is not None else 2.0 * c * float(ms.kappa_pos[-1])
+    y_hi = 0.6 * c * float(ms.kappa_pos[-1])
+    fam = [(n, j) for n in ms.mode_indices() if abs(n) <= family_N for j in BRANCHES]
+    pf = ProductFunction(ms, max(np.hypot(x_hi, _STRIP_DELTA), y_hi, *(abs(ms.lam(n, j)) for n, j in fam)))
 
     # exponential type along the imaginary axis (literal product)
-    y_hi = 0.6 * c * float(ms.kappa_pos[-1])
     ys = np.linspace(0.4 * y_hi, y_hi, 9)
-    vals = pf.log_eval(1j * ys).real
-    type_emp = float(np.polyfit(ys, vals, 1)[0])
+    type_emp = float(np.polyfit(ys, pf.log_eval(1j * ys).real, 1)[0])
     type_ok = bool(type_emp <= 1.1 * tau)
 
     # modulus trend and its compensator
@@ -524,7 +526,6 @@ def verify_product_properties(
     strip_stable = bool(np.all(np.exp(logm.max(axis=1)) <= 5.0 * np.exp(logm[:, inner].max(axis=1))))
 
     # derivative lower envelope over the family modes (literal product)
-    fam = [(n, j) for n in ms.mode_indices() if abs(n) <= N_fam for j in BRANCHES]
     rho = np.array([ms.rho(n) for n, _ in fam])
     c2_hat = float(np.min(np.abs(rho * pf.derivative_at_modes(fam))))
 

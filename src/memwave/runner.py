@@ -255,8 +255,7 @@ class _Run:
         if below:  # the Gram control may run there; the family has no construction
             raise ConfigError(f"T = {T:.4f} is below the horizon threshold, where the biorthogonal family has none")
         ms4 = moving.build_moving_spectrum(table, cfg.M, cfg.c, 4 * cfg.family_N)
-        pf = pr.build_product(ms4)
-        prep = pr.verify_product_properties(pf, family_N=cfg.family_N)
+        prep = pr.verify_product_properties(ms4, cfg.family_N)
         verdicts = {
             "product_properties": prep.passed,
             "product_type_empirical": prep.type_empirical,
@@ -264,7 +263,7 @@ class _Run:
             "derivative_envelope_c2": prep.c2_hat,
         }
         try:
-            bf = bio.build_biorthogonal(pf, T, family_N=cfg.family_N)
+            bf = bio.build_biorthogonal(ms4, T, family_N=cfg.family_N)
         except bio.FamilyConstructionError as exc:  # a named failure; the later stages still run
             verdicts.update(family_constructed=False, family_error=str(exc))
             self.record("biorthogonal", verdicts, [])

@@ -110,13 +110,13 @@ def test_criterion_3_gap_lemmas():
 def test_criterion_4_biorthogonality():
     table = fr.build_eigenvalue_table(0.75, 48)
     ms = moving.build_moving_spectrum(table, 0.5, 1.0, 48)
-    pf = pr.build_product(ms)
     T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-    bf = bio.build_biorthogonal(pf, T, family_N=12)
+    bf = bio.build_biorthogonal(ms, T, family_N=12)
     gram_ok = bf.gram_deviation <= 1e-3
     C = bf.norm_ratio_bound()
     norm_ok = np.isfinite(C) and np.all(bf.norms <= C * bf.rho + 1e-12)
     modes = [(n, j) for n in ms.mode_indices() if abs(n) <= 12 for j in (1, 2, 3)]
+    pf = pr.ProductFunction(ms, max(abs(ms.lam(*m)) for m in modes))
     c2 = np.abs(np.array([ms.rho(n) for n, _ in modes]) * pf.derivative_at_modes(modes))
     c2_hat = float(c2.min())
     env_ok = c2_hat > 0 and bool(np.all(c2 >= c2_hat))

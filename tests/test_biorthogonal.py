@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from memwave import biorthogonal as bio
 from memwave.fractional import build_eigenvalue_table
 from memwave.moving import build_moving_spectrum
-from memwave.product import build_product
 
 
 @pytest.fixture(scope="module")
 def family():
     table = build_eigenvalue_table(0.75, 24)
     ms = build_moving_spectrum(table, 0.5, 1.0, 24)
-    pf = build_product(ms)
     T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-    return bio.build_biorthogonal(pf, T, family_N=6)
+    return bio.build_biorthogonal(ms, T, family_N=6)
 
 
 def test_horizon_threshold_value():
@@ -36,9 +34,8 @@ def test_horizon_threshold_value():
 def test_short_horizon_rejected():
     table = build_eigenvalue_table(0.75, 8)
     ms = build_moving_spectrum(table, 0.5, 1.0, 8)
-    pf = build_product(ms)
     with pytest.raises(ValueError):
-        bio.build_biorthogonal(pf, 5.0, family_N=2)
+        bio.build_biorthogonal(ms, 5.0, family_N=2)
 
 
 def test_family_gram_identity(family):
@@ -66,9 +63,8 @@ def test_raw_construction_reported(family):
 def test_conjugation_symmetry_without_shortcut():
     table = build_eigenvalue_table(0.75, 12)
     ms = build_moving_spectrum(table, 0.5, 1.0, 12)
-    pf = build_product(ms)
     T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-    bf = bio.build_biorthogonal(pf, T, family_N=3, symmetrize=False)
+    bf = bio.build_biorthogonal(ms, T, family_N=3, symmetrize=False)
     for n in (1, 2, 3):
         a = bf.theta[bf.index(-n, 3)]
         b = np.conj(bf.theta[bf.index(n, 2)])
@@ -88,9 +84,8 @@ def test_truncation_stability_under_spectrum_doubling():
     thetas = []
     for N_prod in (12, 24):
         ms = build_moving_spectrum(table, 0.5, 1.0, N_prod)
-        pf = build_product(ms)
         T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-        bf = bio.build_biorthogonal(pf, T, family_N=3, x_window=160.0)
+        bf = bio.build_biorthogonal(ms, T, family_N=3, x_window=160.0)
         thetas.append(bf.theta)
     sup = np.max(np.abs(thetas[0] - thetas[1]))
     scale = np.max(np.abs(thetas[1]))
@@ -185,40 +180,47 @@ def test_window_attempts_are_recorded(tmp_path):
 
     table = build_eigenvalue_table(0.75, 12)
     ms = build_moving_spectrum(table, 0.5, 1.0, 12)
-    pf = build_product(ms)
     T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-    first = bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0)
+    first = bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0)
     assert first.window_attempts == [{"window": 20.0, "gram_deviation": first.gram_deviation}]
     # a tolerance just below the first window's deviation forces one enlargement
-    again = bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0, tol=0.99 * first.gram_deviation)
+    again = bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0, tol=0.99 * first.gram_deviation)
     assert [a["window"] for a in again.window_attempts] == [20.0, 30.0]
     assert again.window_attempts[0] == first.window_attempts[0]
     assert again.window_attempts[-1]["gram_deviation"] == again.gram_deviation and again.window == 30.0
     again.export_manifest(tmp_path / "family.json")
     assert json.loads((tmp_path / "family.json").read_text())["window_attempts"] == again.window_attempts
     with pytest.raises(RuntimeError, match=r"windows 20, 30, 45"):
-        bio.build_biorthogonal(pf, T, family_N=2, x_window=20.0, tol=1e-30)
+        bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0, tol=1e-30)
 
 
-def test_zero_set_builds_do_not_grow_with_the_family(monkeypatch):
-    # every P~ and P~' of one window attempt comes from a fixed number of zero
-    # sets, however many modes the family has
+def test_zero_table_is_built_once_per_product(tmp_path, monkeypatch):
+    # the cubic roots of a product's levels are taken in its constructor only,
+    # once for the direct blocks and once for the remainder levels, never by an
+    # evaluation; a default biorthogonal run builds one product for the audit
+    # and one per window attempt
+    import json
+
     from memwave.product import ProductFunction
+    from memwave.runner import load_config, run_pipeline
 
-    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16)
-    pf = build_product(ms)
-    T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
-    builds = []
-    factor_zeros = ProductFunction._factor_zeros
-    monkeypatch.setattr(ProductFunction, "_factor_zeros",
-                        lambda self, *args: builds.append(args) or factor_zeros(self, *args))
-    counts = []
-    for family_N in (2, 4):
-        builds.clear()
-        bf = bio.build_biorthogonal(pf, T, family_N=family_N)
-        assert len(bf.window_attempts) == 1
-        counts.append(len(builds))
-    assert counts[0] == counts[1]
+    products, passes, building = [], [], []
+    init, level_zeros = ProductFunction.__init__, ProductFunction._level_zeros
+
+    def spy_init(self, *args, **kwargs):
+        building.append(self)
+        init(self, *args, **kwargs)
+        building.pop()
+        products.append(self)
+
+    monkeypatch.setattr(ProductFunction, "__init__", spy_init)
+    monkeypatch.setattr(ProductFunction, "_level_zeros",
+                        lambda self, k: passes.append(building[-1:] == [self]) or level_zeros(self, k))
+    manifest, passed = run_pipeline(load_config(None, {}), "biorthogonal", outdir=tmp_path)
+    assert passed, manifest["failures"]
+    attempts = json.loads((tmp_path / "biorthogonal_manifest.json").read_text())["window_attempts"]
+    assert len(products) == 1 + len(attempts)
+    assert len(passes) == 2 * len(products) and all(passes)
 
 
 # real parts at and around the scale where a difference form 2 sinh(wT/2)/w loses its digits
@@ -281,8 +283,7 @@ def test_family_at_strong_memory_first_window():
     # it; with the exact raw Gram the first window already passes
     table = build_eigenvalue_table(0.75, 200)
     ms = build_moving_spectrum(table, 2.0, 1.0, 16)
-    pf = build_product(ms)
     T = 1.05 * bio.horizon_threshold(1.0, table.gap_gamma)
-    bf = bio.build_biorthogonal(pf, T, family_N=4)
+    bf = bio.build_biorthogonal(ms, T, family_N=4)
     assert [a["window"] for a in bf.window_attempts] == [150.0]
     assert bf.gram_deviation <= 1e-3

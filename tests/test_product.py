@@ -18,7 +18,7 @@ from memwave.moving import build_moving_spectrum
 def pf():
     table = build_eigenvalue_table(0.75, 48)
     ms = build_moving_spectrum(table, 0.5, 1.0, 48)
-    return pr.build_product(ms)
+    return pr.ProductFunction(ms, 300.0)
 
 
 def test_triple_zero_at_origin(pf):
@@ -46,8 +46,9 @@ def test_block_extension_agrees_with_exact_factors():
     table = build_eigenvalue_table(0.75, 32)
     ms_small = build_moving_spectrum(table, 0.5, 1.0, 16)
     ms_large = build_moving_spectrum(table, 0.5, 1.0, 32)
-    pa, pb = pr.build_product(ms_small), pr.build_product(ms_large)
     z = np.array([3.0 + 0.2j, 12.5 - 0.1j, 0.5 + 4j])
+    radius = float(np.max(np.abs(z)))
+    pa, pb = pr.ProductFunction(ms_small, radius), pr.ProductFunction(ms_large, radius)
     la, lb = pa.log_eval(z), pb.log_eval(z)
     diff = la - lb
     # the log phase is only defined mod 2 pi
@@ -68,7 +69,7 @@ def test_remainder_model_against_direct_blocks(pf):
     # of the branch-2/3 zeros (k_cut ~ 7e5), so the span is 2
     z = np.array([250 + 0.3j, 100 + 0.5j, 40j, 10 + 0.1j])
     table = build_eigenvalue_table(0.95, 48)
-    cases = [(pf, 40)] + [(pr.build_product(build_moving_spectrum(table, 0.5, c, 48)), span)
+    cases = [(pf, 40)] + [(pr.ProductFunction(build_moving_spectrum(table, 0.5, c, 48), 1.0), span)
                           for c, span in ((1.0, 40), (0.5, 2))]
     for p, span in cases:
         k_cut = p._direct_cutoff(float(np.max(np.abs(z))))
@@ -92,7 +93,7 @@ def test_remainder_model_against_direct_blocks(pf):
 def test_remainder_zeros_lie_beyond_the_near_ratio(s, c, zmax):
     # the branch-2/3 zeros i mu2 -+ c kappa sit ~kappa^s inside c kappa; past the
     # cutoff every level, not only the Euler-Maclaurin nodes, must clear the window
-    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(s, 16), 0.5, c, 16))
+    pf = pr.ProductFunction(build_moving_spectrum(build_eigenvalue_table(s, 16), 0.5, c, 16), zmax)
     k_cut = pf._direct_cutoff(zmax)
     tail, _ = pf._remainder_zeros(k_cut)
     assert np.min(np.abs(tail)) > pr._NEAR_RATIO * zmax
@@ -104,10 +105,25 @@ def test_remainder_zeros_lie_beyond_the_near_ratio(s, c, zmax):
 
 def test_direct_cutoff_refuses_a_crossing_past_the_level_cap():
     # at s = 0.95, c = 0.3 the branch-2/3 zeros cross the window near kappa ~ 3e10,
-    # far beyond any direct-block array that fits in memory
-    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(0.95, 16), 0.5, 0.3, 16))
+    # far beyond any direct-block array that fits in memory; the product refuses
+    # to be built, before any point is evaluated
+    ms = build_moving_spectrum(build_eigenvalue_table(0.95, 16), 0.5, 0.3, 16)
     with pytest.raises(ValueError, match="direct blocks would run past level"):
-        pf._direct_cutoff(1.0)
+        pr.ProductFunction(ms, 1.0)
+
+
+def test_evaluation_beyond_the_radius_is_refused():
+    # the zero table serves |z| <= radius; a point past it is an error, not a
+    # silently shorter truncation
+    pf = pr.ProductFunction(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16), 10.0)
+    assert np.all(np.isfinite(pf.log_eval(np.array([10.0, -6.0 + 8.0j, 0.5j]))))
+    near = [m for m in pf.modes if abs(pf.ms.lam(*m)) <= 10.0]
+    far = [m for m in pf.modes if abs(pf.ms.lam(*m)) > 10.0]
+    assert near and far and np.all(np.isfinite(pf.derivative_at_modes(near)))
+    for call in (lambda: pf.log_eval(np.array([1.0, 10.5j])), lambda: pf.derivative_at_modes(near + far[:1]),
+                 lambda: pr.zero_abscissas(pf, 12.0)):
+        with pytest.raises(ValueError, match="beyond the product's radius"):
+            call()
 
 
 def _per_level_euler_maclaurin(pf, z, k_cut):
@@ -164,7 +180,7 @@ def test_derivative_at_mode_matches_finite_difference():
     for s in (0.6, 0.75, 0.95):
         table = build_eigenvalue_table(s, 16)
         for c in (1.0, 1.4):
-            pf = pr.build_product(build_moving_spectrum(table, 0.5, c, 16))
+            pf = pr.ProductFunction(build_moving_spectrum(table, 0.5, c, 16), 150.0)
             comp, _ = pr.growth_compensator(pf, 150.0)
             modes = [m for m in pf.modes if abs(m[0]) <= 12]
             z0 = -1j * np.conj(np.array([pf.ms.lam(*m) for m in modes]))
@@ -176,7 +192,7 @@ def test_derivative_at_mode_matches_finite_difference():
 
 
 def test_product_report(pf):
-    rep = pr.verify_product_properties(pf, family_N=12, scan_radius=200.0)
+    rep = pr.verify_product_properties(pf.ms, 12, scan_radius=200.0)
     assert rep.passed, rep
     assert rep.type_empirical <= 1.1 * rep.type_theoretical
     # lower sanity: at least the branch-1 comb density must show up
@@ -306,8 +322,10 @@ def test_point_on_a_zero_gives_minus_infinity():
 
 @pytest.fixture(scope="module")
 def family_product():
-    # the family configuration's product spectrum (N = 16) and its compensator
-    pf = pr.build_product(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16))
+    # the family configuration's product spectrum (N = 16) and its compensator,
+    # on a radius that holds the square |Re z|, |Im z| <= 150 the tests sample
+    pf = pr.ProductFunction(build_moving_spectrum(build_eigenvalue_table(0.75, 16), 0.5, 1.0, 16),
+                            np.hypot(150.0, 150.0))
     comp, _ = pr.growth_compensator(pf, 150.0)
     return pf, comp
 
@@ -381,8 +399,8 @@ def test_loggamma_refuses_arguments_below_its_series_range():
 def _log_eval_scale(pf, comp, z):
     """sum over the zero set of |w log(1 + z/a)|: exact on the near zeros, and
     the bound 2 |w z/a| >= |w log(1 + z/a)| on the far ones (|z/a| < 1/2)."""
-    a, w = pf._factor_zeros(float(np.max(np.abs(z))), comp)
-    near = np.abs(a) <= pr._NEAR_RATIO * np.max(np.abs(z))
+    a, w = pf._zero_set(comp)
+    near = np.abs(a) <= pr._NEAR_RATIO * np.max(np.abs(z), initial=0.0)
     scale = 2.0 * np.abs(z) * np.sum(np.abs(w[~near] / a[~near]))
     for start in range(0, len(z), 256):
         scale[start : start + 256] += _principal_log_sum(a[near], z[start : start + 256], np.abs(w[near]))[1]
@@ -398,9 +416,9 @@ def _log_eval_scale(pf, comp, z):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_log_eval_does_not_depend_on_the_batching(family_product, shape, points, on_zeros, split, seed):
-    # a permutation of the points, and the same points in two calls, give the same
-    # values mod 2 pi i; both calls hold the point of largest modulus, since the
-    # batch's max|z| sets the direct-block cutoff and with it the zero set
+    # a permutation of the points, and the same points split into two calls
+    # anywhere, give the same values mod 2 pi i: every call reads the product's
+    # one zero table, whatever the batch's max|z|
     pf, comp = family_product
     rng = np.random.default_rng(seed)
     x = rng.uniform(-150.0, 150.0, points)
@@ -418,11 +436,9 @@ def test_log_eval_does_not_depend_on_the_batching(family_product, shape, points,
     perm = rng.permutation(points)
     permuted = np.empty_like(want)
     permuted[perm] = pf.log_eval(z[perm], comp)
-    top = int(np.argmax(np.abs(z)))
     cut = int(split * points)
-    parts = [np.union1d(idx, [top]) for idx in (np.arange(cut), np.arange(cut, points))]
     halves = np.empty_like(want)
-    for idx in parts:
+    for idx in (np.arange(cut), np.arange(cut, points)):
         halves[idx] = pf.log_eval(z[idx], comp)
     finite = np.isfinite(want.real)
     scale = _log_eval_scale(pf, comp, z[finite])

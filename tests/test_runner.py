@@ -349,7 +349,7 @@ def test_family_workload_figures_are_pinned(tmp_path):
     assert passed, manifest["failures"]
     verdicts = manifest["stages"]["biorthogonal"]["verdicts"]
     pinned = {
-        "product_type_empirical": 6.820332551247714,
+        "product_type_empirical": 6.820332526262417,
         "product_growth_d1": 3.743881912057736,
         "derivative_envelope_c2": 0.03415180317407793,
         "norm_ratio_bound": 792.8117608402305,
