@@ -26,9 +26,13 @@ and the lower summation's family constant.  The Gauss panels partition
 [-T/2, T/2] evenly, so each node is a panel center plus an offset and
 e^{ixt} = e^{ix t_c} e^{ix delta}.  The inverse transform therefore takes
 exponentials per center and per offset instead of per node, and samples
-the whole rule with one matrix product.  The centers are an arithmetic
+the rule with one matrix product per block of frequency nodes, summed into
+a (rows * offsets) x centers accumulator.  The centers are an arithmetic
 progression, so their exponentials are in turn a coarse factor times a
-fine one.
+fine one.  The raw Gram sums its closed form over the same kind of blocks,
+so neither builds a frequency nodes x centers or nodes x modes matrix: the
+working set of both sums is set by _BLOCK_BYTES, not by the window or the
+rule's panel count.
 
 The closed forms are shared, not re-derived: the frequency panels come from
 ``fractional.gauss_interval`` broadcast over the panel ends, one integral of
@@ -64,6 +68,7 @@ __all__ = [
 
 _FREQ_PER_PANEL = 8  # Gauss nodes per frequency panel of the inverse transform
 _TIME_PER_PANEL = 10  # Gauss nodes per panel of the verification time quadrature
+_BLOCK_BYTES = 1 << 22  # complex temporaries per block of frequency nodes in the sums over x (4 MB)
 
 
 class _Blocks(NamedTuple):
@@ -119,20 +124,34 @@ def _cis_progression(x: np.ndarray, centers: np.ndarray, step: float) -> np.ndar
     return out[:, :K]
 
 
+def _node_blocks(n_nodes: int, per_node: int) -> list[slice]:
+    """Consecutive blocks of the frequency nodes, each short enough that its
+    ``per_node`` complex values per node stay within _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (16 * per_node))
+    return [slice(start, start + step) for start in range(0, n_nodes, step)]
+
+
 def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, grid: _Blocks) -> np.ndarray:
     """sum_x weighted[:, x] e^{ixt} / (2 pi) at the nodes t of ``grid``.
 
     With e^{ixt} = e^{ix delta} e^{ix t_c} the offsets fold into the left
-    factor, L[(k, o), x] = weighted[k, x] e^{ix delta_o} / (2 pi), and the
-    whole grid is one product L @ e^{ix t_c}, (rows * offsets) x nx times
-    nx x centers: exponentials are taken per offset and per center, never
-    per node, and no nx x nodes matrix is formed.
+    factor, L[(k, o), x] = weighted[k, x] e^{ix delta_o}, and the grid is the
+    product L @ e^{ix t_c}, (rows * offsets) x nx times nx x centers:
+    exponentials are taken per offset and per center, never per node.  The
+    product is summed over blocks of frequency nodes (``_node_blocks``) into
+    a (rows * offsets) x centers accumulator, so only one block's left factor
+    and e^{ix t_c} are held at a time, whatever the window or the rule.
     """
     centers, step, offsets = grid
-    left = (weighted[:, None, :] / (2.0 * math.pi)) * _cis_outer(offsets, x_nodes)[None, :, :]
-    out = left.reshape(-1, len(x_nodes)) @ _cis_progression(x_nodes, centers, step)
-    out = out.reshape(len(weighted), len(offsets), len(centers)).transpose(0, 2, 1)
-    return out.reshape(len(weighted), -1)
+    rows, n_off = len(weighted), len(offsets)
+    out = np.zeros((rows * n_off, len(centers)), dtype=complex)
+    # per node: a column of L, and one of e^{ix t_c} held about twice while it is built
+    for block in _node_blocks(len(x_nodes), rows * n_off + 2 * len(centers)):
+        xs = x_nodes[block]
+        left = weighted[:, None, block] * _cis_outer(offsets, xs)[None, :, :]
+        out += left.reshape(-1, len(xs)) @ _cis_progression(xs, centers, step)
+    out /= 2.0 * math.pi
+    return out.reshape(rows, n_off, len(centers)).transpose(0, 2, 1).reshape(rows, -1)
 
 
 def _endpoint_terms(a: np.ndarray, b: np.ndarray, T: float):
@@ -168,13 +187,21 @@ def _raw_gram(weighted: np.ndarray, x_nodes: np.ndarray, lam: np.ndarray, T: flo
     integral against e^{-conj(lam_m) t} is sum_x weighted[k, x] K(x, conj lam_m)
     / (2 pi) with K(x, mu) the integral of e^{-(mu - ix) t}; row partners[k]
     (if any) is conj(theta_k), whose Gram row is conj(sum_x weighted[k, x]
-    K(x, lam_m)) / (2 pi).  No time sampling is involved.
+    K(x, lam_m)) / (2 pi).  The sums over x run over blocks of frequency
+    nodes (``_node_blocks``), each block's K columns taken and dropped in
+    turn.  No time sampling is involved.
     """
+    own = np.zeros((len(primaries), len(lam)), dtype=complex)
+    mirrored = np.zeros((len(partners), len(lam)), dtype=complex)
+    # _interval_integral holds about six nodes x modes arrays at once
+    for block in _node_blocks(len(x_nodes), 6 * len(lam)):
+        a = -1j * x_nodes[block]
+        own += weighted[:, block] @ _interval_integral(a, np.conj(lam), T)
+        if partners:
+            mirrored += weighted[:, block] @ _interval_integral(a, lam, T)
     gram = np.empty((len(lam), len(lam)), dtype=complex)
-    scaled = weighted / (2.0 * math.pi)
-    gram[primaries] = scaled @ _interval_integral(-1j * x_nodes, np.conj(lam), T)
-    if partners:
-        gram[partners] = np.conj(scaled @ _interval_integral(-1j * x_nodes, lam, T))
+    gram[primaries] = own / (2.0 * math.pi)
+    gram[partners] = np.conj(mirrored) / (2.0 * math.pi)
     return gram
 
 
@@ -286,7 +313,7 @@ def build_biorthogonal(
         primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
         partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries] if symmetrize else []
         weighted = theta_hat[primaries] * x_weights[None, :]
-        del theta_hat  # modes x frequency nodes: not held through the sampling below, which sets the peak memory
+        del theta_hat  # modes x frequency nodes, the largest array left: not held through the sums below
 
         gram_raw = _raw_gram(weighted, x_nodes, lam, T, primaries, partners)
         eye = np.eye(len(modes))

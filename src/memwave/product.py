@@ -86,14 +86,11 @@ def _series(inv: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         K = np.where(r > 0.0, np.maximum(1.0, np.ceil(-17.0 / np.log10(r))), 0.0)
     coef = np.zeros((int(K.max(initial=0.0)), len(u)), dtype=complex)  # (-1)^(k+1) S_k / k
-    # S_k as one real product: the interleaved (re, im) pairs of each row against w (x) I_2
-    w_pairs = np.zeros((len(w), 2, 2))
-    w_pairs[:, 0, 0] = w_pairs[:, 1, 1] = w
-    w_pairs = w_pairs.reshape(-1, 2)
     power = inv.copy()
     for k in range(1, len(coef) + 1):
-        sums = power.view(np.float64) @ w_pairs
-        coef[k - 1] = (-1) ** (k + 1) * sums.view(complex)[:, 0] / k
+        # S_k as one stacked real product: w against each row's interleaved (re, im) pairs
+        sums = w @ power.view(np.float64).reshape(len(power), -1, 2)
+        coef[k - 1] = (-1) ** (k + 1) * (sums[:, 0] + 1j * sums[:, 1]) / k
         power *= inv
     coef[np.arange(len(coef))[:, None] >= K[None, :]] = 0.0
     series = np.zeros(u.shape, dtype=complex)

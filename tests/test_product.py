@@ -1,6 +1,7 @@
 """Infinite-product evaluator: zeros, growth, type, derivative envelopes."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -318,6 +319,29 @@ def test_point_on_a_zero_gives_minus_infinity():
     rest = np.isfinite(got.real)
     assert np.count_nonzero(rest) == len(z) - 2
     _compare_in_blocks(a, z[rest], np.ones(len(a)), got[rest], mod_2pi=True)
+
+
+def test_far_zero_sum_holds_few_bytes_per_zero():
+    # 1e6 far zeros: the far expansion holds a mask, a weight, the inverse and
+    # its running power per zero (49 bytes), no interleaved weight pairs on top
+    # (81 bytes); its values agree with a direct sum of accurate logs
+    rng = np.random.default_rng(2)
+    n = 1_000_000
+    z = rng.uniform(-100.0, 100.0, 8) + 1j * rng.uniform(-1.0, 1.0, 8)
+    a = 2.5 * np.max(np.abs(z)) * 10.0 ** rng.uniform(0.0, 4.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    tracemalloc.start()
+    try:
+        got = pr._log_factor_sum(a, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 64.0, peak / n
+    for zi, gi in zip(z, got):
+        # log(1 + x) as log|1 + x| from log1p of 2 Re x + |x|^2, and arg(1 + x)
+        x = zi / a
+        log_modulus = 0.5 * np.log1p(2.0 * x.real + x.real**2 + x.imag**2)
+        want = np.sum(log_modulus) + 1j * np.sum(np.arctan2(x.imag, 1.0 + x.real))
+        assert abs(gi - want) <= 1e-13 * abs(want)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import pathlib
 import runpy
 
@@ -171,6 +172,23 @@ def test_benchmark_workloads_are_valid_configurations():
         assert workload["pipeline"] in PIPELINES, name
         cfg = load_config(overrides={**workload["config"], "seed": 1})
         assert all(getattr(cfg, key) == value for key, value in workload["config"].items()), name
+
+
+def test_benchmark_workloads_print_nothing_and_give_finite_figures(tmp_path, capfd, monkeypatch):
+    # the benchmark's last line of standard output must be its JSON result: a
+    # pipeline that prints, or a figure the worker reads that is NaN or inf
+    # (written as NaN or Infinity), would leave a line that is not one
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    worker = runpy.run_path(str(bench / "worker.py"))
+    for name, workload in worker["WORKLOADS"].items():
+        cfg = load_config(overrides={**workload["config"], "seed": 1})
+        _, passed = run_pipeline(cfg, workload["pipeline"], outdir=tmp_path / name)
+        checked = worker["check_outputs"](cfg, tmp_path / name, passed)
+        assert checked["gate_failures"] == [], name
+        assert checked["figures"], name
+        assert all(math.isfinite(value) for value in checked["figures"].values()), (name, checked["figures"])
+    assert capfd.readouterr().out == ""
 
 
 def test_benchmark_layer_bindings_resolve():
