@@ -52,6 +52,8 @@ __all__ = [
     "quadrature_moments",
 ]
 
+SIGMA_WEIGHTS = (3.0, 2.0, 1.0)  # default Sobolev weights of the norms of (xi, xi_t, zeta)
+
 
 @dataclass
 class InitialData:
@@ -66,7 +68,7 @@ class InitialData:
         if not (len(self.ns) == len(self.y0) == len(self.y1) == len(self.rho)):
             raise ValueError("misaligned coefficient arrays")
 
-    def weighted_norm(self, sigma0: float = 3.0, sigma1: float = 2.0) -> float:
+    def weighted_norm(self, sigma0: float = SIGMA_WEIGHTS[0], sigma1: float = SIGMA_WEIGHTS[1]) -> float:
         a = np.sum(self.rho ** (2 * sigma0) * np.abs(self.y0) ** 2)
         b = np.sum(self.rho ** (2 * sigma1) * np.abs(self.y1) ** 2)
         return float(math.sqrt(a + b))
@@ -79,7 +81,8 @@ class InitialData:
         return complex(self.y0[i]), complex(self.y1[i])
 
 
-def random_initial_data(ms: MovingSpectrum, seed: int = 0, sigma0: float = 3.0, sigma1: float = 2.0) -> InitialData:
+def random_initial_data(ms: MovingSpectrum, seed: int = 0, sigma0: float = SIGMA_WEIGHTS[0],
+                        sigma1: float = SIGMA_WEIGHTS[1]) -> InitialData:
     """Coefficients y0_n = rho^-sigma0 * unit, y1_n = rho^-sigma1 * unit."""
     rng = default_rng(seed)
     ns = np.array(ms.mode_indices())

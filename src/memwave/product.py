@@ -27,8 +27,9 @@ series expansions, ``_log_factor_sum``, exact to round-off at a few dozen
 series terms per point.  The far zeros share one expansion about 0; the
 near ones are expanded about the centres of panels of points, all panels in
 one pass, and the few too close to a panel's centre are explicit factors,
-multiplied sixteen at a time before one complex log.  The tail's zeros lie
-past the direct blocks among the far ones, where they cost nothing per point.
+multiplied sixteen at a time before one complex log.  The tail's weighted
+zeros lie past the direct blocks among the far ones, where they cost nothing
+per point; only far zeros may carry a weight other than 1.
 
 One structural fact matters downstream: for 1/2 < s < 1 the dispersive comb
 offset beta_n ~ kappa_n^s makes the zero counting irregular at order
@@ -111,26 +112,6 @@ def _grouped_log_sum(factors: np.ndarray, divisor=1.0) -> np.ndarray:
         return np.log(groups).sum(axis=0)
 
 
-def _explicit_logs(a: np.ndarray, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum over a of w * log(1 + z/a) as explicit logs log(a + z) - log(a),
-    brought back to (-pi, pi]; vanishes identically when z sits on a zero."""
-    out = np.zeros(len(z), dtype=complex)
-    step = max(1, _CHUNK // max(len(z), 1))
-    with np.errstate(divide="ignore"):
-        for start in range(0, len(a), step):
-            chunk, w_chunk = a[start : start + step], w[start : start + step]
-            terms = chunk[None, :] + z[:, None]
-            np.log(terms, out=terms)
-            terms -= np.log(chunk)[None, :]
-            turns = terms.imag / (2.0 * math.pi)
-            np.round(turns, out=turns)
-            turns *= 2.0 * math.pi
-            terms.imag -= turns
-            # real and imaginary parts apart, so a -inf at an exact zero stays -inf
-            out += terms.real @ w_chunk + 1j * (terms.imag @ w_chunk)
-    return out
-
-
 def _panel_sums(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum over the unit-weight near zeros a of log(1 + z/a), mod 2 pi i, in
     one pass over all panels.
@@ -196,24 +177,26 @@ def _log_factor_sum(a: np.ndarray, z: np.ndarray, weights: np.ndarray | None = N
 
     * far zeros, |a| > _NEAR_RATIO * max|z|, about z_c = 0 for every point:
       the constant vanishes and the series is the principal log(1 + z/a);
-    * near zeros of weight 1 about the centres of panels of _PANEL points,
+    * near zeros, all of weight 1, about the centres of panels of _PANEL points,
       all panels in one pass (``_panel_sums``), the few within
       _NEAR_RATIO * rho of -z_c as explicit factors multiplied _GROUP at a
       time before one log, so a z that sits on a zero gives -inf.
 
-    Near zeros whose weight is not 1 stay principal explicit logs
-    (``_explicit_logs``).  Products and panel constants carry the phase only
-    mod 2 pi i, so with unit weights the sum is defined mod 2 pi i, which
-    exp() does not see.
+    A weight other than 1 is taken on far zeros only (the Euler-Maclaurin
+    remainder lies beyond _NEAR_RATIO * radius by construction); a near one
+    raises ``ValueError``.  Products and panel constants carry the phase
+    only mod 2 pi i, so the sum is defined mod 2 pi i, which exp() does not
+    see.
     """
     zmax = float(np.max(np.abs(z), initial=0.0))
     w = np.ones(len(a)) if weights is None else np.asarray(weights, dtype=float)
     near = np.abs(a) <= _NEAR_RATIO * zmax
+    if np.any(w[near] != 1.0):
+        raise ValueError(f"a zero of weight other than 1 lies within {_NEAR_RATIO:g} max|z| of the origin")
     acc = _series((1.0 / a[~near])[None, :], w[~near], z[None, :])[0]
-    unit = w[near] == 1.0
     if len(z):
-        acc += _panel_sums(a[near][unit], z)
-    return acc + _explicit_logs(a[near][~unit], w[near][~unit], z)
+        acc += _panel_sums(a[near], z)
+    return acc
 
 
 class ProductFunction:

@@ -69,9 +69,9 @@ _SCHEMA = {
     "n_table": (_parse_int, 200),
     "omega0_lo": (_parse_float, -0.3),
     "omega0_hi": (_parse_float, 0.3),
-    "sigma_xi": (_parse_float, 3.0),
-    "sigma_xi_dot": (_parse_float, 2.0),
-    "sigma_zeta": (_parse_float, 1.0),
+    "sigma_xi": (_parse_float, ctl.SIGMA_WEIGHTS[0]),
+    "sigma_xi_dot": (_parse_float, ctl.SIGMA_WEIGHTS[1]),
+    "sigma_zeta": (_parse_float, ctl.SIGMA_WEIGHTS[2]),
     "backend": (str, "asymptotic"),
     "precision": (str, "mp"),
     "terminal_tol": (_parse_float, 1.0e-6),

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import dd
 from .control import (
-    ControlField, InitialData, _exp, _space_factor, _time_factor, _time_nodes, quadrature_moments,
+    SIGMA_WEIGHTS, ControlField, InitialData, _exp, _space_factor, _time_factor, _time_nodes, quadrature_moments,
 )
 from .fractional import write_csv, write_json
 from .hp import MpSpectrum, mode_arrays
@@ -59,9 +59,6 @@ __all__ = [
     "verify_duality",
     "duality_residuals",
 ]
-
-SIGMA_WEIGHTS = (3.0, 2.0, 1.0)  # weighted norms for (xi, xi_t, zeta)
-
 
 @dataclass
 class GalerkinState:

@@ -260,12 +260,21 @@ def _principal_log_sum(a, z, w):
 def test_weighted_log_factor_sum_matches_explicit_sum(kind, count, window, seed):
     rng = np.random.default_rng(seed)
     a = _draw_zeros(kind, count, rng)
-    # real weights of either sign and any size, near zeros and far zeros alike
-    w = rng.uniform(-3.0, 3.0, len(a)) * 10.0 ** rng.uniform(-2.0, 3.0, len(a))
     z = rng.uniform(-window, window, 48) + 1j * rng.uniform(-1.0, 1.0, 48)
-    got = pr._log_factor_sum(a, z, w)
-    want, scale = _principal_log_sum(a, z, w)
-    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
+    # real weights of either sign and any size on the far zeros, as on the remainder's
+    w = _far_weights(a, z, rng)
+    _compare_in_blocks(a, z, w, pr._log_factor_sum(a, z, w), mod_2pi=True)
+    w[0] = 0.5  # a weighted zero near the points is refused
+    with pytest.raises(ValueError, match="weight other than 1"):
+        pr._log_factor_sum(a, a[:1], w)
+
+
+def _far_weights(a, z, rng):
+    """Real weights of either sign and any size on the zeros beyond
+    _NEAR_RATIO * max|z|, and 1 on the near ones."""
+    w = rng.uniform(-3.0, 3.0, len(a)) * 10.0 ** rng.uniform(-2.0, 3.0, len(a))
+    w[np.abs(a) <= pr._NEAR_RATIO * np.max(np.abs(z))] = 1.0
+    return w
 
 
 def _compare_in_blocks(a, z, w, got, mod_2pi):
@@ -298,14 +307,13 @@ def test_panel_expansions_match_explicit_sum(kind, count, shape, points, window,
         z = x + 1j * rng.uniform(-1.0, 1.0)
     else:
         z = x + 1j * rng.uniform(-1.0, 1.0, points) * rng.uniform(0.01, 1.0) * window
-    w = rng.uniform(-3.0, 3.0, len(a)) * 10.0 ** rng.uniform(-2.0, 3.0, len(a))
+    w = _far_weights(a, z, rng)
     if weights == "unit":
         w[:] = 1.0
-    elif weights == "mixed":  # the product's case: unit weights with weighted zeros among them
+    elif weights == "mixed":  # the product's case: unit weights with weighted far zeros among them
         w[rng.random(len(a)) < 0.7] = 1.0
-    got = pr._log_factor_sum(a, z, None if weights == "unit" else w)
-    # real weights stay explicit or in the far series, so their sum is principal
-    _compare_in_blocks(a, z, w, got, mod_2pi=weights != "real")
+    # the near zeros all have weight 1 and enter through the panels, so the sum is mod 2 pi i
+    _compare_in_blocks(a, z, w, pr._log_factor_sum(a, z, None if weights == "unit" else w), mod_2pi=True)
 
 
 def test_point_on_a_zero_gives_minus_infinity():
