@@ -35,10 +35,12 @@ working set of both sums is set by _BLOCK_BYTES, not by the window or the
 rule's panel count.
 
 The closed forms are shared, not re-derived: the frequency panels come from
-``fractional.gauss_interval`` broadcast over the panel ends, one integral of
-e^{-wt} over [-T/2, T/2] (``_interval_integral``) gives the raw Gram and the
-exponentials' ``time_gram``, its endpoint terms bound the window's tail
-estimate, ``horizon_threshold`` lives in ``moving`` (re-exported here), and the lower
+``fractional.gauss_interval`` broadcast over the panel ends, the integral of
+e^{-wt} over [-T/2, T/2] (``_interval_integral``) is the control's one closed
+form shifted, e^{wT/2} ``control._time_factor``(w, T, e^{-wT}), and gives the
+raw Gram and the exponentials' ``time_gram``, its envelope
+2 cosh(Re w T/2) / |w| bounds the window's tail estimate,
+``horizon_threshold`` lives in ``moving`` (re-exported here), and the lower
 summation runs the same ``moving.weighted_inequality`` audit as the
 observability certificate.
 """
@@ -52,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
+from .control import _time_factor
 from .fractional import gauss_interval, gauss_legendre, sorted_unique, write_json
 from .moving import BRANCHES, MovingSpectrum, horizon_threshold, j_conj, weighted_inequality
 from .product import ProductFunction, growth_compensator, zero_abscissas
@@ -154,28 +157,13 @@ def _inverse_transform(weighted: np.ndarray, x_nodes: np.ndarray, grid: _Blocks)
     return out.reshape(rows, n_off, len(centers)).transpose(0, 2, 1).reshape(rows, -1)
 
 
-def _endpoint_terms(a: np.ndarray, b: np.ndarray, T: float):
-    """w = a_i + b_j and the endpoint factors e^{w T/2}, e^{-w T/2} of
-    int_{-T/2}^{T/2} e^{-w t} dt, as len(a) x len(b) matrices built from
-    e^{+-a T/2} and e^{+-b T/2}: O(len(a) + len(b)) exponentials."""
-    h = T / 2.0
-    return (np.add.outer(a, b), np.multiply.outer(np.exp(a * h), np.exp(b * h)),
-            np.multiply.outer(np.exp(-a * h), np.exp(-b * h)))
-
-
 def _interval_integral(a: np.ndarray, b: np.ndarray, T: float) -> np.ndarray:
-    """int_{-T/2}^{T/2} e^{-(a_i + b_j) t} dt = 2 sinh(w T/2) / w, w = a_i + b_j.
-
-    Taken as (e^{wT/2} - e^{-wT/2}) / w from ``_endpoint_terms``, whose
-    relative rounding is about EPS / |wT/2|; where |wT/2| < 0.1 the Taylor
-    series of sinh(z)/z through z^8 (truncation below 3e-18) replaces it.
-    """
-    w, e_plus, e_minus = _endpoint_terms(a, b, T)
-    small = np.abs(w) * (T / 2.0) < 0.1
-    out = (e_plus - e_minus) / np.where(small, 1.0, w)
-    if small.any():
-        z2 = (w[small] * (T / 2.0)) ** 2
-        out[small] = T * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0 * (1.0 + z2 / 72.0))))
+    """int_{-T/2}^{T/2} e^{-(a_i + b_j) t} dt as a len(a) x len(b) matrix: the
+    shift e^{w T/2} ``control._time_factor``(w, T, e^{-w T}), w = a_i + b_j,
+    with both exponentials products of per-row and per-column ones, so
+    O(len(a) + len(b)) exponentials."""
+    out = _time_factor(np.add.outer(a, b), T, np.multiply.outer(np.exp(-a * T), np.exp(-b * T)))
+    out *= np.multiply.outer(np.exp(a * (T / 2.0)), np.exp(b * (T / 2.0)))
     return out
 
 
@@ -193,7 +181,7 @@ def _raw_gram(weighted: np.ndarray, x_nodes: np.ndarray, lam: np.ndarray, T: flo
     """
     own = np.zeros((len(primaries), len(lam)), dtype=complex)
     mirrored = np.zeros((len(partners), len(lam)), dtype=complex)
-    # _interval_integral holds about six nodes x modes arrays at once
+    # _interval_integral holds at most six nodes x modes arrays at once
     for block in _node_blocks(len(x_nodes), 6 * len(lam)):
         a = -1j * x_nodes[block]
         own += weighted[:, block] @ _interval_integral(a, np.conj(lam), T)
@@ -304,10 +292,10 @@ def build_biorthogonal(
         # boundary-term estimate for the window truncation of the Gram rows:
         # at the window edges x = +-X the kernel K_n(x) = int e^{ixt} e^{-conj(lam) t} dt
         # and its antiderivative's boundary term are both bounded by the sum
-        # of its endpoint terms, (|e^{wT/2}| + |e^{-wT/2}|) / |w|
+        # of its endpoint terms, (|e^{wT/2}| + |e^{-wT/2}|) / |w| = 2 cosh(Re w T/2) / |w|
         edge_rows = np.abs(theta_hat[:, [0, -1]]).max(axis=1)
-        w, e_plus, e_minus = _endpoint_terms(np.array([-1j * X, 1j * X]), np.conj(lam), T)
-        kmax = float(np.max((np.abs(e_plus) + np.abs(e_minus)) / np.abs(w)))
+        w = np.add.outer(np.array([-1j * X, 1j * X]), np.conj(lam))
+        kmax = float(np.max(2.0 * np.cosh(w.real * (T / 2.0)) / np.abs(w)))
         tail_est = float(np.max(edge_rows) * kmax / (2.0 * math.pi) / (T / 2.0))
 
         primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]

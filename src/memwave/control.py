@@ -9,7 +9,11 @@ moment constraints on the control: for each mode pair (n, j),
 The minimum-L2-norm control solving them lives in the span of the conjugated
 constraint kernels, and its coefficients solve the Hermitian positive
 semidefinite Gram system G a = b whose entries factor into closed-form space
-and time integrals.  The Gram (``_assemble_gram_mp``) and the moments
+and time integrals.  Both are one closed form, ``_time_factor``, the
+integral of e^{-wt} over [0, T]: the space factor over omega0 = (x0, x1)
+is its shift by e^{i delta x0} with w = -i delta and T = x1 - x0, and the
+biorthogonal family's integral over [-T/2, T/2] is its shift by e^{wT/2}.
+The Gram (``_assemble_gram_mp``) and the moments
 (``_moments``) are each one routine taking a spectrum (``MovingSpectrum``
 or ``hp.MpSpectrum``) and an arithmetic ("float64", "dd" or "mp", see
 ``dd.lift``); their closed forms broadcast over arrays of any of the three
@@ -124,10 +128,12 @@ def _exp(x):
     return dd._MP_EXP(x) if getattr(x, "dtype", None) == object else np.exp(x)
 
 
-# Under this |z|, (e^z - 1)/z is summed as its Taylor series: the closed forms
-# below cancel to a relative error of about one unit of the arithmetic over
-# |z|.  No configuration reaches it (the smallest |wT| of a default run is
-# 0.174, the smallest nonzero |delta x| 0.942); exact zeros keep the limit.
+# Under this |z|, (e^z - 1)/z is summed as its Taylor series: the closed form
+# (1 - e^{-wT}) / w cancels to a relative error of about one unit of the
+# arithmetic over |z| = |w| T, T the interval's length.  A default run does not
+# reach it: its smallest nonzero |w| T is 0.174 in time, 0.942 in space
+# (|delta| (x1 - x0)) and 4.18 on the family's [-T/2, T/2]; omega0 = (0.5, 0.6)
+# brings space down to 0.157.  Exact zeros keep the limit.
 _SERIES_BELOW = 0.1
 
 
@@ -150,29 +156,18 @@ def _exprel(z):
     return out
 
 
-def _space_factor(delta, x0, x1, e0, e1):
-    """int_{x0}^{x1} e^{i delta x} dx from e0 = e^{i delta x0}, e1 = e^{i delta x1}.
-
-    Like every closed form here it broadcasts over numpy arrays of complex
-    doubles, ``dd.DD`` values or mpmath values (dtype object).  Where
-    |delta x| < _SERIES_BELOW at both ends it is x1 S(i delta x1) -
-    x0 S(i delta x0) with S = ``_exprel``, on those entries only; delta = 0
-    gives x1 - x0.  The smallness test reads the leading double only.
-    """
-    lead = dd.leading(delta)
-    span = max(abs(complex(dd.leading(x0))), abs(complex(dd.leading(x1))))
-    near = np.abs(lead) * span < _SERIES_BELOW
-    out = np.where(near, x1 - x0, (e1 - e0) / (1j * np.where(near, 1, delta)))
-    near &= lead != 0
-    if near.any():
-        d = 1j * delta[near]
-        out[near] = x1 * _exprel(d * x1) - x0 * _exprel(d * x0)
-    return out
-
-
 def _time_factor(w, T, e):
     """int_0^T e^{-w t} dt from e = e^{-w T}: (1 - e) / w, or T S(-wT) with
-    S = ``_exprel`` on the entries where |wT| < _SERIES_BELOW; w = 0 gives T."""
+    S = ``_exprel`` on the entries where |wT| < _SERIES_BELOW; w = 0 gives T.
+
+    The package's one closed form of the integral of an exponential: any
+    other interval is a shift of it, int_{t0}^{t0+T} e^{-w t} dt =
+    e^{-w t0} _time_factor(w, T, e^{-w T}), so the series switch reads |w|
+    times the interval's length, not its distance from the origin.  Like
+    every closed form here it broadcasts over numpy arrays of complex
+    doubles, ``dd.DD`` values or mpmath values (dtype object); the smallness
+    test reads the leading double only.
+    """
     lead = dd.leading(w)
     near = np.abs(lead) * abs(complex(dd.leading(T))) < _SERIES_BELOW
     out = np.where(near, T, (1 - e) / np.where(near, 1, w))
@@ -182,26 +177,32 @@ def _time_factor(w, T, e):
     return out
 
 
-def _mode_exponentials(lam, kap, ns, x0, x1, T):
-    """Per-mode table (e^{i kap x0}, e^{i kap x1}, e^{-lam T}), shape (3, m),
+def _space_factor(delta, length, e0, e_len):
+    """int_{x0}^{x0+length} e^{i delta x} dx from e0 = e^{i delta x0} and
+    e_len = e^{i delta length}: the shift e0 _time_factor(-i delta, length, e_len)."""
+    return e0 * _time_factor(-1j * delta, length, e_len)
+
+
+def _mode_exponentials(lam, kap, ns, x0, length, T):
+    """Per-mode table (e^{i kap x0}, e^{i kap length}, e^{-lam T}), shape (3, m),
     from 2 x levels + m exponentials: the branches of a level n share kap_n.
 
     Every pairwise factor of the Gram is a product of two entries, since
-    kap, x0, x1 and T are real:
+    kap, x0, length and T are real:
     e^{i (kap_c - kap_r) x} = e^{i kap_c x} conj(e^{i kap_r x}) and
     e^{-(lam_c + conj(lam_r)) T} = e^{-lam_c T} conj(e^{-lam_r T}).
     """
     _, first, level = np.unique(ns, return_index=True, return_inverse=True)
-    return np.stack([*(_exp(1j * kap[first] * x)[level] for x in (x0, x1)), _exp(-lam * T)])
+    return np.stack([*(_exp(1j * kap[first] * x)[level] for x in (x0, length)), _exp(-lam * T)])
 
 
-def _gram_entry(lam_r, kap_r, tab_r, lam_c, kap_c, tab_c, x0, x1, T):
+def _gram_entry(lam_r, kap_r, tab_r, lam_c, kap_c, tab_c, length, T):
     """G[r, c]: the restricted space-time pairing of kernels c and r.
 
     ``tab_r`` and ``tab_c`` are the kernels' ``_mode_exponentials`` columns.
     """
-    (r0, r1, rT), (c0, c1, cT) = tab_r, tab_c
-    space = _space_factor(kap_c - kap_r, x0, x1, c0 * np.conj(r0), c1 * np.conj(r1))
+    (r0, rL, rT), (c0, cL, cT) = tab_r, tab_c
+    space = _space_factor(kap_c - kap_r, length, c0 * np.conj(r0), cL * np.conj(rL))
     return space * _time_factor(lam_c + np.conj(lam_r), T, cT * np.conj(rT))
 
 
@@ -238,11 +239,12 @@ def _assemble_gram_mp(spec, modes, omega0, T, arithmetic: str = "mp"):
     upper triangle from its products and the lower triangle by conjugation,
     so the matrix is Hermitian by construction."""
     x0, x1, T = (dd.lift(v, arithmetic) for v in (omega0[0], omega0[1], T))
+    length = x1 - x0
     lam, kap, _ = mode_arrays(spec, modes, arithmetic)
-    tab = _mode_exponentials(lam, kap, [n for n, _ in modes], x0, x1, T)
+    tab = _mode_exponentials(lam, kap, [n for n, _ in modes], x0, length, T)
     r, c = np.triu_indices(len(modes))
     G = dd.lift(np.zeros((len(modes), len(modes)), dtype=complex), arithmetic)
-    upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], x0, x1, T)
+    upper = _gram_entry(lam[r], kap[r], tab[:, r], lam[c], kap[c], tab[:, c], length, T)
     G[c, r] = np.conj(upper)
     G[r, c] = upper
     return G

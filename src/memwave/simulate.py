@@ -22,9 +22,10 @@ convention, which is exactly the pairing under which the moment right-hand
 sides -2(conj(mu) y0 + y1) null the state.  The exact non-orthogonal Gram of
 the plane waves on the length-2 interval is computed and reported only: its
 off-diagonal mass quantifies the convention's deviation from the exact
-L2-projection.  Every closed-form integral here is the control's: the Duhamel
-terms use ``control._time_factor`` and the plane-wave Gram
-``control._space_factor``.
+L2-projection.  Every closed-form integral here is the control's one,
+``control._time_factor``: the Duhamel terms take it directly, the forcing's
+projection and the plane-wave Gram through its shift ``control._space_factor``,
+from per-level exponentials e^{i kappa x0} and e^{i kappa (x1 - x0)}.
 
 The duality check builds no adjoint flow on a grid: an adjoint solution
 with terminal coefficients b pairs with the control as sum_k conj(b_k
@@ -96,7 +97,7 @@ class Forcing(NamedTuple):
     It is the factor-1/2 projection of the control sum_k a_k e^{-lam_k t}
     e^{i kap_k x} on omega0 onto the plane wave e^{i kappa_i x}, so
     amps[i, k] = a_k S[i, k] / 2 with S[i, k] = int_omega0 e^{i (kap_k -
-    kappa_i) x} dx from e^{i kappa x0} and e^{i kappa x1} once per level n.
+    kappa_i) x} dx from e^{i kappa x0} and e^{i kappa (x1 - x0)} once per level n.
     The exponents separate as expos[i, k] = shift[i] - lam[k], so every
     exponential the propagation needs is a product of two per-mode tables.
     ``shift`` is zero for the synthesized support, fixed at omega0 in the
@@ -172,9 +173,10 @@ class _ModalSetup:
         arithmetic, kappa = self.arithmetic, self.kappa
         lam, kap, _ = mode_arrays(self.spec, modes, arithmetic)
         x0, x1 = (dd.lift(v, arithmetic) for v in omega0)
+        length = x1 - x0
         level = [self.level[n] for n, _ in modes]
-        e0, e1 = (e[level][None, :] * np.conj(e)[:, None] for e in (_exp(1j * kappa * x0), _exp(1j * kappa * x1)))
-        S = _space_factor(kap[None, :] - kappa[:, None], x0, x1, e0, e1)
+        e0, e_len = (e[level][None, :] * np.conj(e)[:, None] for e in (_exp(1j * kappa * x) for x in (x0, length)))
+        S = _space_factor(kap[None, :] - kappa[:, None], length, e0, e_len)
         return Forcing(dd.lift(a, arithmetic), S, lam, self.zeros)
 
     def initial_state(self, data: InitialData):
@@ -203,7 +205,7 @@ class PlaneWaveGram:
     def build(cls, ns, kappa) -> "PlaneWaveGram":
         d = kappa[None, :] - kappa[:, None]
         e = np.exp(1j * d)
-        core = _space_factor(d, -1.0, 1.0, np.conj(e), e).real
+        core = _space_factor(d, 2.0, np.conj(e), e * e).real
         off = core - np.diag(np.diag(core))
         return cls(ns=np.asarray(ns), kappa=kappa, entries=core, deviation=float(np.max(np.abs(off))))
 
