@@ -23,7 +23,8 @@ bf = bio.build_biorthogonal(ms, T, family_N=8)
 print(f"family of {len(bf.modes)} members, frequency window |x| <= {bf.window:.0f}")
 print(f"raw construction deviation {bf.raw_deviation:.2e} "
       f"(diagonal already right to {bf.raw_diag_error:.1e})")
-print(f"shipped family Gram deviation {bf.gram_deviation:.2e} on an independent quadrature")
+print(f"shipped family Gram deviation {bf.gram_deviation:.2e} on an independent quadrature: "
+      f"rule error {bf.rule_error:.2e} + inverse residual {bf.inverse_residual:.2e}")
 print(f"norm bound: ||theta_m|| <= {bf.norm_ratio_bound():.3g} * rho_m over the family")
 
 bf.export_manifest(OUT / "biorthogonal_manifest.json")

@@ -14,11 +14,13 @@ is exact, sum_x w_k(x) K(x, lam) / (2 pi) with K the closed-form integral of
 e^{ixt} e^{-conj(lam) t} over [-T/2, T/2], so no time grid is sampled for
 it.  A within-span recombination by the inverse of that Gram (the
 constructive realization of the horizon-extension step) makes the produced
-family biorthogonal up to round-off amplified by that Gram's conditioning.  The reported figures keep both
-stages visible: ``raw_deviation`` for the analytic construction,
-``gram_deviation`` for the shipped family measured on an independent Gauss
-quadrature, and ``window_attempts`` for every frequency window tried on the
-way.
+family biorthogonal up to round-off amplified by that Gram's conditioning.
+The figures keep both stages visible: ``raw_deviation`` for the analytic
+construction, ``gram_deviation`` for the shipped family C theta_raw, C the
+inverse of the raw Gram G_raw, on an independent Gauss quadrature at the
+family's one frequency window.  Its Gram there is C G_rule, G_rule the raw
+family's, so gram - I = C (G_rule - G_raw) + (C G_raw - I): ``rule_error``
+(the quadrature's own error) plus ``inverse_residual`` (the inverse's round-off).
 
 The family is sampled on one time rule, the verification quadrature: its
 samples are ``theta``, and its nodes and weights give ``norms``, ``gram``
@@ -70,7 +72,7 @@ __all__ = [
 ]
 
 _FREQ_PER_PANEL = 8  # Gauss nodes per frequency panel of the inverse transform
-_TIME_PER_PANEL = 10  # Gauss nodes per panel of the verification time quadrature
+_TIME_PER_PANEL = 16  # Gauss nodes per panel of the verification time quadrature
 _BLOCK_BYTES = 1 << 22  # complex temporaries per block of frequency nodes in the sums over x (4 MB)
 
 
@@ -89,8 +91,8 @@ class _Blocks(NamedTuple):
 def _time_quadrature(T: float, x_window: float):
     """Gauss panels on a uniform partition of [-T/2, T/2]: (blocks, weights).
 
-    ceil(1.37 T x_window / 15) panels (at least 8) of 10 nodes put about 5.7
-    nodes in each period of e^{i x_window t}."""
+    ceil(1.37 T x_window / (1.5 n)) panels (at least 8) of n = _TIME_PER_PANEL
+    nodes put about 5.7 nodes in each period of e^{i x_window t}."""
     n_panels = max(8, int(math.ceil(1.37 * T * x_window / (1.5 * _TIME_PER_PANEL))))
     half = T / (2.0 * n_panels)
     x0, w0 = gauss_legendre(_TIME_PER_PANEL)
@@ -209,7 +211,8 @@ class BiorthogonalFamily:
     raw_deviation: float
     raw_diag_error: float
     tail_estimate: float
-    window_attempts: list        # {"window", "gram_deviation"} of each window tried, in order
+    rule_error: float            # max|C (G_rule - G_raw)|: the rule's error on the raw family
+    inverse_residual: float      # max|C G_raw - I|: the round-off of the inverse
 
     def index(self, n: int, j: int) -> int:
         return self.modes.index((n, j))
@@ -228,7 +231,8 @@ class BiorthogonalFamily:
             "gram_deviation": self.gram_deviation,
             "raw_deviation": self.raw_deviation,
             "tail_estimate": self.tail_estimate,
-            "window_attempts": self.window_attempts,
+            "rule_error": self.rule_error,
+            "inverse_residual": self.inverse_residual,
             "polished": True,
         }
         write_json(path, payload)
@@ -236,8 +240,8 @@ class BiorthogonalFamily:
 
 class FamilyConstructionError(RuntimeError):
     """The family has no construction at this configuration: the compensated
-    product's exponential type does not fit the horizon, or no frequency
-    window brought the family's Gram deviation within tolerance."""
+    product's exponential type does not fit the horizon, or at its one window
+    the family's Gram deviation (rule error plus inverse residual) exceeds tol."""
 
 
 def build_biorthogonal(
@@ -248,7 +252,7 @@ def build_biorthogonal(
     symmetrize: bool | None = None,
     tol: float = 1.0e-3,
 ) -> BiorthogonalFamily:
-    """Construct the sampled family for all modes |n| <= family_N; each window attempt builds its product."""
+    """Construct the sampled family for all modes |n| <= family_N at one frequency window."""
     if family_N > ms.N:
         raise ValueError("family_N exceeds the product's spectrum truncation")
     if T <= horizon_threshold(ms.c, ms.gamma):
@@ -261,74 +265,71 @@ def build_biorthogonal(
     if symmetrize is None:
         symmetrize = ms.critical is None
 
-    x_max_im = float(np.max(np.abs(lam.imag)))
-    X = float(x_window) if x_window is not None else max(150.0, 5.0 * x_max_im)
+    X = float(x_window) if x_window is not None else max(150.0, 5.0 * float(np.max(np.abs(lam.imag))))
     # exponential-type budget: product plus multiplier must fit T/2, probed up the imaginary axis
     y_probe = np.linspace(0.3, 0.55, 6) * abs(ms.c) * float(ms.kappa_pos[-1])
 
-    attempts = []
-    for _ in range(3):
-        pf = ProductFunction(ms, max(X, y_probe[-1], float(np.max(np.abs(zeros)))))
-        comp, fit = growth_compensator(pf, X)
-        tvals = pf.log_eval(1j * y_probe, comp).real
-        type_total = float(np.polyfit(y_probe, tvals, 1)[0])
-        if type_total > 0.98 * T / 2.0:
-            raise FamilyConstructionError(
-                f"combined exponential type {type_total:.3f} does not fit the horizon T/2 = {T/2:.3f}"
-            )
-
-        xr = zero_abscissas(pf, X)
-        breaks = sorted_unique(np.concatenate(
-            [-xr[::-1], [0.0], xr, comp.t[comp.t <= X], -comp.t[comp.t <= X], [-X, X]]
-        ))
-        breaks = breaks[(breaks >= -X) & (breaks <= X)]
-        x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], _FREQ_PER_PANEL))
-
-        Pvals = np.exp(pf.log_eval(x_nodes.astype(complex), comp))
-        dP = pf.derivative_at_modes(modes, comp)
-
-        theta_hat = Pvals[None, :] / ((x_nodes[None, :] - zeros[:, None]) * dP[:, None])
-
-        # boundary-term estimate for the window truncation of the Gram rows:
-        # at the window edges x = +-X the kernel K_n(x) = int e^{ixt} e^{-conj(lam) t} dt
-        # and its antiderivative's boundary term are both bounded by the sum
-        # of its endpoint terms, (|e^{wT/2}| + |e^{-wT/2}|) / |w| = 2 cosh(Re w T/2) / |w|
-        edge_rows = np.abs(theta_hat[:, [0, -1]]).max(axis=1)
-        w = np.add.outer(np.array([-1j * X, 1j * X]), np.conj(lam))
-        kmax = float(np.max(2.0 * np.cosh(w.real * (T / 2.0)) / np.abs(w)))
-        tail_est = float(np.max(edge_rows) * kmax / (2.0 * math.pi) / (T / 2.0))
-
-        primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
-        partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries] if symmetrize else []
-        weighted = theta_hat[primaries] * x_weights[None, :]
-        del theta_hat  # modes x frequency nodes, the largest array left: not held through the sums below
-
-        gram_raw = _raw_gram(weighted, x_nodes, lam, T, primaries, partners)
-        eye = np.eye(len(modes))
-        raw_dev = float(np.max(np.abs(gram_raw - eye)))
-        raw_diag = float(np.max(np.abs(np.diag(gram_raw) - 1.0)))
-
-        C = np.linalg.inv(gram_raw)
-
-        # independent verification quadrature, the one rule the family is sampled on
-        grid2, w2 = _time_quadrature(T, X)
-        t2 = grid2.nodes()
-        theta2 = np.empty((len(modes), len(t2)), dtype=complex)
-        theta2[primaries] = _inverse_transform(weighted, x_nodes, grid2)
-        if partners:
-            theta2[partners] = np.conj(theta2[primaries])
-        theta2 = C @ theta2
-        E2 = np.exp(-np.conj(lam)[:, None] * t2[None, :])
-        gram = theta2 @ (E2 * w2[None, :]).T
-        dev = float(np.max(np.abs(gram - eye)))
-        attempts.append({"window": X, "gram_deviation": dev})
-        if dev <= tol:
-            break
-        X *= 1.5
-    else:
-        tried = ", ".join(f"{a['window']:g}" for a in attempts)
+    pf = ProductFunction(ms, max(X, y_probe[-1], float(np.max(np.abs(zeros)))))
+    comp, _ = growth_compensator(pf, X)
+    tvals = pf.log_eval(1j * y_probe, comp).real
+    type_total = float(np.polyfit(y_probe, tvals, 1)[0])
+    if type_total > 0.98 * T / 2.0:
         raise FamilyConstructionError(
-            f"window enlargement failed: family deviation {dev:.2e} > {tol:.0e} (windows {tried})"
+            f"combined exponential type {type_total:.3f} does not fit the horizon T/2 = {T/2:.3f}"
+        )
+
+    xr = zero_abscissas(pf, X)
+    breaks = sorted_unique(np.concatenate(
+        [-xr[::-1], [0.0], xr, comp.t[comp.t <= X], -comp.t[comp.t <= X], [-X, X]]
+    ))
+    breaks = breaks[(breaks >= -X) & (breaks <= X)]
+    x_nodes, x_weights = (v.ravel() for v in gauss_interval(breaks[:-1, None], breaks[1:, None], _FREQ_PER_PANEL))
+
+    Pvals = np.exp(pf.log_eval(x_nodes.astype(complex), comp))
+    dP = pf.derivative_at_modes(modes, comp)
+
+    theta_hat = Pvals[None, :] / ((x_nodes[None, :] - zeros[:, None]) * dP[:, None])
+
+    # boundary-term estimate for the window truncation of the Gram rows:
+    # at the window edges x = +-X the kernel K_n(x) = int e^{ixt} e^{-conj(lam) t} dt
+    # and its antiderivative's boundary term are both bounded by the sum
+    # of its endpoint terms, (|e^{wT/2}| + |e^{-wT/2}|) / |w| = 2 cosh(Re w T/2) / |w|
+    edge_rows = np.abs(theta_hat[:, [0, -1]]).max(axis=1)
+    w = np.add.outer(np.array([-1j * X, 1j * X]), np.conj(lam))
+    kmax = float(np.max(2.0 * np.cosh(w.real * (T / 2.0)) / np.abs(w)))
+    tail_est = float(np.max(edge_rows) * kmax / (2.0 * math.pi) / (T / 2.0))
+
+    primaries = [i for i, (n, j) in enumerate(modes) if (not symmetrize) or n > 0]
+    partners = [modes.index((-modes[i][0], j_conj(modes[i][1]))) for i in primaries] if symmetrize else []
+    weighted = theta_hat[primaries] * x_weights[None, :]
+    del theta_hat  # modes x frequency nodes, the largest array left: not held through the sums below
+
+    gram_raw = _raw_gram(weighted, x_nodes, lam, T, primaries, partners)
+    eye = np.eye(len(modes))
+    raw_dev = float(np.max(np.abs(gram_raw - eye)))
+    raw_diag = float(np.max(np.abs(np.diag(gram_raw) - 1.0)))
+
+    C = np.linalg.inv(gram_raw)
+
+    # independent verification quadrature, the one rule the family is sampled on
+    grid2, w2 = _time_quadrature(T, X)
+    t2 = grid2.nodes()
+    theta2 = np.empty((len(modes), len(t2)), dtype=complex)
+    theta2[primaries] = _inverse_transform(weighted, x_nodes, grid2)
+    if partners:
+        theta2[partners] = np.conj(theta2[primaries])
+    E2 = np.exp(-np.conj(lam)[:, None] * t2[None, :])
+    # gram - I = C (G_rule - G_raw) + (C G_raw - I), recorded as its two terms
+    gram_rule = theta2 @ (E2 * w2[None, :]).T
+    theta2 = C @ theta2
+    gram = C @ gram_rule
+    dev = float(np.max(np.abs(gram - eye)))
+    rule_err = float(np.max(np.abs(C @ (gram_rule - gram_raw))))
+    inv_res = float(np.max(np.abs(C @ gram_raw - eye)))
+    if dev > tol:
+        raise FamilyConstructionError(
+            f"family deviation {dev:.2e} > {tol:.0e} at window {X:g}: "
+            f"rule error {rule_err:.2e}, inverse residual {inv_res:.2e}"
         )
 
     norms = np.sqrt(np.abs(theta2) ** 2 @ w2)
@@ -337,7 +338,7 @@ def build_biorthogonal(
         modes=modes, lam=lam, rho=rho, T=T, window=X,
         t_nodes=t2, weights=w2, theta=theta2, norms=norms,
         gram=gram, gram_deviation=dev, raw_deviation=raw_dev,
-        raw_diag_error=raw_diag, tail_estimate=tail_est, window_attempts=attempts,
+        raw_diag_error=raw_diag, tail_estimate=tail_est, rule_error=rule_err, inverse_residual=inv_res,
     )
 
 
@@ -361,22 +362,18 @@ class LowerSummationReport:
 def verify_lower_summation(bf: BiorthogonalFamily, trials: int = 200, seed: int = 0) -> LowerSummationReport:
     """Weighted coefficient sums against exponential-sum norms.
 
-    First fits the family constant C in ||sum beta theta||^2 <= C sum rho^2
-    |beta|^2 from single modes and 64 random combinations, their norms taken
-    on the family's own quadrature, then checks
-    sum |a|^2 / rho^2 <= C * ||sum a e^{-lam t}||^2 on random vectors plus an
-    adversarial vector concentrated on the closest spectral pair.
+    The family constant C in ||sum beta theta||^2 <= C sum rho^2 |beta|^2 is
+    the sharp one on the family's own quadrature: with gamma = rho beta it is
+    the top eigenvalue of the Gram of the members theta_k / rho_k.  Then
+    sum |a|^2 / rho^2 <= C * ||sum a e^{-lam t}||^2 is checked on random
+    vectors plus an adversarial vector concentrated on the closest spectral
+    pair.
     """
     rng = default_rng(seed)
     lam, rho = bf.lam, bf.rho
     m = len(bf.modes)
-    # family constant from the produced samples; draw i holds the real then
-    # the imaginary parts of combination i
-    draws = rng.standard_normal((64, 2, m))
-    beta = draws[:, 0] + 1j * draws[:, 1]
-    num = np.abs(beta @ bf.theta) ** 2 @ bf.weights
-    den = np.sum(rho**2 * np.abs(beta) ** 2, axis=1)
-    c46 = float(max(np.max(bf.norms**2 / rho**2), np.max(num / den)))
+    scaled = bf.theta / rho[:, None]
+    c46 = float(np.linalg.eigvalsh((scaled * bf.weights[None, :]) @ scaled.conj().T)[-1])
 
     vectors = np.zeros((trials, m), dtype=complex)
     for a in vectors:

@@ -487,7 +487,10 @@ def verify_product_properties(ms: MovingSpectrum, family_N: int, scan_radius: fl
     x_hi = scan_radius if scan_radius is not None else 2.0 * c * float(ms.kappa_pos[-1])
     y_hi = 0.6 * c * float(ms.kappa_pos[-1])
     fam = [(n, j) for n in ms.mode_indices() if abs(n) <= family_N for j in BRANCHES]
-    pf = ProductFunction(ms, max(np.hypot(x_hi, _STRIP_DELTA), y_hi, *(abs(ms.lam(n, j)) for n, j in fam)))
+    xs = np.linspace(-x_hi, x_hi, 4001)
+    lines = np.array([0.0, _STRIP_DELTA / 2.0, _STRIP_DELTA])
+    strip = (xs[None, :] + 1j * lines[:, None]).ravel()  # the strip bound's points: they size the radius
+    pf = ProductFunction(ms, max(float(np.max(np.abs(strip))), y_hi, *(abs(ms.lam(n, j)) for n, j in fam)))
 
     # exponential type along the imaginary axis (literal product)
     ys = np.linspace(0.4 * y_hi, y_hi, 9)
@@ -499,10 +502,8 @@ def verify_product_properties(ms: MovingSpectrum, family_N: int, scan_radius: fl
 
     # strip bound of the compensated product; stability = the sup on each
     # horizontal line is not driven by the outer half of the scan range
-    xs = np.linspace(-x_hi, x_hi, 4001)
     inner = np.abs(xs) <= x_hi / 2.0
-    lines = np.array([0.0, _STRIP_DELTA / 2.0, _STRIP_DELTA])
-    logm = pf.log_eval((xs[None, :] + 1j * lines[:, None]).ravel(), comp).real.reshape(len(lines), -1)
+    logm = pf.log_eval(strip, comp).real.reshape(len(lines), -1)
     strip_stable = bool(np.all(np.exp(logm.max(axis=1)) <= 5.0 * np.exp(logm[:, inner].max(axis=1))))
 
     # derivative lower envelope over the family modes (literal product)

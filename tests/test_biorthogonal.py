@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -136,12 +137,13 @@ def test_export(tmp_path, family):
 
 @pytest.mark.parametrize("window", [150.0, 300.0])
 def test_separable_sampling_matches_direct_exponentials(window):
-    # e^{ixt} = e^{ix t_c} e^{ix delta} over the verification rule; T = 13
-    # gives an odd panel count at both windows (179 and 357), T = 20.7 an even one
+    # e^{ixt} = e^{ix t_c} e^{ix delta} over the verification rule; T = 20.7
+    # gives 178 and 355 panels at the two windows, T = 13.4 gives 115 and 230,
+    # so each window meets an odd and an even panel count
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(-window, window, 2000))
     weighted = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
-    for T in (20.7, 13.0):
+    for T in (20.7, 13.4):
         grid = bio._time_quadrature(T, window)[0]
         t = grid.nodes()
         got = bio._inverse_transform(weighted, x, grid)
@@ -220,16 +222,16 @@ def test_family_figures_come_from_one_rule(family):
     assert np.array_equal(family.norms, np.sqrt(np.abs(family.theta) ** 2 @ family.weights))
     assert family.weights.sum() == pytest.approx(family.T, rel=1e-13)
     rep = bio.verify_lower_summation(family, trials=20, seed=7)
-    assert rep.c46_hat >= np.max(family.norms**2 / family.rho**2)
-    # without the single-mode term c46 is the 64-combination fit; the reference
-    # loop draws the real then the imaginary parts of each combination
-    rng, m, want = np.random.default_rng(7), len(family.modes), 0.0
-    for _ in range(64):
-        beta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        num = float(np.abs(beta @ family.theta) ** 2 @ family.weights)
-        want = max(want, num / float(np.sum(family.rho**2 * np.abs(beta) ** 2)))
-    fit = bio.verify_lower_summation(dataclasses.replace(family, norms=0.0 * family.norms), trials=20, seed=7)
-    assert fit.c46_hat == pytest.approx(want, rel=1e-12)
+    # c46 is sup ||sum beta theta||^2 / sum rho^2 |beta|^2 on the rule: the top
+    # squared singular value of the dense matrix theta_k(t) sqrt(w_t) / rho_k,
+    # attained by its top right singular vector, and above every single mode
+    dense = family.theta / family.rho[:, None] * np.sqrt(family.weights)[None, :]
+    u, sv, _ = np.linalg.svd(dense, full_matrices=False)
+    assert rep.c46_hat == pytest.approx(sv[0] ** 2, rel=1e-10)
+    beta = np.conj(u[:, 0]) / family.rho
+    attained = float(np.abs(beta @ family.theta) ** 2 @ family.weights) / float(np.sum(family.rho**2 * np.abs(beta) ** 2))
+    assert attained == pytest.approx(rep.c46_hat, rel=1e-10)
+    assert rep.c46_hat >= np.max(family.norms**2 / family.rho**2) * (1 - 1e-12)
 
 
 def test_time_quadrature_integrates_exponentials():
@@ -242,32 +244,33 @@ def test_time_quadrature_integrates_exponentials():
     assert got == pytest.approx(2 * np.sinh(lam * T / 2) / lam, rel=1e-12)
 
 
-def test_window_attempts_are_recorded(tmp_path):
+def test_family_records_rule_error_and_inverse_residual(tmp_path, monkeypatch):
     import json
 
     table = build_eigenvalue_table(0.75, 12)
     ms = build_moving_spectrum(table, 0.5, 1.0, 12)
     T = 1.05 * bio.horizon_threshold(1.0, ms.gamma)
     first = bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0)
-    assert first.window_attempts == [{"window": 20.0, "gram_deviation": first.gram_deviation}]
-    # a tolerance just below the first window's deviation forces one enlargement
-    again = bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0, tol=0.99 * first.gram_deviation)
-    assert [a["window"] for a in again.window_attempts] == [20.0, 30.0]
-    assert again.window_attempts[0] == first.window_attempts[0]
-    assert again.window_attempts[-1]["gram_deviation"] == again.gram_deviation and again.window == 30.0
-    again.export_manifest(tmp_path / "family.json")
-    assert json.loads((tmp_path / "family.json").read_text())["window_attempts"] == again.window_attempts
-    with pytest.raises(RuntimeError, match=r"windows 20, 30, 45"):
-        bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0, tol=1e-30)
+    assert first.window == 20.0
+    first.export_manifest(tmp_path / "family.json")
+    manifest = json.loads((tmp_path / "family.json").read_text())
+    assert "window_attempts" not in manifest
+    assert manifest["rule_error"] == first.rule_error and manifest["inverse_residual"] == first.inverse_residual
+    # a tolerance just below the deviation fails at the one window, and the
+    # message names both terms of the deviation
+    builds = []
+    compensator = bio.growth_compensator
+    monkeypatch.setattr(bio, "growth_compensator", lambda *a, **kw: builds.append(1) or compensator(*a, **kw))
+    with pytest.raises(bio.FamilyConstructionError, match=r"at window 20: rule error .*, inverse residual "):
+        bio.build_biorthogonal(ms, T, family_N=2, x_window=20.0, tol=0.99 * first.gram_deviation)
+    assert len(builds) == 1
 
 
 def test_zero_table_is_built_once_per_product(tmp_path, monkeypatch):
     # the cubic roots of a product's levels are taken in its constructor only,
     # once for the direct blocks and once for the remainder levels, never by an
     # evaluation; a default biorthogonal run builds one product for the audit
-    # and one per window attempt
-    import json
-
+    # and one for the family's window
     from memwave.product import ProductFunction
     from memwave.runner import load_config, run_pipeline
 
@@ -285,8 +288,7 @@ def test_zero_table_is_built_once_per_product(tmp_path, monkeypatch):
                         lambda self, k: passes.append(building[-1:] == [self]) or level_zeros(self, k))
     manifest, passed = run_pipeline(load_config(None, {}), "biorthogonal", outdir=tmp_path)
     assert passed, manifest["failures"]
-    attempts = json.loads((tmp_path / "biorthogonal_manifest.json").read_text())["window_attempts"]
-    assert len(products) == 1 + len(attempts)
+    assert len(products) == 2
     assert len(passes) == 2 * len(products) and all(passes)
 
 
@@ -344,13 +346,38 @@ def test_raw_gram_matches_dense_time_quadrature(T, window, symmetrize, data):
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
-def test_family_at_strong_memory_first_window():
+@pytest.fixture(scope="module")
+def table_200():
+    return build_eigenvalue_table(0.75, 200)
+
+
+def test_family_at_strong_memory_first_window(table_200):
     # at M = 2 the drift nearly cancels the oscillation of the lowest modes, so
     # the raw Gram is ill-conditioned and inv(gram_raw) amplifies any error in
-    # it; with the exact raw Gram the first window already passes
-    table = build_eigenvalue_table(0.75, 200)
-    ms = build_moving_spectrum(table, 2.0, 1.0, 16)
-    T = 1.05 * bio.horizon_threshold(1.0, table.gap_gamma)
+    # it; with the exact raw Gram the one window passes
+    ms = build_moving_spectrum(table_200, 2.0, 1.0, 16)
+    T = 1.05 * bio.horizon_threshold(1.0, table_200.gap_gamma)
     bf = bio.build_biorthogonal(ms, T, family_N=4)
-    assert [a["window"] for a in bf.window_attempts] == [150.0]
+    assert bf.window == 150.0
     assert bf.gram_deviation <= 1e-3
+
+
+@pytest.mark.parametrize("M", [-2.0, 0.5, 1.75, 2.0])
+def test_gram_deviation_is_rule_error_plus_inverse_residual(M, table_200):
+    # the shipped Gram is C G_rule with C = inv(G_raw), so its deviation is
+    # C (G_rule - G_raw) + (C G_raw - I), bounded by the two recorded terms
+    T = 1.05 * bio.horizon_threshold(1.0, table_200.gap_gamma)
+    bf = bio.build_biorthogonal(build_moving_spectrum(table_200, M, 1.0, 48), T, family_N=12)
+    assert bf.gram_deviation <= bf.rule_error + bf.inverse_residual + 1e-12
+    assert max(bf.rule_error, bf.inverse_residual) <= 1e-3
+
+
+def test_ten_node_rule_fails_at_strong_memory(table_200, monkeypatch):
+    # a 10-node rule does not resolve the integrand at M = 2: the
+    # family fails at its one window, and the rule's error is the larger term
+    monkeypatch.setattr(bio, "_TIME_PER_PANEL", 10)
+    T = 1.05 * bio.horizon_threshold(1.0, table_200.gap_gamma)
+    with pytest.raises(bio.FamilyConstructionError, match=r"at window 150:") as err:
+        bio.build_biorthogonal(build_moving_spectrum(table_200, 2.0, 1.0, 48), T, family_N=12)
+    rule, inverse = (float(v) for v in re.search(r"rule error (\S+), inverse residual (\S+)$", str(err.value)).groups())
+    assert rule > 1e-3 and rule > 10 * inverse

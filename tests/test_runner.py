@@ -361,7 +361,8 @@ def test_simulate_at_n96_keeps_the_duality_margin(tmp_path):
 def test_family_workload_figures_are_pinned(tmp_path):
     # the benchmark's family configuration (family_N = 4, seed 1): the product
     # layer's figures, pinned to 1e-9 relative so that a faster evaluation of
-    # the product has to reproduce them
+    # the product has to reproduce them; norm_ratio_bound is read on the
+    # family's 16-node verification rule (10 nodes put 4.9e-8 of rule error in it)
     manifest, passed = run_pipeline(load_config(None, {"family_N": 4, "seed": 1}), "biorthogonal",
                                     outdir=tmp_path)
     assert passed, manifest["failures"]
@@ -370,7 +371,7 @@ def test_family_workload_figures_are_pinned(tmp_path):
         "product_type_empirical": 6.820332526262417,
         "product_growth_d1": 3.743881912057736,
         "derivative_envelope_c2": 0.03415180317407793,
-        "norm_ratio_bound": 792.8117608402305,
+        "norm_ratio_bound": 792.8117218589298,
     }
     for key, value in pinned.items():
         assert verdicts[key] == pytest.approx(value, rel=1e-9), key
@@ -392,9 +393,22 @@ def test_cli_type_budget_is_a_named_failure(tmp_path):
     assert manifest["stages"]["biorthogonal"]["artifacts"] == []
 
 
+def test_radius_of_the_product_audit_holds_its_strip_at_c_08(tmp_path):
+    # at c = 0.8 the strip's corner |x_hi + i| rounds one ulp above hypot(x_hi, 1):
+    # the audit's product is sized from the points it evaluates, so the run
+    # reaches the named type-budget failure (11.464 against T/2 = 9.794)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("c = 0.8\n")
+    rc, err = _cli_exit(["verify-all", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 1 and "biorthogonal.family_constructed" in err
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert "biorthogonal.family_constructed" in manifest["failures"]
+    assert "does not fit the horizon" in manifest["stages"]["biorthogonal"]["verdicts"]["family_error"]
+
+
 def test_window_failure_is_named_and_the_full_run_goes_on(tmp_path, monkeypatch):
-    # a tolerance no window can meet: three windows, then a named failure, and the
-    # control and simulate stages still run and pass
+    # a tolerance the family cannot meet: a named failure at its one window, and
+    # the control and simulate stages still run and pass
     build = bio.build_biorthogonal
     monkeypatch.setattr(bio, "build_biorthogonal", lambda *args, **kw: build(*args, **kw, tol=1e-30))
     cfg_path = small_config(tmp_path)
@@ -403,5 +417,5 @@ def test_window_failure_is_named_and_the_full_run_goes_on(tmp_path, monkeypatch)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["failures"] == ["biorthogonal.family_constructed"]
     assert set(manifest["stages"]) == {"spectrum", "gaps", "biorthogonal", "control", "simulate"}
-    assert manifest["stages"]["biorthogonal"]["verdicts"]["family_error"].startswith("window enlargement failed")
+    assert manifest["stages"]["biorthogonal"]["verdicts"]["family_error"].startswith("family deviation")
     assert manifest["stages"]["simulate"]["verdicts"]["terminal_pass"] is True
