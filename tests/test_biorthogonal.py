@@ -229,8 +229,8 @@ def test_family_figures_come_from_one_rule(family):
     u, sv, _ = np.linalg.svd(dense, full_matrices=False)
     assert rep.c46_hat == pytest.approx(sv[0] ** 2, rel=1e-10)
     beta = np.conj(u[:, 0]) / family.rho
-    attained = float(np.abs(beta @ family.theta) ** 2 @ family.weights) / float(np.sum(family.rho**2 * np.abs(beta) ** 2))
-    assert attained == pytest.approx(rep.c46_hat, rel=1e-10)
+    num = float(np.abs(beta @ family.theta) ** 2 @ family.weights)
+    assert num / float(np.sum(family.rho**2 * np.abs(beta) ** 2)) == pytest.approx(rep.c46_hat, rel=1e-10)
     assert rep.c46_hat >= np.max(family.norms**2 / family.rho**2) * (1 - 1e-12)
 
 
