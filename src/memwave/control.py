@@ -23,7 +23,7 @@ computed, the lower one is its conjugate.  Branch-2/3 kernels grow like
 e^{|M| T/2} in time, so the Gram's scale spread is extreme; the float64
 Gram gives the condition numbers, and the solve rebuilds it in extended
 precision (double-double or mpmath, see ``hp``) on the configured spectrum
-with the rho-weighted prescaling.  The solved coefficients are kept both as
+and scales it by its own diagonal.  The solved coefficients are kept both as
 doubles (exports, diagnostics) and at full precision (terminal-state
 evaluation).
 """
@@ -39,7 +39,7 @@ from numpy.random import default_rng
 
 from . import dd
 from .fractional import gauss_interval, write_csv, write_json
-from .hp import MpSpectrum, RefinementStalled, choose_arithmetic, hermitian_solve, matvec, mode_arrays
+from .hp import MpSpectrum, certificate, choose_arithmetic, hermitian_solve, matvec, mode_arrays
 from .moving import MovingSpectrum, weighted_inequality
 
 __all__ = [
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 SIGMA_WEIGHTS = (3.0, 2.0, 1.0)  # default Sobolev weights of the norms of (xi, xi_t, zeta)
+# The moment residual max|G a - b| plus its rounding bound must stay within
+# this fraction of |b| (the runner's ``residual_ok``).
+RESIDUAL_TOL = 1.0e-10
 
 
 @dataclass
@@ -310,29 +313,26 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
 
     The Gram and the right-hand sides are rebuilt on the gram's own moving
     spectrum, taken at dps = max(40, log10(cond_scaled) + 30) digits
-    (``hp.MpSpectrum``), and prescaled by the rho weights.  The arithmetic
-    of the rebuild, the solve's residuals, the scaling and the reported
+    (``hp.MpSpectrum``), and scaled by the Gram's own diagonal.  The
+    arithmetic of the rebuild, the solve's residuals and the reported
     residual is chosen a priori by ``hp.choose_arithmetic`` from |M| T and
     ``terminal_tol``, the tolerance of the terminal check the control must
     pass: double-double (``dd.DD``) where it keeps that check six digits
     clear, mpmath at dps otherwise.  ``hermitian_solve`` then refines
     float64 LU solves against residuals taken in that arithmetic; in
     mpmath it takes one mpmath LU factorization only when that stalls
-    above the floor or the Gram does not fit in double precision.  A
-    double-double solve must pass its a posteriori certificate; if it
-    does not, the system is rebuilt and solved in mpmath, and
-    ``gram_condition`` records that ``fallback`` with the refinement and
-    the certificate it missed.
+    above its floor.
 
-    ``gram_condition`` also records ``arithmetic`` ("dd" or "mp"), the
+    ``gram_condition`` records ``arithmetic`` ("dd" or "mp"), the
     ``estimate`` behind it (its inputs, the digits the terminal check
-    needs and the digits double-double has), the ``certificate`` of a
-    double-double solve (``residual``, ``rounding_bound`` and ``target``
-    of the scaled system; None in mpmath), the rung that produced the
-    coefficients (``rung``: "float64" or "mp") and the max residual of the
-    scaled system after every step of every rung tried (``refinement``).
-    The reported residual is max |G a - b| of the unscaled system; callers
-    judge it (the runner's ``residual_ok`` verdict requires <= 1e-10 |b|).
+    needs and the digits double-double has), the ``certificate`` of the
+    unscaled system in either arithmetic (``residual`` = max |G a - b|,
+    ``rounding_bound`` and ``target`` = ``RESIDUAL_TOL`` |b|, see
+    ``hp.certificate``), the rung that produced the coefficients
+    (``rung``: "float64" or "mp") and the max residual of the scaled
+    system after every step of every rung tried (``refinement``).  The
+    reported residual is the certificate's; callers judge it (the runner's
+    ``residual_ok`` verdict requires residual + rounding_bound <= target).
     """
     ms = gram.ms
     modes = gram.modes
@@ -341,45 +341,47 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
         return ControlField(
             modes=modes, a=np.zeros(len(modes), dtype=complex), omega0=gram.omega0, T=gram.T,
             residual=0.0, rhs_norm=0.0, norm=0.0, method="direct",
-            gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled}, ms=ms,
+            gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled,
+                            "certificate": {"residual": 0.0, "rounding_bound": 0.0, "target": 0.0}}, ms=ms,
         )
 
     dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
     arithmetic, estimate = choose_arithmetic(abs(ms.M) * gram.T, terminal_tol)
     spec = MpSpectrum(ms, dps=dps)
-    fallback = None
     with mp.workdps(dps):
-        if arithmetic == "dd":
-            try:
-                a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "dd")
-            except RefinementStalled as stall:
-                arithmetic = "mp"
-                fallback = {"from": "dd", "refinement": stall.history, "certificate": stall.certificate}
-        if arithmetic == "mp":
-            a_hp, residual, norm, solve = _solve_moments(spec, gram, msys.data, "mp")
+        a_hp, norm, solve, cert = _solve_moments(spec, gram, msys.data, arithmetic, RESIDUAL_TOL * rhs_norm)
 
     return ControlField(
         modes=modes, a=dd.leading(a_hp), omega0=gram.omega0, T=gram.T,
-        residual=residual, rhs_norm=rhs_norm, norm=norm, method="direct",
+        residual=cert["residual"], rhs_norm=rhs_norm, norm=norm, method="direct",
         gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps,
-                        "arithmetic": arithmetic, "estimate": estimate, "fallback": fallback,
-                        "certificate": solve.certificate, "rung": solve.rung, "refinement": solve.history},
+                        "arithmetic": arithmetic, "estimate": estimate, "certificate": cert,
+                        "rung": solve.rung, "refinement": solve.history},
         ms=ms, a_hp=a_hp, spec_mp=spec,
     )
 
 
-def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arithmetic: str):
-    """The rho-scaled moment solve in one arithmetic: the coefficients,
-    max |G a - b|, the control norm sqrt(a^H G a) and the ladder's record."""
+def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arithmetic: str, target: float):
+    """The moment solve in one arithmetic: the coefficients, the control norm
+    sqrt(a^H G a), the ladder's record and the ``hp.certificate`` of the
+    unscaled system against ``target``.
+
+    The system is scaled by d_k = 2^-round(log2(G_kk) / 2) from the
+    Gram's leading doubles, so the scaled diagonal lies in [1/2, 2]; a
+    power of two is exact in every arithmetic.  For a Hermitian positive
+    definite matrix that is within a factor m of the best diagonal scaling
+    (van der Sluis, "Condition numbers and equilibration of matrices",
+    Numer. Math. 1969).
+    """
     G = _assemble_gram_mp(spec, gram.modes, gram.omega0, gram.T, arithmetic)
     b = _moments(spec, gram.modes, data, arithmetic)
-    rho = mode_arrays(spec, gram.modes, arithmetic)[2]
-    solve = hermitian_solve(rho[:, None] * G * rho, rho * b)
-    a = rho * solve.x
+    k = np.arange(len(gram.modes))
+    d = dd.lift(2.0 ** -np.round(np.log2(dd.leading(G[k, k]).real) / 2), arithmetic)
+    solve = hermitian_solve(d[:, None] * G * d, d * b)
+    a = d * solve.x
     Ga = matvec(G, a)
-    residual = float(np.max(np.abs(dd.leading(Ga - b))))
     norm = math.sqrt(abs(dd.leading((np.conj(a) * Ga).sum()).real))
-    return a, residual, norm, solve
+    return a, norm, solve, certificate(G, a, Ga - b, target)
 
 
 def _field(lam, kap, a, t, x) -> np.ndarray:

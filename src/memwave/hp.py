@@ -19,11 +19,10 @@ in vectorised float64 operations) when that keeps the check six digits
 clear, mpmath at the table's precision otherwise.  The solve climbs a
 two-rung ladder in either: double-precision LU solves refined against
 residuals taken in the extended arithmetic, and, for mpmath values only,
-one mpmath LU factor when that refinement stalls or the matrix does not
-fit in doubles.  A double-double solve is not chosen on an a priori
-condition estimate but accepted a posteriori, by a componentwise bound on
-its residual (``LadderSolve.certificate``); a solve that misses it is
-rebuilt in mpmath.
+one mpmath LU factor when that refinement stalls above its floor.  No
+solve is accepted or rejected here: the caller judges the unscaled
+system by ``certificate``, a componentwise bound on what rounding hides
+from its residual, in whichever arithmetic ran.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from . import dd
 from .cubic import complex_root, real_root
 from .moving import MovingSpectrum
 
-__all__ = ["MpSpectrum", "mode_arrays", "LadderSolve", "RefinementStalled", "choose_arithmetic", "matvec",
+__all__ = ["MpSpectrum", "mode_arrays", "LadderSolve", "choose_arithmetic", "certificate", "matvec",
            "hermitian_solve"]
 
 
@@ -83,34 +82,22 @@ def mode_arrays(spec, modes, arithmetic: str = "float64"):
 
 
 class LadderSolve(NamedTuple):
-    """A solve's iterate, its max residual, the rung that produced it, the
-    max residual of every iterate per rung tried, in order, and for
-    double-double values the ``certificate`` that accepted the iterate."""
+    """A solve's iterate, its max residual, the rung that produced it, and
+    the max residual of every iterate per rung tried, in order."""
 
     x: object
     residual: float
     rung: str
     history: dict
-    certificate: dict | None = None
 
 
-class RefinementStalled(ArithmeticError):
-    """A double-double solve missed its certificate; ``history`` holds its
-    refinement steps and ``certificate`` the bound it missed (None if the
-    matrix does not fit in double precision)."""
-
-    def __init__(self, history: dict, certificate: dict | None):
-        super().__init__("double-double solve not certified")
-        self.history, self.certificate = history, certificate
-
-
-# Digits the moment solve and the terminal check must keep below what they
-# report (see ``choose_arithmetic`` and ``hermitian_solve``).
+# Digits the terminal check must keep below what it reports (see
+# ``choose_arithmetic``).
 MARGIN_DIGITS = 6
-# Units of dd.EPS, relative to |A| |x| entrywise, between the computed and
-# the true residual of a double-double system: the Gram's own entries are
-# accurate to 100 EPS (``test_separable_mp_gram_matches_entrywise_closed_form``)
-# and its matrix-vector product to 32 EPS (``test_dd``).
+# Units of roundoff u, relative to |A| |x| entrywise, between the computed and
+# the true residual of an extended-precision system: the Gram's own entries are
+# accurate to 100 u (``test_separable_mp_gram_matches_entrywise_closed_form``)
+# and its matrix-vector product to 32 u (``test_dd``).
 ROUNDING_ULPS = 100 + 32
 
 
@@ -123,9 +110,8 @@ def choose_arithmetic(growth: float, terminal_tol: float) -> tuple[str, dict]:
     below ``terminal_tol``: growth / ln 10 + log10(1 / terminal_tol) +
     MARGIN_DIGITS digits.  "dd" if they fit in the ``dd.DIGITS`` (about
     31.3) digits of ``dd.EPS``, else "mp".  The solve is not estimated
-    here: a double-double solve carries its own certificate, and
-    ``hermitian_solve`` raises ``RefinementStalled`` where it fails.
-    Returns the choice and the record of it.
+    here: its residual is judged afterwards, with the rounding bound of
+    ``certificate``.  Returns the choice and the record of it.
     """
     estimate = {
         "growth": growth, "terminal_tol": terminal_tol, "dd_digits": round(dd.DIGITS, 2),
@@ -134,24 +120,26 @@ def choose_arithmetic(growth: float, terminal_tol: float) -> tuple[str, dict]:
     return ("dd" if estimate["terminal_digits"] <= dd.DIGITS else "mp"), estimate
 
 
-def _certificate(A64, x, res: float, b) -> dict:
-    """The a posteriori bound that accepts a double-double iterate x of A x = b,
-    given A's leading doubles ``A64``.
+def _unit(A):
+    """The unit roundoff u of the values' arithmetic: ``dd.EPS`` for ``dd.DD``
+    values, 10^-dps as an mpf (which cannot underflow) for mpmath values."""
+    return dd.EPS if isinstance(A, dd.DD) else mp.mpf(10) ** -mp.mp.dps
+
+
+def certificate(A, x, r, target: float) -> dict:
+    """What the residual r = A x - b of an extended-precision system shows.
 
     The true residual of the system A stands for differs from the computed
-    one ``res`` by at most ``ROUNDING_ULPS`` dd.EPS (|A| |x|) entrywise
-    (|A| |x| from the leading doubles, one float64 product), so the
-    iterate is certified when res + that ``rounding_bound`` is at most the
-    ``target`` 10^-(10 + MARGIN_DIGITS) max|b|: ``residual_ok`` wants
-    1e-10 |b| of the unscaled system, and the margin covers the rho
-    scaling (at most rho_max / rho_min, about N^(2s)) for N up to about
-    10^3.  This is Oettli and Prager's componentwise backward error turned
-    into a forward residual bound (Rump, "Verification methods", Acta
-    Numerica 2010).  Returns the three figures.
+    one by at most ``ROUNDING_ULPS`` u (|A| |x|) entrywise, u the unit of
+    the values' arithmetic (``dd.EPS``, or 10^-dps in mpmath), and |A| |x|
+    one float64 product of the leading doubles.  So x solves that system to
+    ``target`` when ``residual`` max|r| plus that ``rounding_bound`` is at
+    most ``target``.  This is Oettli and Prager's componentwise backward
+    error turned into a forward residual bound (Rump, "Verification
+    methods", Acta Numerica 2010).  Returns the three figures.
     """
-    bound = ROUNDING_ULPS * dd.EPS * float(np.max(np.abs(A64) @ np.abs(dd.leading(x))))
-    target = 10.0 ** -(10 + MARGIN_DIGITS) * _max_abs(b)
-    return {"residual": float(res), "rounding_bound": bound, "target": target}
+    bound = ROUNDING_ULPS * _unit(A) * float(np.max(np.abs(dd.leading(A)) @ np.abs(dd.leading(x))))
+    return {"residual": float(_max_abs(r)), "rounding_bound": float(bound), "target": float(target)}
 
 
 def matvec(A, x):
@@ -172,54 +160,44 @@ def hermitian_solve(A, b) -> LadderSolve:
     solved with it in double precision (``np.linalg.solve``, which factors
     it again at each step: 60 us at m = 48, 15 ms at m = 576 on 2 cores),
     added to x in the values' arithmetic, and the residual b - A x is
-    recomputed there (mixed-precision iterative refinement); a matrix that
-    is singular in double precision ends the rung.  It continues while each
-    step shrinks max |r| at least tenfold.
+    recomputed there (mixed-precision iterative refinement).  A matrix that
+    is singular in double precision ends the rung at once, and so does one
+    that does not fit in it (its correction is not finite).  It continues
+    while each step shrinks max |r| at least tenfold.
 
-    A double-double iterate is accepted only with its certificate
-    (``_certificate``): the computed residual plus the componentwise
-    bound ``ROUNDING_ULPS`` dd.EPS max(|A| |x|) on what rounding hides
-    from it must reach 10^-(10 + MARGIN_DIGITS) max|b|.  Otherwise
-    ``RefinementStalled`` is raised: the entries are only accurate to
-    about dd.EPS, so the caller rebuilds the system in mpmath.  An mpmath
-    iterate is accepted at the floor m 10^-dps max|A| max|x|, the residual
-    that rounding A x alone can leave, so no factorization can promise
-    less.  Rung "mp" runs for mpmath values when A does not fit in double
-    precision or rung 1 stalls above that floor: one mpmath LU
+    A double-double iterate is returned as it stands; the caller judges it
+    (``certificate``).  An mpmath iterate is accepted at the floor
+    m u max|A| max|x|, u = 10^-dps, the residual that rounding A x alone
+    can leave, so no factorization can promise less.  Rung "mp" runs for
+    mpmath values when rung 1 stalls above that floor: one mpmath LU
     factorization at 10 extra bits, as ``mp.lu_solve`` uses, serves the
     solve and three refinement steps.
     """
-    history, cert, is_dd = {}, None, isinstance(A, dd.DD)
+    history, is_dd = {}, isinstance(A, dd.DD)
     A64 = dd.leading(A)
-    if np.all(np.isfinite(A64)):
-        x, r, res = b * 0, b, _max_abs(b)
-        steps = history["float64"] = [float(res)]
-        while res > 0:
-            # the residual is normalized before rounding so it cannot underflow
-            try:
-                d = np.linalg.solve(A64, _normalized(r, res))
-            except np.linalg.LinAlgError:  # singular in double precision
-                break
-            if not np.all(np.isfinite(d)):
-                break
-            x_new = x + dd.lift(d, "dd" if is_dd else "mp") * res
-            r_new = b - matvec(A, x_new)
-            res_new = _max_abs(r_new)
-            if not res_new < res:
-                break
-            contracted = 10 * res_new <= res
-            x, r, res = x_new, r_new, res_new
-            steps.append(float(res))
-            if not contracted:
-                break
-        if is_dd:
-            cert = _certificate(A64, x, res, b)
-            if cert["residual"] + cert["rounding_bound"] <= cert["target"]:
-                return LadderSolve(x, float(res), "float64", history, cert)
-        elif res <= len(A) * 10.0 ** (-mp.mp.dps) * float(np.max(np.abs(A64))) * _max_abs(x):
-            return LadderSolve(x, float(res), "float64", history)
-    if is_dd:
-        raise RefinementStalled(history, cert)
+    x, r, res = b * 0, b, _max_abs(b)
+    steps = history["float64"] = [float(res)]
+    while res > 0:
+        # the residual is normalized before rounding so it cannot underflow
+        try:
+            d = np.linalg.solve(A64, _normalized(r, res))
+        except np.linalg.LinAlgError:  # singular in double precision
+            break
+        if not np.all(np.isfinite(d)):
+            break
+        x_new = x + dd.lift(d, "dd" if is_dd else "mp") * res
+        r_new = b - matvec(A, x_new)
+        res_new = _max_abs(r_new)
+        if not res_new < res:
+            break
+        contracted = 10 * res_new <= res
+        x, r, res = x_new, r_new, res_new
+        steps.append(float(res))
+        if not contracted:
+            break
+    # a non-finite A64 leaves x = 0, and the floor inf * 0 is nan: no accept
+    if is_dd or res <= len(A) * _unit(A) * float(np.max(np.abs(A64))) * _max_abs(x):
+        return LadderSolve(x, float(res), "float64", history)
 
     with mp.extraprec(10):
         LU, p = mp.mp.LU_decomp(mp.matrix(A.tolist()), overwrite=True)

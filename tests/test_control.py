@@ -133,13 +133,8 @@ def test_ladder_float64_rung(setup):
     assert cf.residual <= 1e-10 * cf.rhs_norm
 
 
-def test_ladder_escalates_to_one_mp_factorization(monkeypatch):
-    # at M = 5 the scaled Gram (condition ~1e38) is beyond float64
-    # solves: rung 1 stalls, and rung 2 factors in mpmath exactly once
-    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
-    T = 1.05 * horizon_threshold(1.0, ms.gamma)
-    gram = ctl.assemble_gram(ms, OMEGA0, T)
-    data = ctl.random_initial_data(ms, seed=11)
+def _count_lu_decomp(monkeypatch):
+    """The row counts of every mpmath LU factorization from here on."""
     factorizations = []
     real_decomp = mp.mp.LU_decomp
 
@@ -148,30 +143,69 @@ def test_ladder_escalates_to_one_mp_factorization(monkeypatch):
         return real_decomp(*args, **kwargs)
 
     monkeypatch.setattr(mp.mp, "LU_decomp", counting_decomp)
+    return factorizations
+
+
+def test_ladder_makes_no_mp_factorization_at_strong_memory(monkeypatch):
+    # at M = 5 the rho-scaled Gram (condition ~1e38) is beyond float64
+    # solves, but scaled by its own diagonal it is not: rung 1 reaches the
+    # mpmath floor and no mpmath LU factorization runs
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    data = ctl.random_initial_data(ms, seed=11)
+    factorizations = _count_lu_decomp(monkeypatch)
     cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
-    assert cf.gram_condition["rung"] == "mp"
-    assert len(factorizations) == 1
-    assert list(cf.gram_condition["refinement"]) == ["float64", "mp"]
+    assert cf.arithmetic == "mp" and cf.gram_condition["rung"] == "float64"
+    assert factorizations == []
+    assert list(cf.gram_condition["refinement"]) == ["float64"]
     assert cf.residual <= 1e-10 * cf.rhs_norm
     _, report = GalerkinSimulator(ms, OMEGA0).run_to_T(data, cf, T, tol_rel=1e-6, precision="mp")
     assert report.passed, report.ratios
 
 
+def test_negative_strong_memory_stays_in_double_double(monkeypatch):
+    # at M = -2 the rho-scaled diagonal spans some 1e38; scaled by its own
+    # diagonal every entry lies in [1/2, 2], and the solve stays in
+    # double-double with no mpmath factorization
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), -2.0, 1.0, 16)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    gram = ctl.assemble_gram(ms, OMEGA0, T)
+    factorizations = _count_lu_decomp(monkeypatch)
+    systems = []
+
+    def recording_solve(A, b):
+        systems.append(A)
+        return hp.hermitian_solve(A, b)
+
+    monkeypatch.setattr(ctl, "hermitian_solve", recording_solve)
+    cf = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=0), ms), gram)
+    assert cf.arithmetic == "dd" and cf.gram_condition["rung"] == "float64"
+    assert factorizations == []
+    (A,) = systems
+    diagonal = dd.leading(A)[np.diag_indices(len(gram.modes))]
+    assert np.all(diagonal.imag == 0) and np.all((0.5 <= diagonal.real) & (diagonal.real <= 2.0))
+    cert = cf.gram_condition["certificate"]
+    assert cert["residual"] + cert["rounding_bound"] <= cert["target"]
+
+
 def test_ladder_overflowing_matrix_goes_to_mp():
-    # entries beyond the float64 range skip rung 1 altogether
+    # entries beyond the float64 range end rung 1 before its first step
     with mp.workdps(30):
         scale = mp.mpf("1e400")
         A = np.array([[2 * scale, scale], [scale, 2 * scale]], dtype=object)
         b = np.array([3 * scale, 3 * scale], dtype=object)
         solve = hp.hermitian_solve(A, b)
-        assert solve.rung == "mp" and list(solve.history) == ["mp"]
+        assert solve.rung == "mp" and list(solve.history) == ["float64", "mp"]
+        assert len(solve.history["float64"]) == 1
         assert solve.residual <= 1e-25 * 3 * scale
         assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
 
 
 def test_ladder_matrix_singular_in_double_precision():
     # rounded to float64 the matrix is exactly singular: rung 1 stops at once,
-    # mpmath values go to the mp rung and double-double ones to the fallback
+    # mpmath values go to the mp rung, and double-double ones come back
+    # unsolved, which their certificate reports
     with mp.workdps(50):
         eps = mp.mpf("1e-20")
         A = np.array([[1, 1], [1, 1 + eps]], dtype=object) * mp.mpf(1)
@@ -180,8 +214,26 @@ def test_ladder_matrix_singular_in_double_precision():
         assert solve.rung == "mp" and list(solve.history) == ["float64", "mp"]
         assert len(solve.history["float64"]) == 1
         assert max(abs(solve.x[i] - 1) for i in range(2)) < 1e-25
-    with pytest.raises(hp.RefinementStalled):
-        hp.hermitian_solve(dd.lift(A, "dd"), dd.lift(b, "dd"))
+    A, b = dd.lift(A, "dd"), dd.lift(b, "dd")
+    solve = hp.hermitian_solve(A, b)
+    assert solve.rung == "float64" and solve.history == {"float64": [2.0]}
+    assert np.all(dd.leading(solve.x) == 0)
+    cert = hp.certificate(A, solve.x, hp.matvec(A, solve.x) - b, 1e-10 * 2)
+    assert cert["residual"] + cert["rounding_bound"] > cert["target"]
+
+
+def test_ladder_floor_does_not_underflow_past_323_digits():
+    # at dps 400 the floor m 10^-dps max|A| max|x| is below the float64
+    # range; taken as an mpf it still accepts a converged rung 1
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    with mp.workdps(400):
+        A = dd.lift(np.eye(12) + 0.05 * (B + B.conj().T), "mp")
+        b = dd.lift(rng.standard_normal(12) + 1j * rng.standard_normal(12), "mp")
+        solve = hp.hermitian_solve(A, b)
+        assert solve.rung == "float64" and list(solve.history) == ["float64"]
+        floor = 12 * mp.mpf(10) ** -400 * max(abs(v) for v in A.ravel()) * max(abs(v) for v in solve.x)
+        assert max(abs(v) for v in b - hp.matvec(A, solve.x)) <= floor
 
 
 def test_ladder_stays_on_float64_where_the_mp_rung_gains_nothing():
@@ -252,72 +304,49 @@ def test_arithmetic_choice(M, N, want):
 
 
 @pytest.mark.parametrize("N", [8, 16])
-@pytest.mark.parametrize("M", [1.0, -1.0, -1.5, 2.0])
+@pytest.mark.parametrize("M", [1.0, -1.0, -1.5, 2.0, -2.0])
 def test_certificate_bounds_the_true_residual(M, N):
-    # wherever double-double is accepted, its coefficients' residual against
-    # the Gram and moments rebuilt 20 digits higher stays within the target
-    # the certificate claims, 10^-(10 + MARGIN_DIGITS) max|b| of the scaled system
+    # at every |M| <= 2 the solve stays in double-double, and its
+    # coefficients' residual against the Gram and moments rebuilt 20 digits
+    # higher stays within the certificate's residual plus rounding bound,
+    # which is within its target 1e-10 |b| of the unscaled system
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, 1.0, N)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
     gram = ctl.assemble_gram(ms, OMEGA0, T)
     data = ctl.random_initial_data(ms, seed=11)
-    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
+    msys = ctl.assemble_moments(data, ms)
+    cf = ctl.synthesize_control(msys, gram)
     cond = cf.gram_condition
-    assert cond["arithmetic"] == "dd" or M != 2.0  # strong memory is certified in double-double
-    if cond["arithmetic"] != "dd":
-        assert cond["fallback"]["from"] == "dd" and cond["certificate"] is None
-        return
+    assert cond["arithmetic"] == "dd"
     cert = cond["certificate"]
+    assert cert["residual"] == cf.residual and cert["target"] == 1e-10 * np.linalg.norm(msys.b)
     assert cert["residual"] + cert["rounding_bound"] <= cert["target"]
     dps = cond["dps"] + 20
     spec = MpSpectrum(ms, dps=dps)
     with mp.workdps(dps):
         G = ctl._assemble_gram_mp(spec, gram.modes, OMEGA0, T, "mp")
         b = ctl._moments(spec, gram.modes, data, "mp")
-        rho = hp.mode_arrays(spec, gram.modes, "mp")[2]
-        true = max(abs(r * v) for r, v in zip(rho, hp.matvec(G, dd.to_mp(cf.a_hp)) - b))
-        target = mp.mpf(10) ** -(10 + hp.MARGIN_DIGITS) * max(abs(r * v) for r, v in zip(rho, b))
-    assert true <= target and true <= cert["target"]
+        true = max(abs(v) for v in hp.matvec(G, dd.to_mp(cf.a_hp)) - b)
+    assert true <= cert["residual"] + cert["rounding_bound"]
 
 
 @pytest.mark.parametrize("log2_delta, accepted", [(-43, False), (-30, True)])
 def test_certificate_rejects_what_rounding_could_hide(log2_delta, accepted):
-    # A = [[1, -1], [-1, 1 + delta]], b = [0, delta]: x = [1, 1] exactly, so
-    # refinement ends at a computed residual of 0, but |A| |x| = 2 + delta,
-    # and entries accurate only to ~1e-30 leave room for a true residual of
-    # ROUNDING_ULPS EPS (2 + delta).  At delta = 2^-43 that exceeds the
-    # target 1e-16 delta (it would not with 100 ulps, nor with the target
-    # 1e-10 delta); at 2^-30 it does not
-    delta = 2.0**log2_delta
-    A = dd.array([[1.0, -1.0], [-1.0, 1.0 + delta]])
+    # A = K [[1, -1], [-1, 1]] + [[0, 0], [0, delta]], b = [0, delta] and
+    # x = [1, 1] exactly, with K = 2^30: the computed residual is 0, but
+    # |A| |x| = 2K in the leading doubles, and entries accurate only to
+    # ~1e-30 leave room for a true residual of ROUNDING_ULPS EPS 2K = 1.4e-20.  At
+    # delta = 2^-43 that exceeds the target 1e-10 |b| = 1.1e-23; at 2^-30
+    # the target is 9.3e-20 and it does not
+    K, delta = 2.0**30, 2.0**log2_delta
+    A = dd.array([[K, -K], [-K, K]]) + dd.array([[0.0, 0.0], [0.0, delta]])
+    x = dd.array([1.0, 1.0])
     b = dd.array([0.0, delta])
-    bound = hp.ROUNDING_ULPS * dd.EPS * (2 + delta)
-    if accepted:
-        solve = hp.hermitian_solve(A, b)
-        assert solve.residual == 0.0 and np.all(dd.leading(solve.x) == 1.0)
-        assert solve.certificate == {"residual": 0.0, "rounding_bound": bound,
-                                     "target": 10.0 ** -(10 + hp.MARGIN_DIGITS) * delta}
-        return
-    with pytest.raises(hp.RefinementStalled) as stall:
-        hp.hermitian_solve(A, b)
-    cert = stall.value.certificate
-    assert cert["residual"] == 0.0 and cert["rounding_bound"] == bound
-    assert cert["target"] == 10.0 ** -(10 + hp.MARGIN_DIGITS) * delta < bound
-
-
-def test_stalled_double_double_solve_falls_back_to_mpmath(monkeypatch):
-    # forced onto double-double at M = 5 (scaled condition ~1e38), the
-    # refinement stalls above its floor and the solve is rebuilt in mpmath
-    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 5.0, 1.0, 8)
-    T = 1.05 * horizon_threshold(1.0, ms.gamma)
-    gram = ctl.assemble_gram(ms, OMEGA0, T)
-    monkeypatch.setattr(ctl, "choose_arithmetic", lambda *args: ("dd", {}))
-    cf = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=11), ms), gram)
-    cond = cf.gram_condition
-    assert cond["arithmetic"] == "mp" and cf.arithmetic == "mp"
-    assert cond["fallback"]["from"] == "dd" and list(cond["fallback"]["refinement"]) == ["float64"]
-    assert cond["rung"] == "mp"
-    assert cf.residual <= 1e-10 * cf.rhs_norm
+    assert dd.leading(A)[1, 1] == K  # delta lives in the low part only
+    cert = hp.certificate(A, x, hp.matvec(A, x) - b, 1e-10 * delta)
+    bound = hp.ROUNDING_ULPS * dd.EPS * 2 * K
+    assert cert == {"residual": 0.0, "rounding_bound": bound, "target": 1e-10 * delta}
+    assert (cert["residual"] + cert["rounding_bound"] <= cert["target"]) == accepted
 
 
 def test_linearity_scaling(setup):

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memwave import biorthogonal as bio
-from memwave import cli
+from memwave import cli, dd, hp
 from memwave.runner import (PIPELINES, SWEEPABLE, ConfigError, RunConfig, load_config, parse_value,
                             run_pipeline, sweep)
 
@@ -347,6 +347,18 @@ def test_cli_simulate_at_a_single_level(tmp_path):
     gaps = json.loads((tmp_path / "n1" / "gap_report.json").read_text())
     drift = [cl for cl in gaps["clauses"] if cl["name"] == "drifting_branches_eventually_monotone"]
     assert [cl["passed"] for cl in drift] == [None]
+
+
+def test_rounding_bound_over_the_target_fails_residual_ok(tmp_path, monkeypatch):
+    # a rounding bound of one unit per unit of |G| |a| is over 1e-10 |b|: the
+    # computed residual still meets the target, and the verdict fails through
+    # the rounding term alone, by name, with the manifest written
+    monkeypatch.setattr(hp, "ROUNDING_ULPS", 1 / dd.EPS)
+    manifest, passed = run_pipeline(load_config(small_config(tmp_path)), "control", outdir=tmp_path / "o")
+    assert not passed and manifest["failures"] == ["control.residual_ok"]
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text()) == manifest
+    cert = json.loads((tmp_path / "o" / "control.json").read_text())["gram_condition"]["certificate"]
+    assert cert["residual"] <= cert["target"] < cert["rounding_bound"]
 
 
 def test_simulate_at_n96_keeps_the_duality_margin(tmp_path):
