@@ -24,13 +24,13 @@ T = 1.05 * horizon_threshold(ms.c, ms.gamma)
 omega0 = (-0.3, 0.3)
 
 gram = ctl.assemble_gram(ms, omega0, T)
-print(f"Gram over {len(gram.modes)} kernels: condition {gram.cond_raw:.2e} raw, "
-      f"{gram.cond_scaled:.2e} rho-scaled")
 
 data = ctl.random_initial_data(ms, seed=7)
 print(f"data norm (sigma = 3, 2 weights): {data.weighted_norm():.4f}")
 msys = ctl.assemble_moments(data, ms)
 cf = ctl.synthesize_control(msys, gram)
+print(f"Gram over {len(gram.modes)} kernels, scaled by its own diagonal: "
+      f"condition {cf.gram_condition['scaled']:.2e}")
 print(f"synthesis in {cf.gram_condition['arithmetic']} arithmetic ({cf.gram_condition['dps']}-digit spectrum): "
       f"moment residual {cf.residual:.2e}, control norm {cf.norm:.4f}")
 # the same system in mpmath: a terminal tolerance beyond double-double's digits picks it

@@ -20,12 +20,11 @@ or ``hp.MpSpectrum``) and an arithmetic ("float64", "dd" or "mp", see
 and also serve the propagator.  A Gram costs 2 x levels + m exponentials
 (the branches of a level n share kap_n); only its upper triangle is
 computed, the lower one is its conjugate.  Branch-2/3 kernels grow like
-e^{|M| T/2} in time, so the Gram's scale spread is extreme; the float64
-Gram gives the condition numbers, and the solve rebuilds it in extended
-precision (double-double or mpmath, see ``hp``) on the configured spectrum
-and scales it by its own diagonal.  The solved coefficients are kept both as
-doubles (exports, diagnostics) and at full precision (terminal-state
-evaluation).
+e^{|M| T/2} in time, so the Gram's scale spread is extreme; the solve
+rebuilds it in extended precision (double-double or mpmath, see ``hp``) on
+the configured spectrum and scales it by its own diagonal.  The solved
+coefficients are kept both as doubles (exports, diagnostics) and at full
+precision (terminal-state evaluation).
 """
 
 from __future__ import annotations
@@ -218,22 +217,16 @@ class ControlGram:
     T: float
     modes: list
     G: np.ndarray
-    cond_raw: float
-    cond_scaled: float
 
 
 def assemble_gram(ms: MovingSpectrum, omega0, T: float) -> ControlGram:
-    """The float64 Gram on ``ms`` and its raw and rho-scaled condition numbers."""
+    """The float64 Gram on ``ms``."""
     x0, x1 = float(omega0[0]), float(omega0[1])
     if not x1 > x0:
         raise ValueError("omega0 must be a nonempty interval")
     modes = list(ms.modes())
     G = _assemble_gram_mp(ms, modes, (x0, x1), T, "float64")
-    D = np.diag(mode_arrays(ms, modes)[2])
-    cond_raw = float(np.linalg.cond(G))
-    cond_scaled = float(np.linalg.cond(D @ G @ D))
-    return ControlGram(ms=ms, omega0=(x0, x1), T=float(T), modes=modes, G=G,
-                       cond_raw=cond_raw, cond_scaled=cond_scaled)
+    return ControlGram(ms=ms, omega0=(x0, x1), T=float(T), modes=modes, G=G)
 
 
 def _assemble_gram_mp(spec, modes, omega0, T, arithmetic: str = "mp"):
@@ -311,21 +304,22 @@ class ControlField:
 def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: float = 1.0e-6) -> ControlField:
     """Solve G a = b in extended precision by a precision ladder.
 
-    The Gram and the right-hand sides are rebuilt on the gram's own moving
-    spectrum, taken at dps = max(40, log10(cond_scaled) + 30) digits
-    (``hp.MpSpectrum``), and scaled by the Gram's own diagonal.  The
-    arithmetic of the rebuild, the solve's residuals and the reported
-    residual is chosen a priori by ``hp.choose_arithmetic`` from |M| T and
+    The arithmetic and the working precision dps are chosen once, before
+    any Gram is built, by ``hp.choose_arithmetic`` from |M| T and
     ``terminal_tol``, the tolerance of the terminal check the control must
     pass: double-double (``dd.DD``) where it keeps that check six digits
-    clear, mpmath at dps otherwise.  ``hermitian_solve`` then refines
+    clear, mpmath otherwise, and dps the digits that check needs (at least
+    40).  The Gram and the right-hand sides are rebuilt in that arithmetic
+    on the gram's own moving spectrum taken at dps (``hp.MpSpectrum``), and
+    scaled by the Gram's own diagonal.  ``hermitian_solve`` then refines
     float64 LU solves against residuals taken in that arithmetic; in
     mpmath it takes one mpmath LU factorization only when that stalls
     above its floor.
 
-    ``gram_condition`` records ``arithmetic`` ("dd" or "mp"), the
-    ``estimate`` behind it (its inputs, the digits the terminal check
-    needs and the digits double-double has), the ``certificate`` of the
+    ``gram_condition`` records ``arithmetic`` ("dd" or "mp"), ``dps``, the
+    ``estimate`` behind both (its inputs, the digits the terminal check
+    needs and the digits double-double has), ``scaled``, the float64
+    condition number of the diagonally scaled Gram, the ``certificate`` of the
     unscaled system in either arithmetic (``residual`` = max |G a - b|,
     ``rounding_bound`` and ``target`` = ``RESIDUAL_TOL`` |b|, see
     ``hp.certificate``), the rung that produced the coefficients
@@ -333,38 +327,31 @@ def synthesize_control(msys: MomentSystem, gram: ControlGram, terminal_tol: floa
     system after every step of every rung tried (``refinement``).  The
     reported residual is the certificate's; callers judge it (the runner's
     ``residual_ok`` verdict requires residual + rounding_bound <= target).
+    Zero data takes the same solve, whose residual, rounding bound and
+    target all read 0.
     """
     ms = gram.ms
-    modes = gram.modes
     rhs_norm = float(np.linalg.norm(msys.b))
-    if rhs_norm == 0.0:
-        return ControlField(
-            modes=modes, a=np.zeros(len(modes), dtype=complex), omega0=gram.omega0, T=gram.T,
-            residual=0.0, rhs_norm=0.0, norm=0.0, method="direct",
-            gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled,
-                            "certificate": {"residual": 0.0, "rounding_bound": 0.0, "target": 0.0}}, ms=ms,
-        )
-
-    dps = max(40, int(math.log10(max(gram.cond_scaled, 10.0))) + 30)
-    arithmetic, estimate = choose_arithmetic(abs(ms.M) * gram.T, terminal_tol)
+    arithmetic, dps, estimate = choose_arithmetic(abs(ms.M) * gram.T, terminal_tol)
     spec = MpSpectrum(ms, dps=dps)
     with mp.workdps(dps):
-        a_hp, norm, solve, cert = _solve_moments(spec, gram, msys.data, arithmetic, RESIDUAL_TOL * rhs_norm)
+        a_hp, norm, solve, cert, cond = _solve_moments(spec, gram, msys.data, arithmetic,
+                                                       RESIDUAL_TOL * rhs_norm)
 
     return ControlField(
-        modes=modes, a=dd.leading(a_hp), omega0=gram.omega0, T=gram.T,
+        modes=gram.modes, a=dd.leading(a_hp), omega0=gram.omega0, T=gram.T,
         residual=cert["residual"], rhs_norm=rhs_norm, norm=norm, method="direct",
-        gram_condition={"raw": gram.cond_raw, "scaled": gram.cond_scaled, "dps": dps,
-                        "arithmetic": arithmetic, "estimate": estimate, "certificate": cert,
-                        "rung": solve.rung, "refinement": solve.history},
+        gram_condition={"scaled": cond, "dps": dps, "arithmetic": arithmetic, "estimate": estimate,
+                        "certificate": cert, "rung": solve.rung, "refinement": solve.history},
         ms=ms, a_hp=a_hp, spec_mp=spec,
     )
 
 
 def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arithmetic: str, target: float):
     """The moment solve in one arithmetic: the coefficients, the control norm
-    sqrt(a^H G a), the ladder's record and the ``hp.certificate`` of the
-    unscaled system against ``target``.
+    sqrt(a^H G a), the ladder's record, the ``hp.certificate`` of the
+    unscaled system against ``target``, and the float64 condition number of
+    the leading doubles of the scaled Gram, the matrix rung "float64" factors.
 
     The system is scaled by d_k = 2^-round(log2(G_kk) / 2) from the
     Gram's leading doubles, so the scaled diagonal lies in [1/2, 2]; a
@@ -377,11 +364,12 @@ def _solve_moments(spec: MpSpectrum, gram: ControlGram, data: InitialData, arith
     b = _moments(spec, gram.modes, data, arithmetic)
     k = np.arange(len(gram.modes))
     d = dd.lift(2.0 ** -np.round(np.log2(dd.leading(G[k, k]).real) / 2), arithmetic)
-    solve = hermitian_solve(d[:, None] * G * d, d * b)
+    A = d[:, None] * G * d
+    solve = hermitian_solve(A, d * b)
     a = d * solve.x
     Ga = matvec(G, a)
     norm = math.sqrt(abs(dd.leading((np.conj(a) * Ga).sum()).real))
-    return a, norm, solve, certificate(G, a, Ga - b, target)
+    return a, norm, solve, certificate(G, a, Ga - b, target), float(np.linalg.cond(dd.leading(A)))
 
 
 def _field(lam, kap, a, t, x) -> np.ndarray:

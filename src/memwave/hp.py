@@ -14,12 +14,13 @@ propagator integrates.  It answers the accessors of ``MovingSpectrum``
 
 Above the table, the moment solve and the terminal check run in one of
 two extended arithmetics, picked per run by ``choose_arithmetic`` from the
-digits the terminal check needs: double-double (``dd.DD``, about 31 digits
-in vectorised float64 operations) when that keeps the check six digits
-clear, mpmath at the table's precision otherwise.  The solve climbs a
-two-rung ladder in either: double-precision LU solves refined against
-residuals taken in the extended arithmetic, and, for mpmath values only,
-one mpmath LU factor when that refinement stalls above its floor.  No
+digits the terminal check needs, which also set the table's precision:
+double-double (``dd.DD``, about 31 digits in vectorised float64
+operations) when that keeps the check six digits clear, mpmath at those
+digits otherwise.  The solve climbs a two-rung ladder in either:
+double-precision LU solves refined against residuals taken in the extended
+arithmetic, and, for mpmath values only, one mpmath LU factor when that
+refinement stalls above its floor.  No
 solve is accepted or rejected here: the caller judges the unscaled
 system by ``certificate``, a componentwise bound on what rounding hides
 from its residual, in whichever arithmetic ran.
@@ -44,7 +45,7 @@ __all__ = ["MpSpectrum", "mode_arrays", "LadderSolve", "choose_arithmetic", "cer
 class MpSpectrum:
     """A MovingSpectrum's frequencies and cubic roots at working precision dps."""
 
-    def __init__(self, ms: MovingSpectrum, dps: int = 50):
+    def __init__(self, ms: MovingSpectrum, dps: int):
         self.dps = int(dps)
         with mp.workdps(self.dps):
             self.M, self.c = mp.mpf(ms.M), mp.mpf(ms.c)
@@ -101,23 +102,27 @@ MARGIN_DIGITS = 6
 ROUNDING_ULPS = 100 + 32
 
 
-def choose_arithmetic(growth: float, terminal_tol: float) -> tuple[str, dict]:
-    """"dd" (double-double) or "mp" for the moment solve and the terminal check.
+def choose_arithmetic(growth: float, terminal_tol: float) -> tuple[str, int, dict]:
+    """"dd" (double-double) or "mp" for the moment solve and the terminal
+    check, and the working precision dps of the run.
 
     The terminal coordinates are differences of terms as large as
     e^{|M| T} times the data (``growth`` = |M| T), so rounding at u leaves
     about u e^{|M| T} of the data, which must sit ``MARGIN_DIGITS`` digits
     below ``terminal_tol``: growth / ln 10 + log10(1 / terminal_tol) +
     MARGIN_DIGITS digits.  "dd" if they fit in the ``dd.DIGITS`` (about
-    31.3) digits of ``dd.EPS``, else "mp".  The solve is not estimated
-    here: its residual is judged afterwards, with the rounding bound of
-    ``certificate``.  Returns the choice and the record of it.
+    31.3) digits of ``dd.EPS``, else "mp".  dps is those digits, never
+    fewer than 40, the precision a double-double run polishes its spectrum
+    to.  The solve is not estimated here: its residual is judged
+    afterwards, with the rounding bound of ``certificate``.  Returns the
+    choice, dps and the record of the choice.
     """
     estimate = {
         "growth": growth, "terminal_tol": terminal_tol, "dd_digits": round(dd.DIGITS, 2),
         "terminal_digits": round(growth / math.log(10) - math.log10(terminal_tol) + MARGIN_DIGITS, 2),
     }
-    return ("dd" if estimate["terminal_digits"] <= dd.DIGITS else "mp"), estimate
+    digits = estimate["terminal_digits"]
+    return ("dd" if digits <= dd.DIGITS else "mp"), max(40, math.ceil(digits)), estimate
 
 
 def _unit(A):

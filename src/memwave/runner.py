@@ -298,7 +298,7 @@ class _Run:
             "moment_residual": cf.residual,
             "residual_ok": bool(cert["residual"] + cert["rounding_bound"] <= cert["target"]),
             "control_norm": cf.norm,
-            "gram_cond_scaled": gram.cond_scaled,
+            "gram_cond_scaled": cf.gram_condition["scaled"],
             "observability": obs.passed,
             "observability_constant": obs.c_obs_hat,
             "below_threshold_watermark": below,

@@ -15,7 +15,8 @@ table, the control forcing and the initial state from a spectrum in an
 arithmetic, and one routine (``_advance``) propagates them, on doubles,
 double-double values or mpmath values.  The float64 steps run it on the
 configured ``MovingSpectrum``; the extended-precision terminal check runs
-it on the control's ``hp.MpSpectrum`` in the control's arithmetic.
+it on the control's ``hp.MpSpectrum`` in the control's arithmetic and at
+its working precision, both chosen once by ``hp.choose_arithmetic``.
 
 The control forcing is projected on the modes with the factor-1/2 plane-wave
 convention, which is exactly the pairing under which the moment right-hand
@@ -47,7 +48,7 @@ from .control import (
     SIGMA_WEIGHTS, ControlField, InitialData, _exp, _space_factor, _time_factor, _time_nodes, quadrature_moments,
 )
 from .fractional import write_csv, write_json
-from .hp import MpSpectrum, mode_arrays
+from .hp import mode_arrays
 from .moving import BRANCHES, MovingSpectrum
 
 __all__ = [
@@ -148,10 +149,14 @@ def _weighted_norms(rho, X, sigma_weights) -> dict:
 
     It reads the leading double of each value: whatever cancels has
     cancelled in computing X, and a sum of positive terms needs no more.
+    Each column is divided by its largest modulus before squaring, so a
+    state far below 1e-154 keeps its norm instead of underflowing to 0.
     """
-    rho, X = dd.leading(rho).real, dd.leading(X)
-    sq = (rho[:, None] ** (2 * np.asarray(sigma_weights)) * np.abs(X) ** 2).sum(axis=0)
-    return {name: float(v ** 0.5) for name, v in zip(("xi", "xi_dot", "zeta"), sq)}
+    rho, X = dd.leading(rho).real, np.abs(dd.leading(X))
+    scale = X.max(axis=0)
+    scale[scale == 0] = 1.0
+    sq = (rho[:, None] ** (2 * np.asarray(sigma_weights)) * (X / scale) ** 2).sum(axis=0)
+    return {name: float(f * v ** 0.5) for name, f, v in zip(("xi", "xi_dot", "zeta"), scale, sq)}
 
 
 class _ModalSetup:
@@ -260,7 +265,12 @@ class GalerkinSimulator:
         n_checkpoints: int = 0,
         precision: str = "float64",
     ):
-        """Propagate to T and report terminal weighted norms and the verdict."""
+        """Propagate to T and report terminal weighted norms and the verdict.
+
+        At ``precision="mp"`` the terminal norms of a controlled run come
+        from ``_terminal_norms_mp``; an uncontrolled run has nothing to
+        cancel, so its float64 norms stand and ``arithmetic`` is None.
+        """
         forcing = self.bind_forcing(control)
         state = self.initial_state(data)
         trajectory = []
@@ -272,9 +282,8 @@ class GalerkinSimulator:
         else:
             state = self.step_exact(state, forcing, T)
         norms, arithmetic = self.weighted_norms(state), None
-        if precision == "mp":
-            norms = self._terminal_norms_mp(data, control, T)
-            arithmetic = control.arithmetic if control is not None else "mp"
+        if precision == "mp" and control is not None:
+            norms, arithmetic = self._terminal_norms_mp(data, control, T), control.arithmetic
         data_norm = data.weighted_norm(*self.sigma_weights[:2])
         ratios = {k: (v / data_norm if data_norm > 0 else v) for k, v in norms.items()}
         report = TerminalReport(
@@ -285,26 +294,21 @@ class GalerkinSimulator:
         )
         return state, report
 
-    def _terminal_norms_mp(self, data: InitialData, control: ControlField | None, T: float) -> dict:
+    def _terminal_norms_mp(self, data: InitialData, control: ControlField, T: float) -> dict:
         """Terminal weighted norms with the cancellation done in extended precision.
 
         The same set-up and propagation as ``step_exact``, from 0 to T, in
         the arithmetic the control was solved in (``ControlField.arithmetic``:
-        double-double or mpmath; mpmath at 50 digits without a control): the
-        modal table from the spectral table the synthesis used, the forcing
-        from the solved coefficients at full precision.  The terminal
-        coordinates are where fourteen-plus digits cancel.
+        double-double or mpmath) at its working precision: the modal table
+        from the spectral table the synthesis used, the forcing from the
+        solved coefficients at full precision.  The terminal coordinates are
+        where fourteen-plus digits cancel.
         """
-        spec = control.spec_mp if control is not None else None
-        dps = spec.dps if spec is not None else 50
-        modes, a, arithmetic = [], np.zeros(0, dtype=complex), "mp"
-        if control is not None:
-            modes, arithmetic = control.modes, control.arithmetic
-            a = control.a_hp if control.a_hp is not None else control.a
-        with mp.workdps(dps):
-            setup = _ModalSetup(spec or MpSpectrum(self.ms, dps=dps), arithmetic, self._setup.ns)
+        spec, arithmetic = control.spec_mp, control.arithmetic
+        with mp.workdps(spec.dps):
+            setup = _ModalSetup(spec, arithmetic, self._setup.ns)
             X = _advance(setup.modal, setup.initial_state(data), 0, dd.lift(T, arithmetic),
-                         setup.forcing(modes, a, self.omega0))
+                         setup.forcing(control.modes, control.a_hp, self.omega0))
             return _weighted_norms(setup.rho, X, self.sigma_weights)
 
 
@@ -328,7 +332,7 @@ class TerminalReport:
     tol_rel: float
     passed: bool
     precision: str
-    arithmetic: str | None  # of the extended-precision check: "dd", "mp", or None at float64
+    arithmetic: str | None  # of the extended-precision check: "dd", "mp", or None at float64 or uncontrolled
     gram_deviation: float
     trajectory: list = field(default_factory=list)
 

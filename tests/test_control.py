@@ -45,12 +45,22 @@ def test_moment_rhs_literal(setup):
 
 
 def test_zero_data_zero_control(setup):
+    # zero data takes the same solve: it records what any run records, in
+    # the arithmetic and at the precision choose_arithmetic picks, and its
+    # certificate reads 0/0/0
     ms, T, gram = setup
     ns = np.array(ms.mode_indices())
     rho = np.array([ms.rho(n) for n in ns])
     data = ctl.InitialData(ns, np.zeros(len(ns), complex), np.zeros(len(ns), complex), rho)
     cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
     assert cf.norm == 0.0 and np.all(cf.a == 0)
+    ref = ctl.synthesize_control(ctl.assemble_moments(ctl.random_initial_data(ms, seed=11), ms), gram)
+    cond = cf.gram_condition
+    assert cond.keys() == ref.gram_condition.keys()
+    arithmetic, dps, _ = hp.choose_arithmetic(abs(ms.M) * T, 1e-6)
+    assert cf.arithmetic == cond["arithmetic"] == arithmetic and cond["dps"] == dps
+    assert cond["certificate"] == {"residual": 0.0, "rounding_bound": 0.0, "target": 0.0}
+    assert cond["scaled"] == ref.gram_condition["scaled"]
 
 
 def test_gram_diagonal_closed_form(setup):
@@ -167,7 +177,9 @@ def test_ladder_makes_no_mp_factorization_at_strong_memory(monkeypatch):
 def test_negative_strong_memory_stays_in_double_double(monkeypatch):
     # at M = -2 the rho-scaled diagonal spans some 1e38; scaled by its own
     # diagonal every entry lies in [1/2, 2], and the solve stays in
-    # double-double with no mpmath factorization
+    # double-double with no mpmath factorization.  "scaled" is the float64
+    # condition of that matrix; a 90-digit mp.eigh of the unit-diagonal Gram
+    # gives 5.19e4 (the rho-scaled one was 3.4e40)
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), -2.0, 1.0, 16)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
     gram = ctl.assemble_gram(ms, OMEGA0, T)
@@ -185,8 +197,24 @@ def test_negative_strong_memory_stays_in_double_double(monkeypatch):
     (A,) = systems
     diagonal = dd.leading(A)[np.diag_indices(len(gram.modes))]
     assert np.all(diagonal.imag == 0) and np.all((0.5 <= diagonal.real) & (diagonal.real <= 2.0))
+    assert cf.gram_condition["scaled"] == np.linalg.cond(dd.leading(A))
+    assert abs(cf.gram_condition["scaled"] / 5.19e4 - 1) <= 0.5
     cert = cf.gram_condition["certificate"]
     assert cert["residual"] + cert["rounding_bound"] <= cert["target"]
+
+
+def test_mp_run_carries_the_terminal_digits():
+    # at M = 20 the terminal check needs 192 digits; the run takes them all
+    # (a float64 condition number of the rho-scaled Gram gave it 105)
+    ms = build_moving_spectrum(build_eigenvalue_table(0.75, 8), 20.0, 1.0, 8)
+    T = 1.05 * horizon_threshold(1.0, ms.gamma)
+    data = ctl.random_initial_data(ms, seed=0)
+    cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), ctl.assemble_gram(ms, OMEGA0, T))
+    cond = cf.gram_condition
+    assert cf.arithmetic == "mp" and cond["dps"] >= cond["estimate"]["terminal_digits"] > 190
+    assert cf.spec_mp.dps == cond["dps"]
+    _, report = GalerkinSimulator(ms, OMEGA0).run_to_T(data, cf, T, tol_rel=1e-6, precision="mp")
+    assert report.passed, report.ratios
 
 
 def test_ladder_overflowing_matrix_goes_to_mp():
@@ -237,7 +265,7 @@ def test_ladder_floor_does_not_underflow_past_323_digits():
 
 
 def test_ladder_stays_on_float64_where_the_mp_rung_gains_nothing():
-    # at M = 3, N = 16 (dps 61) rung 1 stalls near 1e-50, which is what the
+    # at M = 3, N = 16 (dps 40) rung 1 stalls near 1e-38, which is what the
     # mp rung reaches there too; the floor m 10^-dps max|A| max|x| keeps the
     # solve on rung 1, and the result passes both downstream checks
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, 16), 3.0, 1.0, 16)
@@ -245,7 +273,7 @@ def test_ladder_stays_on_float64_where_the_mp_rung_gains_nothing():
     gram = ctl.assemble_gram(ms, OMEGA0, T)
     data = ctl.random_initial_data(ms, seed=11)
     cf = ctl.synthesize_control(ctl.assemble_moments(data, ms), gram)
-    assert cf.gram_condition["dps"] == 61
+    assert cf.gram_condition["dps"] == 40
     assert cf.gram_condition["rung"] == "float64"
     assert list(cf.gram_condition["refinement"]) == ["float64"]
     assert cf.residual <= 1e-10 * cf.rhs_norm
@@ -293,12 +321,14 @@ def test_separable_mp_gram_matches_entrywise_closed_form(M, dps):
                                         (5.0, 8, "mp")])
 def test_arithmetic_choice(M, N, want):
     # double-double where the terminal check keeps six digits to spare; the
-    # solve's conditioning is not read (the solve certifies itself)
+    # solve's conditioning is not read (the solve certifies itself).  The
+    # run carries the digits the terminal check needs, never fewer than 40
     ms = build_moving_spectrum(build_eigenvalue_table(0.75, N), M, 1.0, N)
     T = 1.05 * horizon_threshold(1.0, ms.gamma)
-    got, estimate = hp.choose_arithmetic(abs(M) * T, 1e-6)
+    got, dps, estimate = hp.choose_arithmetic(abs(M) * T, 1e-6)
     assert got == want
     assert (estimate["terminal_digits"] <= estimate["dd_digits"]) == (want == "dd")
+    assert dps == max(40, math.ceil(estimate["terminal_digits"])) == (57 if M == 5.0 else 40)
     # a tighter terminal tolerance moves it to mpmath
     assert hp.choose_arithmetic(abs(M) * T, 1e-25)[0] == "mp"
 

@@ -197,6 +197,21 @@ def test_terminal_ratios_use_the_configured_sigma(world, sigma0, sigma1):
     assert report.ratios["xi"] <= 1.0, report.ratios
 
 
+@pytest.mark.parametrize("arithmetic", ["float64", "dd"])
+def test_weighted_norms_keep_a_tiny_state(world, arithmetic):
+    # a state of 1e-200 squares below the float64 range; its norms are still
+    # 1e-200 times those of the same state at unit size
+    _, _, _, _, simulator = world
+    X = np.random.default_rng(2).standard_normal((len(simulator.ns), 3)) + 0j
+    X[:, 2] = 0  # a zero column keeps its zero norm
+    unit = sim._weighted_norms(simulator.rho, X, simulator.sigma_weights)
+    tiny = sim._weighted_norms(dd.lift(simulator.rho, arithmetic), dd.lift(X, arithmetic) * 1e-200,
+                               simulator.sigma_weights)
+    for key in ("xi", "xi_dot"):
+        assert tiny[key] == pytest.approx(1e-200 * unit[key], rel=1e-14, abs=0), key
+    assert tiny["zeta"] == unit["zeta"] == 0.0
+
+
 def test_double_double_terminal_check(world):
     # at M = 0.5 the synthesis and the terminal check run in double-double,
     # and the terminal state sits twenty digits below the data, far under
